@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .errors import DegreeBoundError, NotInvertibleError
+from .errors import DegreeBoundError, NotInvertibleError, ParamError
 from .fields import Field
 from .goppa import ErrorPattern, GoppaCode
 from .polyring import Poly, inv_mod, poly_pth_power, pth_root_mod
@@ -223,7 +223,9 @@ def _decode_impl(
     p = f.p
     n = code.n
     if len(received) != n:
-        raise ValueError(f"received word has length {len(received)}, code length is {n}")
+        raise ParamError(f"received word has length {len(received)}, code length is {n}")
+    if any(not 0 <= r < p for r in received):
+        raise ParamError(f"received word entries must lie in [0, {p})")
     s_vec = code.syndrome_from_word(received)
     s_poly = Poly(f, s_vec)
     if s_poly.is_zero():

@@ -18,7 +18,15 @@ import numpy as np
 from . import modp
 from .errors import ParamError
 from .fields import Field, make_field
-from .polyring import Poly, inv_mod, is_irreducible, is_square_free, random_irreducible
+from .polyring import (
+    Poly,
+    _digit_split,
+    _elementwise,
+    _synthetic_division,
+    inv_mod,
+    is_square_free,
+    random_irreducible,
+)
 
 
 @dataclass(frozen=True)
@@ -98,61 +106,45 @@ class GoppaCode:
             raise ParamError(f"support length {n} exceeds field size {field.q}")
         if n - field.m * t <= 0:
             raise ParamError(f"dimension bound violated: n - m*t = {n - field.m * t}")
+        # before any table lookup: an out-of-range rank would index past the tables
+        if any(not 0 <= a < field.q for a in support):
+            raise ParamError(f"support elements must lie in [0, {field.q})")
+        if any(not 0 <= c < field.q for c in g.coeffs):
+            raise ParamError(f"generator coefficients must lie in [0, {field.q})")
         if not is_square_free(g):
             raise ParamError("generator must be square-free")
-        for a in support:
-            if g(a) == 0:
-                raise ParamError("support must avoid the roots of the generator")
         self.field = field
         self.L = tuple(support)
         self.g = g
         self.n = n
         self.t = t
-        self.H = self._build_parity_check()
-        self.Hbar = self._expand_trace(self.H)
+        h = self._build_parity_check()
+        self.H = h.tolist()
+        self.Hbar = self._expand_trace(h)
         self._kernel = None
 
     # -- parity checks -------------------------------------------------------
 
-    def _toeplitz_vandermonde_diag(self) -> list[list[int]]:
-        """The raw product toep(g_1..g_t) @ vdm_t(L) @ diag(1/g(L_j))."""
-        f, t, n = self.field, self.t, self.n
-        gc = self.g.coeffs
-        out = [[0] * n for _ in range(t)]
-        for j, lj in enumerate(self.L):
-            dj = f.inv(self.g(lj))
-            powers = [1] * t
-            for k in range(1, t):
-                powers[k] = f.mul(powers[k - 1], lj)
-            for i in range(t):
-                acc = 0
-                # row i of the Toeplitz factor is (g_{t-i}, ..., g_t, 0, ...)
-                for k in range(i + 1):
-                    acc = f.add(acc, f.mul(gc[t - i + k], powers[k]))
-                out[i][j] = f.mul(acc, dj)
-        return out
-
-    def _build_parity_check(self) -> list[list[int]]:
+    def _build_parity_check(self) -> np.ndarray:
         """t x n matrix over GF(q) with H @ e equal to the coefficient
         vector (low to high) of the syndrome polynomial.
 
-        The Toeplitz-Vandermonde-diagonal product yields those coefficients
-        in reversed order and negated; rows are flipped and negated here so
-        the two syndrome computation paths agree exactly.
+        Column j holds the coefficients of 1/(x - L_j) mod g, which is
+        -(g(x) - g(L_j)) / ((x - L_j) * g(L_j)): one synthetic division per
+        support point, all points at once.  It also yields g(L_j), which
+        must not vanish.
         """
-        raw = self._toeplitz_vandermonde_diag()
-        neg = self.field.neg
-        return [[neg(c) for c in row] for row in reversed(raw)]
-
-    def _expand_trace(self, h: list[list[int]]) -> np.ndarray:
-        """mt x n matrix over GF(p): each GF(q) row becomes m coordinate rows."""
         f = self.field
-        out = np.zeros((f.m * self.t, self.n), dtype=np.int64)
-        for i, row in enumerate(h):
-            for j, entry in enumerate(row):
-                for d, c in enumerate(f.coeffs(entry)):
-                    out[i * f.m + d, j] = c
-        return out
+        *quotient, values = _synthetic_division(self.g.coeffs, self.L, f)
+        if not values.all():
+            raise ParamError("support must avoid the roots of the generator")
+        scale = np.array([f.neg(f.inv(int(v))) for v in values])
+        return _elementwise(f)[1](np.array(quotient[::-1]), scale).astype(np.int64)
+
+    def _expand_trace(self, h: np.ndarray) -> np.ndarray:
+        """mt x n matrix over GF(p): each GF(q) row becomes m coordinate rows."""
+        digits = _digit_split(h, self.field)
+        return digits.transpose(0, 2, 1).reshape(self.field.m * self.t, self.n)
 
     # -- syndromes -------------------------------------------------------------
 
@@ -232,13 +224,13 @@ class GoppaCode:
     def from_text(cls, text: str) -> "GoppaCode":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 4:
-            raise ValueError(f"expected 4 lines in code record, got {len(lines)}")
+            raise ParamError(f"expected 4 lines in code record, got {len(lines)}")
         p, m, t, n = (int(tok) for tok in lines[0].split())
         field = make_field(p, m, [int(tok) for tok in lines[1].split()])
         g = Poly(field, [int(tok) for tok in lines[2].split()])
         support = [int(tok) for tok in lines[3].split()]
         if g.degree != t or len(support) != n:
-            raise ValueError("code record header disagrees with body")
+            raise ParamError("code record header disagrees with body")
         return cls(field, support, g)
 
     def save(self, path) -> None:
@@ -310,7 +302,7 @@ def build_code(
         g = random_irreducible(t, field, rng)
     else:
         g = _random_square_free(t, field, rng)
-    if is_irreducible(g) and t >= 2:
+    if irreducible_only and t >= 2:  # an irreducible g of degree >= 2 has no roots
         candidates = list(field.elements())
     else:
         candidates = [a for a in field.elements() if g(a) != 0]

@@ -68,6 +68,23 @@ def test_gen_param_error_exit(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_out_of_range_code_and_word_exit_nonzero(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    run_cli(capsys, "gen", "--p", "3", "--m", "2", "--t", "2", "--seed", "4", "-o", str(code_path))
+    code = GoppaCode.load(code_path)
+    word_path.write_text(" ".join(["5"] + ["0"] * (code.n - 1)) + "\n")
+    rc, _, err = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(word_path))
+    assert rc == 1 and "error:" in err
+
+    lines = code_path.read_text().splitlines()
+    lines[3] = " ".join(lines[3].split()[:-1] + ["9"])  # 9 is outside GF(9)
+    code_path.write_text("\n".join(lines) + "\n")
+    word_path.write_text(" ".join(["0"] * code.n) + "\n")
+    rc, _, err = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(word_path))
+    assert rc == 1 and "error:" in err
+
+
 def test_gen_composite_flag(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     rc, _, _ = run_cli(capsys, "gen", "--p", "3", "--m", "3", "--t", "4",

@@ -12,7 +12,7 @@ from pgoppa.decoder import (
     locator_from_error,
     verify_sign_convention,
 )
-from pgoppa.errors import DegreeBoundError, NotInvertibleError
+from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, pth_power_decompose, random_irreducible
@@ -343,3 +343,13 @@ def test_decode_rejects_wrong_length():
     code = build_code(3, 2, 2, rng=rng)
     with pytest.raises(ValueError):
         decode(code, (0,) * (code.n + 1))
+
+
+def test_decode_rejects_entries_outside_prime_field():
+    # at p = 3, an entry 5 is no residue; it must not be read as a GF(9) rank
+    code = build_code(3, 2, 2, rng=SplitMix64(2020))
+    for bad in (5, 3, -1):
+        word = [0] * code.n
+        word[1] = bad
+        with pytest.raises(ParamError):
+            decode(code, word)

@@ -61,11 +61,37 @@ def test_t1_parity_check_specialization():
     assert code.H[0] == [f.inv(f.sub(a, lj)) for lj in support]
 
 
+def toeplitz_vandermonde_diag(code):
+    """The raw product toep(g_1..g_t) @ vdm_t(L) @ diag(1/g(L_j)), entry by
+    entry: an independent reference for the parity check."""
+    f, t, n = code.field, code.t, code.n
+    gc = code.g.coeffs
+    out = [[0] * n for _ in range(t)]
+    for j, lj in enumerate(code.L):
+        dj = f.inv(code.g(lj))
+        powers = [1] * t
+        for k in range(1, t):
+            powers[k] = f.mul(powers[k - 1], lj)
+        for i in range(t):
+            acc = 0
+            # row i of the Toeplitz factor is (g_{t-i}, ..., g_t, 0, ...)
+            for k in range(i + 1):
+                acc = f.add(acc, f.mul(gc[t - i + k], powers[k]))
+            out[i][j] = f.mul(acc, dj)
+    return out
+
+
 def test_parity_check_is_reversed_negated_product(code338):
-    raw = code338._toeplitz_vandermonde_diag()
-    f = code338.field
-    fixed = [[f.neg(c) for c in row] for row in reversed(raw)]
-    assert fixed == code338.H
+    # the product yields the syndrome coefficients reversed and negated
+    rng = SplitMix64(61)
+    composite = build_code(3, 3, 4, rng=rng, irreducible_only=False)
+    while len(composite.L) == composite.field.q:  # until g has roots in GF(q)
+        composite = build_code(3, 3, 4, rng=rng, irreducible_only=False)
+    untabled = build_code(3, 6, 3, 40, rng=rng)  # GF(729) has no lookup tables
+    for code in (code338, composite, untabled):
+        f = code.field
+        fixed = [[f.neg(c) for c in row] for row in reversed(toeplitz_vandermonde_diag(code))]
+        assert fixed == code.H
 
 
 def test_syndrome_paths_agree(code338):
@@ -192,6 +218,18 @@ def test_code_file_roundtrip(tmp_path, code338):
     assert loaded.g == code338.g
     assert loaded.H == code338.H
     assert loaded.to_text() == code338.to_text()
+
+
+def test_code_record_rejects_ranks_outside_field(code338):
+    # GF(27): ranks lie in [0, 27)
+    header, modulus, gen, support = code338.to_text().splitlines()
+    for bad in (27, -1):
+        bad_support = " ".join(map(str, code338.L[:-1] + (bad,)))
+        with pytest.raises(ParamError, match="support"):
+            GoppaCode.from_text("\n".join([header, modulus, gen, bad_support]))
+        bad_gen = " ".join(map(str, (bad,) + code338.g.coeffs[1:]))
+        with pytest.raises(ParamError, match="generator"):
+            GoppaCode.from_text("\n".join([header, modulus, bad_gen, support]))
 
 
 def test_word_text_roundtrip():

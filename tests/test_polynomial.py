@@ -3,6 +3,7 @@ decomposition, and the modular inverse Frobenius."""
 
 import random
 
+import numpy as np
 import pytest
 
 from pgoppa.errors import NoRootError, NotInvertibleError
@@ -10,6 +11,7 @@ from pgoppa.fields import make_field
 from pgoppa.polyring import (
     NEG_INF,
     Poly,
+    _frobenius_matrix,
     ext_gcd,
     inv_mod,
     is_irreducible,
@@ -159,14 +161,84 @@ def test_random_irreducible_square_free():
 
 
 def test_irreducible_scan_equals_full_criterion():
-    # the degree <= t/2 factor scan and the criterion with the trailing
-    # x^(q^t) == x congruence decide the same predicate
+    # the degree <= t/2 factor scan decides Rabin's criterion: g of degree t
+    # is irreducible iff x**(q**t) == x mod g and gcd(x**(q**(t/r)) - x, g)
+    # is constant for every prime r dividing t
     rng = SplitMix64(12)
     for p, m, t in [(2, 2, 6), (3, 2, 5), (5, 1, 6)]:
         f = make_field(p, m)
+        x = Poly.x(f)
+        primes = [r for r in (2, 3, 5) if t % r == 0]
         for _ in range(150):
             g = Poly(f, [rng.randrange(f.q) for _ in range(t)] + [1])
-            assert is_irreducible(g) == is_irreducible(g, full_check=True)
+            full = x.pow_mod(f.q**t, g) == x and all(
+                poly_gcd(x.pow_mod(f.q ** (t // r), g) - x, g).degree == 0 for r in primes
+            )
+            assert is_irreducible(g) == full
+
+
+def monic_polys(field, degree):
+    for k in range(field.q**degree):
+        cs = []
+        for _ in range(degree):
+            k, c = divmod(k, field.q)
+            cs.append(c)
+        yield Poly(field, cs + [1])
+
+
+def irreducible_by_trial_division(g):
+    f = g.field
+    return g.degree >= 1 and not any(
+        (g % d).is_zero() for k in range(1, g.degree // 2 + 1) for d in monic_polys(f, k)
+    )
+
+
+def test_irreducible_matches_trial_division():
+    # every monic polynomial of degree <= 3 over table-backed fields, where
+    # the root screen decides, and of degree 4 over GF(4) and GF(5), where
+    # the Frobenius steps do; then a sample over GF(3^6), which has no tables
+    for p, m, degrees in [(2, 2, (1, 2, 3, 4)), (3, 2, (1, 2, 3)), (5, 1, (1, 2, 3, 4))]:
+        f = make_field(p, m)
+        for t in degrees:
+            for g in monic_polys(f, t):
+                assert is_irreducible(g) == irreducible_by_trial_division(g), g
+    f = make_field(3, 6)
+    assert f._mul is None
+    rng = SplitMix64(18)
+    verdicts = set()
+    for t in (2, 3):
+        for _ in range(6):
+            g = Poly(f, [rng.randrange(f.q) for _ in range(t)] + [1])
+            verdict = is_irreducible(g)
+            assert verdict == irreducible_by_trial_division(g), g
+            verdicts.add((t, verdict))
+    assert (3, True) in verdicts and (3, False) in verdicts
+
+
+def frobenius_digits(poly, t):
+    f = poly.field
+    cs = poly.coeffs + (0,) * (t - len(poly.coeffs))
+    return [d for c in cs for d in f.coeffs(c)]
+
+
+def test_frobenius_matrix_is_pth_power():
+    rng = SplitMix64(19)
+    for p, m in [(2, 3), (3, 2), (5, 1), (7, 2), (3, 6)]:
+        f = make_field(p, m)
+        g1 = random_irreducible(3, f, rng)
+        while True:
+            g2 = random_irreducible(2, f, rng)
+            g3 = random_irreducible(1, f, rng)
+            if g2 != g3:
+                break
+        composite = g2 * g3
+        assert is_square_free(composite) and not is_irreducible(composite)
+        for g in (g1, composite):
+            frob = _frobenius_matrix(f, g.coeffs)
+            for _ in range(20):
+                z = Poly(f, [rng.randrange(f.q) for _ in range(3)])
+                image = (frob @ np.array(frobenius_digits(z, 3))) % p
+                assert image.tolist() == frobenius_digits(z.pow_mod(p, g), 3)
 
 
 def test_pth_power_decompose_zero():
