@@ -86,18 +86,6 @@ def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:
     return Poly(f, s)
 
 
-def alternant_syndrome_series(code: AlternantCode, e: Sequence[int]) -> Poly:
-    """Same syndrome via sum_j e_j * D_j / (1 - x L_j) mod x**r."""
-    f = code.field
-    xr = Poly.monomial(f, code.r)
-    acc = Poly.zero(f)
-    for j, ej in enumerate(e):
-        if ej:
-            denom = Poly(f, (1, f.neg(code.L[j])))
-            acc = acc + inv_mod(denom, xr).scale(f.mul(ej, code.D[j]))
-    return acc % xr
-
-
 def pth_root_mod_xr(u: Poly, r: int) -> Poly | None:
     """p-th root modulo x**r, or None when u is not a p-th power there.
 

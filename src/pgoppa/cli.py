@@ -88,7 +88,7 @@ def _cmd_decode(args) -> int:
     code = GoppaCode.load(args.code)
     with open(args.word) as fh:
         received = word_from_text(fh.read())
-    outcome = decode(code, received, chien=args.chien)
+    outcome = decode(code, received)
     print(f"status {outcome.status}")
     print(f"candidates {len(outcome.candidates)}")
     for idx, cand in enumerate(outcome.candidates, start=1):
@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decode", help="decode a received word, listing all candidates")
     d.add_argument("--code", required=True)
     d.add_argument("--word", required=True)
-    d.add_argument("--chien", action="store_true", help="incremental root scan")
     d.set_defaults(func=_cmd_decode)
 
     t1 = sub.add_parser("table1", help="run the built-in success-rate grid (CSV)")

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegreeBoundError, NotInvertibleError, ParamError
-from .fields import Field
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, inv_mod, poly_pth_power, pth_root_mod
+from .polyring import Poly, _synthetic_division, inv_mod, poly_pth_power, pth_root_mod
 from .popov import PolyMatrix, weak_popov_reduce
 
 
@@ -125,32 +126,6 @@ def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Locator:
     return Locator(sigma, phi)
 
 
-_PRIMITIVE_CACHE: dict[Field, int] = {}
-
-
-def _primitive_element(f: Field) -> int:
-    gamma = _PRIMITIVE_CACHE.get(f)
-    if gamma is not None:
-        return gamma
-    order = f.q - 1
-    primes = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    for cand in range(2, f.q):
-        if all(f.pow(cand, order // pr) != 1 for pr in primes):
-            _PRIMITIVE_CACHE[f] = cand
-            return cand
-    raise AssertionError("no primitive element found")  # unreachable for q > 2
-
-
 def _root_multiplicity(sigma: Poly, lj: int) -> int:
     f = sigma.field
     lin = Poly(f, (f.neg(lj), 1))
@@ -162,49 +137,32 @@ def _root_multiplicity(sigma: Poly, lj: int) -> int:
     return count
 
 
-def find_roots_multiplicities(
-    locator: Locator | Poly, code: GoppaCode, chien: bool = False
-) -> dict[int, int]:
+def find_roots_multiplicities(locator: Locator | Poly, code: GoppaCode) -> dict[int, int]:
     """Map support index -> multiplicity of L_j as a root of sigma.
 
-    The default scans every support point directly; chien=True walks the
-    whole multiplicative group through a primitive element, updating each
-    coefficient register by one multiplication per step.
+    sigma is evaluated at every support point at once by synthetic
+    division.  At a root a the quotient rows are exactly sigma/(x - a), so
+    the points that hit are divided again, each by its own quotient, until
+    none hits.  Keys come in ascending support order.
     """
     sigma = locator.poly if isinstance(locator, Locator) else locator
-    out: dict[int, int] = {}
-    if not chien:
-        for j, lj in enumerate(code.L):
-            if sigma(lj) == 0:
-                out[j] = _root_multiplicity(sigma, lj)
-        return out
-    f = code.field
-    index_of = {lj: j for j, lj in enumerate(code.L)}
-    if 0 in index_of and sigma(0) == 0:
-        out[index_of[0]] = _root_multiplicity(sigma, 0)
-    if f.q == 2:
-        if 1 in index_of and sigma(1) == 0:
-            out[index_of[1]] = _root_multiplicity(sigma, 1)
-        return out
-    gamma = _primitive_element(f)
-    regs = list(sigma.coeffs)
-    steppers = [f.pow(gamma, k) for k in range(len(regs))]
-    elem = 1
-    add, mul = f.add, f.mul
-    for _ in range(f.q - 1):
-        acc = 0
-        for r in regs:
-            acc = add(acc, r)
-        if acc == 0:
-            j = index_of.get(elem)
-            if j is not None:
-                out[j] = _root_multiplicity(sigma, elem)
-        regs = [mul(r, st) for r, st in zip(regs, steppers)]
-        elem = mul(elem, gamma)
-    return out
+    if sigma.is_zero():
+        raise ValueError("the zero polynomial has no root multiplicities")
+    index = np.arange(code.n)
+    points = np.array(code.L)
+    mults = np.zeros(code.n, dtype=np.int64)
+    rows = _synthetic_division(sigma.coeffs, points, code.field)
+    hit = rows[-1] == 0
+    while hit.any():
+        index, points = index[hit], points[hit]
+        mults[index] += 1
+        quotient = [r[hit] for r in reversed(rows[:-1])]
+        rows = _synthetic_division(quotient, points, code.field)
+        hit = rows[-1] == 0
+    return {int(j): int(mults[j]) for j in np.flatnonzero(mults)}
 
 
-def decode(code: GoppaCode, received: Sequence[int], chien: bool = False) -> DecodeOutcome:
+def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
     """Full decode of a received word; returns every verified candidate.
 
     A zero syndrome short-circuits to the received word itself.  Otherwise
@@ -213,12 +171,10 @@ def decode(code: GoppaCode, received: Sequence[int], chien: bool = False) -> Dec
     basis is assembled and syndrome-checked, and candidates are
     deduplicated in (phi, row) discovery order.
     """
-    return _decode_impl(code, received, _verified_sign(), chien)
+    return _decode_impl(code, received, _verified_sign())
 
 
-def _decode_impl(
-    code: GoppaCode, received: Sequence[int], sign: int, chien: bool = False
-) -> DecodeOutcome:
+def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeOutcome:
     f = code.field
     p = f.p
     n = code.n
@@ -251,7 +207,7 @@ def _decode_impl(
                 loc = assemble_locator(row, phi, code.t)
             except DegreeBoundError:
                 continue
-            mults = find_roots_multiplicities(loc, code, chien)
+            mults = find_roots_multiplicities(loc, code)
             if not mults:
                 continue
             e = [0] * n

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .errors import NotPrimeError, ReducibleModulusError
+from .errors import NotPrimeError, ParamError, ReducibleModulusError
 
 _TABLE_LIMIT = 512
 
@@ -314,11 +314,19 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     return field
 
 
+def ints_from_text(text: str) -> list[int]:
+    """Whitespace-separated decimal integers; ParamError on any other token."""
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ParamError(f"malformed record {text.strip()!r}: {exc}") from None
+
+
 def field_from_text(text: str) -> Field:
-    parts = [int(tok) for tok in text.split()]
+    parts = ints_from_text(text)
     if len(parts) < 3:
-        raise ValueError(f"malformed field record: {text!r}")
+        raise ParamError(f"malformed field record: {text!r}")
     p, m, coeffs = parts[0], parts[1], parts[2:]
     if len(coeffs) != m + 1:
-        raise ValueError(f"field record has {len(coeffs)} coefficients, expected {m + 1}")
+        raise ParamError(f"field record has {len(coeffs)} coefficients, expected {m + 1}")
     return make_field(p, m, coeffs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import modp
 from .errors import ParamError
-from .fields import Field, make_field
+from .fields import Field, ints_from_text, make_field
 from .polyring import (
     Poly,
     _digit_split,
@@ -225,10 +225,13 @@ class GoppaCode:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 4:
             raise ParamError(f"expected 4 lines in code record, got {len(lines)}")
-        p, m, t, n = (int(tok) for tok in lines[0].split())
-        field = make_field(p, m, [int(tok) for tok in lines[1].split()])
-        g = Poly(field, [int(tok) for tok in lines[2].split()])
-        support = [int(tok) for tok in lines[3].split()]
+        header = ints_from_text(lines[0])
+        if len(header) != 4:
+            raise ParamError(f"code record header needs 4 fields, got {len(header)}")
+        p, m, t, n = header
+        field = make_field(p, m, ints_from_text(lines[1]))
+        g = Poly(field, ints_from_text(lines[2]))
+        support = ints_from_text(lines[3])
         if g.degree != t or len(support) != n:
             raise ParamError("code record header disagrees with body")
         return cls(field, support, g)
@@ -322,4 +325,4 @@ def word_to_text(word: Sequence[int]) -> str:
 
 
 def word_from_text(line: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in line.split())
+    return tuple(ints_from_text(line))

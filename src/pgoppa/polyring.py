@@ -15,7 +15,7 @@ import numpy as np
 
 from . import modp
 from .errors import NoRootError, NotInvertibleError
-from .fields import Field
+from .fields import Field, ints_from_text
 
 NEG_INF = float("-inf")
 
@@ -197,7 +197,7 @@ class Poly:
 
 
 def poly_from_text(field: Field, line: str) -> Poly:
-    return Poly(field, [int(tok) for tok in line.split()])
+    return Poly(field, ints_from_text(line))
 
 
 # -- raw coefficient-list kernels ------------------------------------------
@@ -231,10 +231,6 @@ def _raw_gcd(a: list[int], b: list[int], field: Field) -> list[int]:
     while b:
         a, b = b, _raw_rem(a, b, field)
     return a
-
-
-def mod_mul(a: Poly, b: Poly, g: Poly) -> Poly:
-    return (a * b) % g
 
 
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -290,9 +286,11 @@ def _elementwise(field: Field):
     return (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
 
 
-def _synthetic_division(gc: Sequence[int], points, field: Field) -> list[np.ndarray]:
+def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
     """Horner's rule for g = sum gc[i] x**i at every point at once.
 
+    Each gc[i] is one coefficient shared by all points, or a row holding a
+    coefficient per point (so each point may divide its own polynomial).
     Returns the rows r_{t-1}, ..., r_0, r_{-1}: at each point a, row r_k is
     coefficient k of (g(x) - g(a)) / (x - a), and the last row is g(a).
     """

@@ -99,11 +99,40 @@ class PolyMatrix:
         return "\n".join(lines)
 
 
-def _row_submul(dst: list[Poly], src: list[Poly], c: int, e: int) -> None:
-    """dst -= c * x**e * src, entrywise."""
+def _row_addmul(dst: list[list[int]], src: list[list[int]], nc: int, e: int, field: Field) -> None:
+    """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists.
+
+    Table-backed fields run one fused loop over the flat add/mul tables;
+    others make the same updates through Field.add and Field.mul.
+    """
+    add, mul, q = field._add, field._mul, field.q
+    ncq = nc * q
     for j, s in enumerate(src):
-        if s:
-            dst[j] = dst[j] - s.scale(c).shift(e)
+        if not s:
+            continue
+        d = dst[j]
+        short = e + len(s) - len(d)
+        if short > 0:
+            d.extend([0] * short)
+        if mul is not None:
+            for i, si in enumerate(s, e):
+                d[i] = add[d[i] * q + mul[ncq + si]]
+        else:
+            for i, si in enumerate(s, e):
+                d[i] = field.add(d[i], field.mul(nc, si))
+        while d and d[-1] == 0:
+            d.pop()
+
+
+def _pivot(row: list[list[int]]) -> int:
+    """pivot_index on coefficient lists: degrees are lengths minus one."""
+    best = 0
+    best_len = 1
+    for j, entry in enumerate(row, start=1):
+        if len(entry) >= best_len:
+            best_len = len(entry)
+            best = j
+    return best
 
 
 def weak_popov_reduce(
@@ -115,41 +144,43 @@ def weak_popov_reduce(
     ascending, repeated until no positive pivot index repeats.  Returns the
     reduced matrix and, when accumulate is set, the unimodular U with
     U @ a == reduced (U is a product of elementary row operations, so its
-    determinant is a nonzero constant).
+    determinant is a nonzero constant).  The sweeps run on bare coefficient
+    lists; Poly entries are built only on entry and on return.
     """
     field = a.field
-    rows = [list(r) for r in a.rows]
+    rows = [[list(entry.coeffs) for entry in r] for r in a.rows]
     n = len(rows)
-    u = PolyMatrix.identity(field, n).rows if accumulate else None
-    piv = [pivot_index(r) for r in rows]
+    u = [[[1] if i == j else [] for j in range(n)] for i in range(n)] if accumulate else None
+    piv = [_pivot(r) for r in rows]
 
     def has_repeat() -> bool:
-        seen = set()
-        for p in piv:
-            if p:
-                if p in seen:
-                    return True
-                seen.add(p)
-        return False
+        nonzero = [p for p in piv if p]
+        return len(nonzero) != len(set(nonzero))
 
     while has_repeat():
         for k in range(n):
             if piv[k] == 0:
                 continue
             col = piv[k] - 1
+            src = rows[k]
+            size = len(src[col])
+            inv_lc = field.inv(src[col][-1])
             for ell in range(n):
                 if ell == k:
                     continue
-                src = rows[k][col]
-                while rows[ell][col].degree >= src.degree:
-                    c = field.div(rows[ell][col].lc(), src.lc())
-                    e = rows[ell][col].degree - src.degree
-                    _row_submul(rows[ell], rows[k], c, e)
+                dst = rows[ell]
+                while len(dst[col]) >= size:
+                    nc = field.neg(field.mul(dst[col][-1], inv_lc))
+                    e = len(dst[col]) - size
+                    _row_addmul(dst, src, nc, e, field)
                     if u is not None:
-                        _row_submul(u[ell], u[k], c, e)
-                piv[ell] = pivot_index(rows[ell])
-    reduced = PolyMatrix(field, rows)
-    return reduced, (PolyMatrix(field, u) if u is not None else None)
+                        _row_addmul(u[ell], u[k], nc, e, field)
+                piv[ell] = _pivot(dst)
+
+    def to_matrix(m: list[list[list[int]]]) -> PolyMatrix:
+        return PolyMatrix(field, [[Poly(field, entry) for entry in r] for r in m])
+
+    return to_matrix(rows), (to_matrix(u) if u is not None else None)
 
 
 def min_pivot_row(a: PolyMatrix) -> list[Poly]:

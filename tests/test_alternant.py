@@ -8,7 +8,6 @@ from pgoppa.alternant import (
     AlternantCode,
     alternant_locator_from_error,
     alternant_syndrome,
-    alternant_syndrome_series,
     feasibility_probe,
     predicted_feasibility,
     pth_root_mod_xr,
@@ -19,9 +18,21 @@ from pgoppa.alternant import (
 from pgoppa.decoder import assemble_locator
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
-from pgoppa.polyring import Poly, poly_pth_power
+from pgoppa.polyring import Poly, inv_mod, poly_pth_power
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
+
+
+def alternant_syndrome_series(code, e):
+    """Same syndrome via sum_j e_j * D_j / (1 - x L_j) mod x**r."""
+    f = code.field
+    xr = Poly.monomial(f, code.r)
+    acc = Poly.zero(f)
+    for j, ej in enumerate(e):
+        if ej:
+            denom = Poly(f, (1, f.neg(code.L[j])))
+            acc = acc + inv_mod(denom, xr).scale(f.mul(ej, code.D[j]))
+    return acc % xr
 
 
 def random_error(code, w, rng):

@@ -85,6 +85,31 @@ def test_out_of_range_code_and_word_exit_nonzero(tmp_path, capsys):
     assert rc == 1 and "error:" in err
 
 
+def test_non_numeric_word_token_exits_nonzero(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    run_cli(capsys, "gen", "--p", "3", "--m", "2", "--t", "2", "--seed", "4", "-o", str(code_path))
+    code = GoppaCode.load(code_path)
+    word_path.write_text(" ".join(["1", "x"] + ["0"] * (code.n - 2)) + "\n")
+    rc, _, err = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(word_path))
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_numeric_code_header_exits_nonzero(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    run_cli(capsys, "gen", "--p", "3", "--m", "2", "--t", "2", "--seed", "4", "-o", str(code_path))
+    code = GoppaCode.load(code_path)
+    lines = code_path.read_text().splitlines()
+    lines[0] = " ".join(["3", "z"] + lines[0].split()[2:])
+    code_path.write_text("\n".join(lines) + "\n")
+    word_path.write_text(" ".join(["0"] * code.n) + "\n")
+    rc, _, err = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(word_path))
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gen_composite_flag(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     rc, _, _ = run_cli(capsys, "gen", "--p", "3", "--m", "3", "--t", "4",

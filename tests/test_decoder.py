@@ -195,20 +195,41 @@ def test_find_roots_multiplicities():
     mults = find_roots_multiplicities(sigma, code)
     assert mults == {3: 2, 7: 1}
     assert sum(mults.values()) <= sigma.degree
-    assert find_roots_multiplicities(sigma, code, chien=True) == mults
+    with pytest.raises(ValueError):
+        find_roots_multiplicities(Poly.zero(f), code)
 
 
-def test_chien_matches_brute_random():
+def scan_roots(sigma, code):
+    """Evaluate sigma at each support point in turn; divide out x - L_j
+    while it still vanishes there."""
+    f = code.field
+    out = {}
+    for j, lj in enumerate(code.L):
+        lin = Poly(f, (f.neg(lj), 1))
+        h = sigma
+        while h(lj) == 0:
+            h = h // lin
+            out[j] = out.get(j, 0) + 1
+    return out
+
+
+def test_roots_match_scan_random():
     rng = SplitMix64(2009)
-    for p, m, t in [(2, 4, 3), (3, 2, 4), (5, 2, 3)]:
-        code = build_code(p, m, t, rng=rng)
+    # GF(3^6) has no lookup tables, so it takes the generic elementwise path
+    for p, m, t in [(2, 4, 3), (3, 2, 4), (5, 2, 3), (3, 6, 3)]:
+        code = build_code(p, m, t, n=min(p**m, 40), rng=rng)
+        f = code.field
         for _ in range(20):
-            sigma = Poly(code.field, [rng.randrange(code.field.q) for _ in range(t + 1)])
+            sigma = Poly(f, [rng.randrange(f.q) for _ in range(t + 1)])
             if sigma.is_zero():
                 continue
-            assert find_roots_multiplicities(sigma, code) == find_roots_multiplicities(
-                sigma, code, chien=True
-            )
+            for _ in range(rng.randrange(3)):
+                lin = Poly(f, (f.neg(code.L[rng.randrange(code.n)]), 1))
+                sigma = sigma * lin * lin
+            got = find_roots_multiplicities(sigma, code)
+            want = scan_roots(sigma, code)
+            assert got == want
+            assert list(got) == sorted(got)
 
 
 def test_decode_zero_syndrome_short_circuit():

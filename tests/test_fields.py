@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pgoppa.errors import NotPrimeError, ReducibleModulusError
+from pgoppa.errors import NotPrimeError, ParamError, ReducibleModulusError
 from pgoppa.fields import Field, field_from_text, is_prime, make_field
 
 
@@ -196,6 +196,9 @@ def test_serialization_roundtrip():
         g = field_from_text(f.to_text())
         assert g is f  # cache returns the identical context
     assert field_from_text("3 2 1 0 1").modulus == (1, 0, 1)
+    for bad in ("3 2 1 x 1", "3 2.0 1 0 1", "3 2"):
+        with pytest.raises(ParamError):
+            field_from_text(bad)
 
 
 def test_field_cache_identity():

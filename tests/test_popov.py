@@ -1,10 +1,12 @@
 """Weak Popov reduction tests: pivot semantics, the worked 2x2 example,
-unimodularity, the shortest-vector property, and the Euclid equivalence
-in characteristic 2."""
+unimodularity, the shortest-vector property, the Euclid equivalence in
+characteristic 2, and agreement with a Poly-entry reference reduction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pgoppa.fields import Field, make_field
+from pgoppa import popov
+from pgoppa.fields import make_field
 from pgoppa.polyring import Poly, random_irreducible
 from pgoppa.popov import (
     PolyMatrix,
@@ -19,6 +21,51 @@ F3 = make_field(3, 1)
 X = Poly.x(F3)
 ONE = Poly.one(F3)
 ZERO = Poly.zero(F3)
+
+
+def _row_submul(dst, src, c, e):
+    """dst -= c * x**e * src, entrywise."""
+    for j, s in enumerate(src):
+        if s:
+            dst[j] = dst[j] - s.scale(c).shift(e)
+
+
+def reference_weak_popov_reduce(a, accumulate=False):
+    """The reduction on Poly entries, in the same sweep order as
+    weak_popov_reduce: source k ascending, target l ascending, repeated
+    until no positive pivot index repeats."""
+    field = a.field
+    rows = [list(r) for r in a.rows]
+    n = len(rows)
+    u = PolyMatrix.identity(field, n).rows if accumulate else None
+    piv = [pivot_index(r) for r in rows]
+
+    def has_repeat():
+        seen = set()
+        for p in piv:
+            if p:
+                if p in seen:
+                    return True
+                seen.add(p)
+        return False
+
+    while has_repeat():
+        for k in range(n):
+            if piv[k] == 0:
+                continue
+            col = piv[k] - 1
+            for ell in range(n):
+                if ell == k:
+                    continue
+                src = rows[k][col]
+                while rows[ell][col].degree >= src.degree:
+                    c = field.div(rows[ell][col].lc(), src.lc())
+                    e = rows[ell][col].degree - src.degree
+                    _row_submul(rows[ell], rows[k], c, e)
+                    if u is not None:
+                        _row_submul(u[ell], u[k], c, e)
+                piv[ell] = pivot_index(rows[ell])
+    return PolyMatrix(field, rows), (PolyMatrix(field, u) if u is not None else None)
 
 
 def random_lattice_basis(p, m, t, rng):
@@ -145,29 +192,27 @@ def test_p2_reduction_coincides_with_euclid():
         assert not a1.is_zero() and not e1.is_zero()
 
 
-def test_cost_scaling_trend():
-    """Operation count grows no faster than a fitted c * p^3 * t^2 curve."""
+def test_cost_scaling_trend(monkeypatch):
+    """Kernel work grows no faster than a fitted c * p^3 * t^2 curve.
 
-    class CountingField(Field):
-        __slots__ = ("ops",)
+    Work is tallied at the kernel's row operation: one simple
+    transformation per call, and one coefficient update per source
+    coefficient it touches.
+    """
+    tally = {"ops": 0, "updates": 0}
+    kernel = popov._row_addmul
 
-        def __init__(self, p, m, modulus):
-            self.ops = 0
-            super().__init__(p, m, modulus)
+    def counting(dst, src, nc, e, field):
+        tally["ops"] += 1
+        tally["updates"] += sum(len(s) for s in src)
+        kernel(dst, src, nc, e, field)
 
-        def mul(self, a, b):
-            self.ops += 1
-            return super().mul(a, b)
-
-        def add(self, a, b):
-            self.ops += 1
-            return super().add(a, b)
+    monkeypatch.setattr(popov, "_row_addmul", counting)
 
     def measure(p, t, reps=4):
-        base = make_field(p, 1)
-        f = CountingField(p, 1, base.modulus)
+        f = make_field(p, 1)
         rng = SplitMix64(1000 * p + t)
-        total = 0
+        tally["ops"] = tally["updates"] = 0
         for _ in range(reps):
             g = Poly(f, [rng.randrange(p) for _ in range(t)] + [1])
             rows = [[g] + [Poly.zero(f)] * (p - 1)]
@@ -176,10 +221,9 @@ def test_cost_scaling_trend():
                 rows.append(
                     [-v] + [Poly.one(f) if j == k else Poly.zero(f) for j in range(1, p)]
                 )
-            f.ops = 0
             weak_popov_reduce(PolyMatrix(f, rows))
-            total += f.ops
-        return total / reps
+        assert tally["ops"] > 0 and tally["updates"] > 0
+        return tally["updates"] / reps
 
     # t-scaling at fixed p: quadrupling t should stay within ~(ratio^2) * slack
     for p in (3, 5):
@@ -188,3 +232,51 @@ def test_cost_scaling_trend():
     # p-scaling at fixed t: cost ratio bounded by (p ratio)^3 * slack
     c3, c7 = measure(3, 6), measure(7, 6)
     assert c7 <= c3 * (7 / 3) ** 3 * 3.0
+
+
+# GF(7), GF(3^2), GF(2^3), and GF(3^6), whose q = 729 has no lookup tables
+PROPERTY_FIELDS = [(7, 1), (3, 2), (2, 3), (3, 6)]
+
+
+@st.composite
+def polys(draw, f, max_deg):
+    deg = draw(st.integers(-1, max_deg))
+    return Poly(f, [draw(st.integers(0, f.q - 1)) for _ in range(deg + 1)])
+
+
+@st.composite
+def decoder_bases(draw):
+    """p x p bases shaped like the decoder's key lattices."""
+    p, m = draw(st.sampled_from(PROPERTY_FIELDS))
+    f = make_field(p, m)
+    t = draw(st.integers(1, 6))
+    g = Poly(f, [draw(st.integers(0, f.q - 1)) for _ in range(t)] + [1])
+    rows = [[g] + [Poly.zero(f)] * (p - 1)]
+    for k in range(1, p):
+        v = draw(polys(f, t - 1))
+        rows.append([-v] + [Poly.one(f) if j == k else Poly.zero(f) for j in range(1, p)])
+    return PolyMatrix(f, rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """Random square matrices; zero entries and zero rows come up often."""
+    p, m = draw(st.sampled_from(PROPERTY_FIELDS))
+    f = make_field(p, m)
+    n = draw(st.integers(1, 4))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rows = [
+        [Poly.zero(f) if i in zero_rows else draw(polys(f, 4)) for _ in range(n)]
+        for i in range(n)
+    ]
+    return PolyMatrix(f, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(decoder_bases(), square_matrices()))
+def test_reduction_matches_poly_reference(a):
+    got, got_u = weak_popov_reduce(a, accumulate=True)
+    want, want_u = reference_weak_popov_reduce(a, accumulate=True)
+    assert got == want
+    assert got_u == want_u
+    assert weak_popov_reduce(a)[0] == want
