@@ -7,10 +7,6 @@ bounds assemble into locator candidates sigma = sum x**j a_j**p.  Roots of
 sigma on the support mark error positions, root multiplicities give the
 magnitudes (e_j = phi * mu_j), and every candidate is kept only if it
 reproduces the received syndrome exactly.
-
-The radicand sign is not taken on faith: the first decode in a process
-runs a self-test that decodes a known single-error instance under both
-sign conventions and asserts the one used here verifies.
 """
 
 from __future__ import annotations
@@ -63,14 +59,14 @@ class DecodeOutcome:
         return [c.codeword for c in self.candidates]
 
 
-def build_key_lattice(code: GoppaCode, s: Poly, phi: int, *, _sign: int | None = None) -> KeyLattice:
+def build_key_lattice(code: GoppaCode, s: Poly, phi: int) -> KeyLattice:
     """Basis whose short vectors solve the phi-th key equation.
 
     First row (g, 0, ..., 0); row k+1 is (-v_k, 0, .., 1, .., 0) where
     v_k**p == x**k - phi*k*x**(k-1)/s (mod g).
     """
     s_inv = inv_mod(s, code.g)
-    return _key_lattice(code, s_inv, phi, _sign if _sign is not None else _verified_sign())
+    return _key_lattice(code, s_inv, phi, -1)
 
 
 def _key_lattice(code: GoppaCode, s_inv: Poly, phi: int, sign: int) -> KeyLattice:
@@ -171,7 +167,7 @@ def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
     basis is assembled and syndrome-checked, and candidates are
     deduplicated in (phi, row) discovery order.
     """
-    return _decode_impl(code, received, _verified_sign())
+    return _decode_impl(code, received, -1)
 
 
 def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeOutcome:
@@ -225,24 +221,12 @@ def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeO
     return outcome
 
 
-# -- radicand sign self-test ---------------------------------------------------
-
-_SIGN: int | None = None
-
-
-def _verified_sign() -> int:
-    global _SIGN
-    if _SIGN is None:
-        _SIGN = verify_sign_convention()
-    return _SIGN
-
-
 def verify_sign_convention() -> int:
     """Decode a known single-error instance under both radicand signs and
     return the one that verifies (-1, matching the key-equation algebra).
 
-    Raises if the minus convention fails or the plus convention succeeds
-    where minus does not; runs once per process.
+    Raises if the minus convention fails to decode it or the plus
+    convention does.
     """
     from .goppa import build_code, sample_error
     from .rng import SplitMix64
@@ -255,6 +239,6 @@ def verify_sign_convention() -> int:
         outcome = _decode_impl(code, error.values, sign)
         zero = (0,) * code.n
         results[sign] = zero in outcome.codewords()
-    if not results[-1]:
-        raise AssertionError("radicand sign self-test: minus convention failed to decode")
+    if not results[-1] or results[+1]:
+        raise AssertionError(f"radicand sign check: decoded under {results}, expected only -1")
     return -1

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over Z/pZ, on numpy int64 arrays.
 
-Entries are kept reduced to [0, p).  p is assumed prime (inverses via
-Fermat), and small enough that products fit in int64, which holds for
-every field this package constructs.
+p is assumed prime (inverses via Fermat).  Results are reduced to [0, p).
+Elimination defers its reductions mod p, so its intermediate entries stay
+below min(rows, cols) * (p-1)**2 + p in absolute value; `rref_mod_p` raises
+`ValueError` when that bound reaches 2**63, where int64 would overflow.
 """
 
 from __future__ import annotations
@@ -11,40 +12,44 @@ import numpy as np
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.  Returns (rref, pivot column list)."""
+    """Reduced row echelon form mod p.  Returns (rref, pivot column list).
+
+    A step updates only columns from the pivot's on (the pivot row is 0 mod
+    p before it) and reduces only the pivot column and row."""
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
+    if min(rows, cols) * (p - 1) ** 2 + p >= 1 << 63:
+        raise ValueError(f"a {rows} x {cols} elimination mod {p} would overflow int64")
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c] % p
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+            col[[r, pr]] = col[[pr, r]]
+        a[r, c:] = a[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        col[r] = 0
+        others = np.flatnonzero(col)
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            a[others, c:] -= np.outer(col[others], a[r, c:])
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a % p, pivots
 
 
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right null space, one basis vector per row."""
     a, pivots = rref_mod_p(mat, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-a[r, fc]) % p
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = -a[: len(pivots), free].T % p
     return basis
 
 
@@ -57,8 +62,7 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r, cols]
+    x[pivots] = aug[: len(pivots), cols]
     return x
 
 
@@ -70,7 +74,3 @@ def inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
     return aug[:, n:]
-
-
-def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p

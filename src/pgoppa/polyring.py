@@ -233,21 +233,27 @@ def _raw_gcd(a: list[int], b: list[int], field: Field) -> list[int]:
     return a
 
 
-def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic gcd d plus Bezout coefficients with u*a + v*b = d."""
+def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Monic gcd d and the u with u*a == d (mod b), from one Euclid loop
+    that carries only that Bezout cofactor."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     f = a.field
     r0, r1 = a, b
     s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     c = f.inv(r0.lc())
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    return r0.scale(c), s0.scale(c)
+
+
+def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Monic gcd d plus Bezout coefficients with u*a + v*b = d."""
+    d, u = _gcd_cofactor(a, b)
+    v = Poly.zero(a.field) if b.is_zero() else (d - u * a) // b
+    return d, u, v
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -258,7 +264,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def inv_mod(f: Poly, g: Poly) -> Poly:
     """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1."""
-    d, u, _ = ext_gcd(f % g, g)
+    d, u = _gcd_cofactor(f % g, g)
     if d.degree != 0:
         raise NotInvertibleError(f"not invertible, gcd has degree {d.degree}", gcd=d)
     return u % g
@@ -424,6 +430,32 @@ def poly_pth_power(a: Poly) -> Poly:
     return Poly(fld, out)
 
 
+def _frobenius_inverse(frob: np.ndarray, p: int) -> np.ndarray | None:
+    """Inverse of the p-Frobenius matrix F on GF(q)[x]/g, or None if singular.
+
+    y -> y**p has order m*t on GF(q**t), and order dividing m*t on
+    GF(q)[x]/g for square-free g whose factor degrees all divide t; there
+    F**-1 is F**(m*t - 1).  That power is taken by repeated squaring in
+    float64, exact under the bound `_frobenius_matrix` enforces, where
+    x - p*floor(x/p) is an exact mod several times cheaper than float %.
+    It is kept if F times it is the identity; otherwise elimination decides.
+    """
+    def mod(x):
+        return x - p * np.floor(x / p)
+
+    dim = len(frob)
+    base, power, e = frob.astype(float), np.eye(dim), dim - 1
+    while e:
+        if e & 1:
+            power = mod(power @ base)
+        e >>= 1
+        if e:
+            base = mod(base @ base)
+    if np.array_equal(mod(frob @ power), np.eye(dim)):
+        return power.astype(np.int64)
+    return modp.inv_mod_p(frob, p)
+
+
 class _FrobeniusSolver:
     """Inverse of y -> y**p on GF(q)[x]/g, as a GF(p)-linear system.
 
@@ -440,7 +472,7 @@ class _FrobeniusSolver:
         p, t = field.p, g.degree
         self.t = t
         self.matrix = _frobenius_matrix(field, g.monic().coeffs)
-        self.inverse = modp.inv_mod_p(self.matrix, p)
+        self.inverse = _frobenius_inverse(self.matrix, p)
 
     def root(self, z: Poly) -> Poly:
         f = self.field

@@ -55,10 +55,6 @@ class PolyMatrix:
     def pivots(self) -> list[int]:
         return [pivot_index(r) for r in self.rows]
 
-    def is_weak_popov(self) -> bool:
-        nonzero = [p for p in self.pivots if p != 0]
-        return len(nonzero) == len(set(nonzero))
-
     def copy(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.rows)
 

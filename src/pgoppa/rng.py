@@ -46,9 +46,6 @@ class SplitMix64:
         """Integer in [a, b], both ends included."""
         return a + self.randrange(b - a + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def sample(self, seq, k: int) -> list:
         """k distinct items, uniform without replacement (partial Fisher-Yates)."""
         pool = list(seq)

@@ -4,7 +4,10 @@ across characteristics."""
 
 import pytest
 
+from pgoppa import decoder
 from pgoppa.decoder import (
+    Candidate,
+    DecodeOutcome,
     assemble_locator,
     build_key_lattice,
     decode,
@@ -36,6 +39,27 @@ def random_small_code(rng):
 
 def test_sign_convention_is_minus():
     assert verify_sign_convention() == -1
+
+
+def test_sign_check_rejects_a_verifying_plus(monkeypatch):
+    def both_signs_decode(code, received, sign):
+        zero = (0,) * code.n
+        return DecodeOutcome([Candidate(zero, ErrorPattern(tuple(received)), 1, Poly.one(code.field), {})])
+
+    monkeypatch.setattr(decoder, "_decode_impl", both_signs_decode)
+    with pytest.raises(AssertionError, match="expected only -1"):
+        verify_sign_convention()
+
+
+def test_decode_runs_no_sign_check(monkeypatch):
+    def fail():
+        raise AssertionError("sign check ran at decode time")
+
+    monkeypatch.setattr(decoder, "verify_sign_convention", fail)
+    rng = SplitMix64(7)
+    code = build_code(3, 2, 2, rng=rng)
+    error = sample_error(code.n, 1, ("equal", 1), 3, rng)
+    assert (0,) * code.n in decode(code, error.values).codewords()
 
 
 def test_key_equation_identity_random():

@@ -6,11 +6,13 @@ import random
 import numpy as np
 import pytest
 
+from pgoppa import modp
 from pgoppa.errors import NoRootError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.polyring import (
     NEG_INF,
     Poly,
+    _FrobeniusSolver,
     _frobenius_matrix,
     ext_gcd,
     inv_mod,
@@ -243,6 +245,29 @@ def test_frobenius_matrix_is_pth_power():
                 z = Poly(f, [rng.randrange(f.q) for _ in range(3)])
                 image = (frob @ np.array(frobenius_digits(z, 3))) % p
                 assert image.tolist() == frobenius_digits(z.pow_mod(p, g), 3)
+
+
+def test_frobenius_inverse_is_a_power_with_elimination_fallback(monkeypatch):
+    calls = []
+    inv_mod_p = modp.inv_mod_p
+    monkeypatch.setattr(modp, "inv_mod_p", lambda a, p: calls.append(p) or inv_mod_p(a, p))
+    rng = SplitMix64(21)
+    for p, m, t in [(3, 4, 5), (7, 2, 4), (2, 3, 6), (5, 1, 1)]:
+        f = make_field(p, m)
+        solver = _FrobeniusSolver(f, random_irreducible(t, f, rng))
+        assert not calls  # F**(m*t - 1) passed its check
+        assert np.array_equal(solver.inverse, inv_mod_p(solver.matrix, p))
+    # factor degrees 2 and 3 do not divide 5, so F**(m*t) != I
+    f = make_field(3, 2)
+    solver = _FrobeniusSolver(f, random_irreducible(2, f, rng) * random_irreducible(3, f, rng))
+    frob = solver.matrix
+    eye = np.eye(len(frob), dtype=np.int64)
+    power = eye
+    for _ in range(len(frob) - 1):
+        power = power @ frob % 3
+    assert not np.array_equal(frob @ power % 3, eye)
+    assert calls == [3]
+    assert np.array_equal(frob @ solver.inverse % 3, eye)
 
 
 def test_pth_power_decompose_zero():
