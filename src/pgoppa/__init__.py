@@ -4,8 +4,6 @@ decoding through weak Popov lattice reduction, and experiment tooling."""
 __version__ = "0.1.0"
 
 from .alternant import (
-    AlternantCode,
-    ProbeReport,
     alternant_syndrome,
     feasibility_probe,
     predicted_feasibility,
@@ -13,62 +11,10 @@ from .alternant import (
     recover_error_values,
     try_build_alternant_lattice,
 )
-from .decoder import (
-    Candidate,
-    DecodeOutcome,
-    KeyLattice,
-    Locator,
-    assemble_locator,
-    build_key_lattice,
-    decode,
-    find_roots_multiplicities,
-    locator_from_error,
-    verify_sign_convention,
-)
-from .errors import (
-    DegreeBoundError,
-    NoRootError,
-    NotInvertibleError,
-    NotPrimeError,
-    ParamError,
-    PgoppaError,
-    ReducibleModulusError,
-)
-from .experiments import (
-    TrialConfig,
-    TrialReport,
-    run_trials,
-    success_prob_model,
-    sweep_weights,
-    table_rows,
-)
-from .fields import Field, field_from_text, make_field
-from .goppa import (
-    ErrorPattern,
-    GoppaCode,
-    build_code,
-    sample_error,
-    word_from_text,
-    word_to_text,
-)
-from .polyring import (
-    Poly,
-    ext_gcd,
-    inv_mod,
-    is_irreducible,
-    is_square_free,
-    poly_from_text,
-    poly_gcd,
-    poly_pth_power,
-    pth_power_decompose,
-    pth_root_mod,
-    random_irreducible,
-)
-from .popov import (
-    PolyMatrix,
-    det_fraction_free,
-    min_pivot_row,
-    pivot_index,
-    weak_popov_reduce,
-)
-from .rng import SplitMix64, trial_stream
+from .decoder import assemble_locator, build_key_lattice, decode, find_roots_multiplicities
+from .errors import ParamError, PgoppaError
+from .experiments import TrialConfig, run_trials, success_prob_model, sweep_weights
+from .fields import make_field
+from .goppa import GoppaCode, build_code, sample_error
+from .polyring import Poly, pth_power_decompose, pth_root_mod, random_irreducible
+from .popov import PolyMatrix, min_pivot_row, pivot_index, weak_popov_reduce

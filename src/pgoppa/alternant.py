@@ -101,21 +101,6 @@ def pth_root_mod_xr(u: Poly, r: int) -> Poly | None:
     return Poly(f, [f.pth_root(cs[i]) if i < len(cs) else 0 for i in range(0, r, p)])
 
 
-def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int) -> Poly:
-    """prod (1 - x L_i)**(e_i xi_i / phi), exponents lifted to 0..p-1."""
-    f = code.field
-    p = f.p
-    phi_inv = pow(phi, p - 2, p)
-    sigma = Poly.one(f)
-    for li, xii, ei in zip(code.L, code.xi, e):
-        if ei:
-            exp = (ei * xii * phi_inv) % p
-            lin = Poly(f, (1, f.neg(li)))
-            for _ in range(exp):
-                sigma = sigma * lin
-    return sigma
-
-
 def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> KeyLattice | None:
     """Basis for the phi-th key equation mod x**r, if the radicands admit
     p-th roots; None otherwise.

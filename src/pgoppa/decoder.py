@@ -104,24 +104,6 @@ def assemble_locator(a: Sequence[Poly], phi: int, t: int) -> Locator:
     return Locator(sigma.monic(), phi)
 
 
-def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Locator:
-    """Direct product prod (x - L_i)**(e_i/phi), exponents lifted to 0..p-1.
-
-    Test oracle for the key equation; the decode path never calls this.
-    """
-    f = code.field
-    p = f.p
-    phi_inv = pow(phi, p - 2, p)
-    sigma = Poly.one(f)
-    for i, ei in enumerate(e.values):
-        if ei:
-            exp = (ei * phi_inv) % p
-            lin = Poly(f, (f.neg(code.L[i]), 1))
-            for _ in range(exp):
-                sigma = sigma * lin
-    return Locator(sigma, phi)
-
-
 def _root_multiplicity(sigma: Poly, lj: int) -> int:
     f = sigma.field
     lin = Poly(f, (f.neg(lj), 1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .decoder import decode
 from .errors import ParamError
-from .goppa import GoppaCode, build_code, sample_error
+from .goppa import build_code, sample_error
 from .rng import trial_stream
 
 WORKERS_ENV = "PGOPPA_MAX_WORKERS"
@@ -41,7 +41,6 @@ class TrialConfig:
     trials: int = 1000
     dist: object = "equal"
     seed: int = 0
-    fresh_code_per_trial: bool = True
     n: int | None = None
 
     def validate(self) -> None:
@@ -99,27 +98,18 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, base)
 
 
-def _single_trial(cfg: TrialConfig, index: int, code: GoppaCode | None) -> bool:
+def _single_trial(cfg: TrialConfig, index: int) -> bool:
     rng = trial_stream(cfg.seed, index)
-    if code is None:
-        code = build_code(cfg.p, cfg.m, cfg.t, cfg.n, rng=rng)
+    code = build_code(cfg.p, cfg.m, cfg.t, cfg.n, rng=rng)
     error = sample_error(code.n, cfg.w, cfg.dist, cfg.p, rng)
     codeword = code.random_codeword(rng)
     received = tuple((a + b) % cfg.p for a, b in zip(codeword, error.values))
     return codeword in decode(code, received).codewords()
 
 
-def _shared_code(cfg: TrialConfig) -> GoppaCode | None:
-    if cfg.fresh_code_per_trial:
-        return None
-    # dedicated stream outside the trial index range
-    return build_code(cfg.p, cfg.m, cfg.t, cfg.n, rng=trial_stream(cfg.seed, cfg.trials))
-
-
-def _count_chunk(args: tuple[TrialConfig, int, int, str | None]) -> int:
-    cfg, lo, hi, code_text = args
-    code = GoppaCode.from_text(code_text) if code_text is not None else None
-    return sum(_single_trial(cfg, i, code) for i in range(lo, hi))
+def _count_chunk(args: tuple[TrialConfig, int, int]) -> int:
+    cfg, lo, hi = args
+    return sum(_single_trial(cfg, i) for i in range(lo, hi))
 
 
 def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
@@ -127,16 +117,11 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     cfg.validate()
     nworkers = resolve_workers(workers)
     started = time.perf_counter()
-    shared = _shared_code(cfg)
     if nworkers <= 1 or cfg.trials < 2 * nworkers:
-        successes = sum(_single_trial(cfg, i, shared) for i in range(cfg.trials))
+        successes = sum(_single_trial(cfg, i) for i in range(cfg.trials))
     else:
-        code_text = shared.to_text() if shared is not None else None
         chunk = max(1, cfg.trials // (nworkers * 8))
-        jobs = [
-            (cfg, lo, min(lo + chunk, cfg.trials), code_text)
-            for lo in range(0, cfg.trials, chunk)
-        ]
+        jobs = [(cfg, lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             successes = sum(pool.map(_count_chunk, jobs))
     wallclock = time.perf_counter() - started

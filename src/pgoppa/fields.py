@@ -9,6 +9,11 @@ Small fields (q <= 512) eagerly build add/mul/inverse/p-th-root lookup
 tables from the generic digit arithmetic; larger fields stay on the
 generic path.  No discrete-log or Zech tables anywhere, so q is bounded
 only by patience.
+
+Field operations do not check their arguments: a rank outside [0, q)
+gives an IndexError or a wrong answer.  Ranks are checked where they
+enter from outside (records, code construction, decode input), never per
+element.
 """
 
 from __future__ import annotations
@@ -34,70 +39,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- digit-list polynomial helpers over GF(p), used for modulus handling --
+def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
+    """Verdict on a monic modulus f over GF(p), coefficients low to high.
 
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fp_trim([c % p for c in out])
-
-
-def _fp_mod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    r = [c % p for c in a]
-    _fp_trim(r)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(r) - 1 >= df:
-        k = len(r) - 1 - df
-        c = (r[-1] * inv_lead) % p
-        for i, fi in enumerate(f):
-            r[i + k] = (r[i + k] - c * fi) % p
-        _fp_trim(r)
-    return r
-
-
-def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _fp_mod(base, f, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, acc, p), f, p)
-        acc = _fp_mod(_fp_mul(acc, acc, p), f, p)
-        e >>= 1
-    return result
-
-
-def _fp_irreducible(f: Sequence[int], p: int) -> bool:
-    """Degree-m monic f is irreducible iff it has no factor of degree <= m/2."""
-    m = len(f) - 1
-    if m == 1:
+    A degree-1 f needs no test, which also keeps make_field(p, 1) from
+    recursing; higher degrees go through Ben-Or's test in polyring.
+    """
+    if len(f) == 2:
         return True
-    h = [0, 1]
-    for _ in range(m // 2):
-        h = _fp_powmod(h, p, f, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if len(_fp_gcd(f, _fp_trim(diff), p)) != 1:
-            return False
-    return True
+    from .polyring import Poly, is_irreducible  # local: polyring imports fields
+
+    return is_irreducible(Poly(make_field(p, 1), f))
 
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -110,7 +62,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
             kk, d = divmod(kk, p)
             digits.append(d)
         cand = digits + [1]
-        if _fp_irreducible(cand, p):
+        if _is_irreducible_modulus(p, cand):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -290,6 +242,12 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     When no modulus is given, the deterministic default is the
     lexicographically smallest monic irreducible of degree m, so codes
     serialized against the default field deserialize identically anywhere.
+
+    A modulus of degree m >= 2 is checked by `polyring.is_irreducible`,
+    whose Frobenius matrix is exact only while m*(p-1)**2 < 2**53; beyond
+    that (p > 2**26 for m = 2) ParamError is raised.  No code over such a
+    field could be built anyway: its m*t-dimensional residue space is at
+    least as large.
     """
     if not is_prime(p):
         raise NotPrimeError(f"characteristic must be prime, got {p}")
@@ -301,7 +259,7 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
             raise ReducibleModulusError(
                 f"modulus must be monic of degree {m}, got {list(modulus)}"
             )
-        if not _fp_irreducible(list(modulus), p):
+        if not _is_irreducible_modulus(p, modulus):
             raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over GF({p})")
         key = (p, m, modulus)
     else:

@@ -9,7 +9,6 @@ the code identity and of the serialized form.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,10 +37,6 @@ class ErrorPattern:
     @property
     def weight(self) -> int:
         return sum(1 for v in self.values if v)
-
-    @property
-    def magnitude_profile(self) -> dict[int, int]:
-        return dict(Counter(v for v in self.values if v))
 
     @property
     def support(self) -> tuple[int, ...]:

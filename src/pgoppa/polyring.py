@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import modp
-from .errors import NoRootError, NotInvertibleError
+from .errors import NoRootError, NotInvertibleError, ParamError
 from .fields import Field, ints_from_text
 
 NEG_INF = float("-inf")
@@ -197,7 +197,11 @@ class Poly:
 
 
 def poly_from_text(field: Field, line: str) -> Poly:
-    return Poly(field, ints_from_text(line))
+    """Inverse of Poly.to_text; ParamError on a rank outside [0, q)."""
+    coeffs = ints_from_text(line)
+    if any(not 0 <= c < field.q for c in coeffs):
+        raise ParamError(f"coefficient ranks must lie in [0, {field.q})")
+    return Poly(field, coeffs)
 
 
 # -- raw coefficient-list kernels ------------------------------------------
@@ -247,13 +251,6 @@ def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         s0, s1 = s1, s0 - q * s1
     c = f.inv(r0.lc())
     return r0.scale(c), s0.scale(c)
-
-
-def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic gcd d plus Bezout coefficients with u*a + v*b = d."""
-    d, u = _gcd_cofactor(a, b)
-    v = Poly.zero(a.field) if b.is_zero() else (d - u * a) // b
-    return d, u, v
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -313,6 +310,25 @@ def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
     return ranks[..., None] // field.p ** np.arange(field.m) % field.p
 
 
+def _fmod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for float64 x holding exact integers; several times cheaper
+    than float %."""
+    return x - p * np.floor(x / p)
+
+
+def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e mod p by repeated squaring in float64, exact under the bound
+    `_frobenius_matrix` enforces."""
+    base, power = a.astype(float), np.eye(len(a))
+    while e:
+        if e & 1:
+            power = _fmod(power @ base, p)
+        e >>= 1
+        if e:
+            base = _fmod(base @ base, p)
+    return power
+
+
 def _frobenius_matrix(field: Field, gc: Sequence[int]) -> np.ndarray:
     """GF(p) matrix of y -> y**p on GF(q)[x]/g, for monic g = sum gc[i] x**i.
 
@@ -320,14 +336,15 @@ def _frobenius_matrix(field: Field, gc: Sequence[int]) -> np.ndarray:
     matrix of multiplication by x (its last block, -y**k * (g - x**t), takes
     m*t field products), block j of the result is (C**p)**j applied to the
     digits of (y**k)**p, k < m.  Every dot product sums m*t terms below
-    (p-1)**2, so the float64 products are exact while m*t*(p-1)**2 < 2**53;
-    on the experiment grid the sum stays below 12,000.
+    (p-1)**2, so the float64 products are exact while m*t*(p-1)**2 < 2**53,
+    and ParamError is raised beyond; on the experiment grid the sum stays
+    below 12,000.
     """
     p, m = field.p, field.m
     t = len(gc) - 1
     dim = m * t
     if dim * (p - 1) ** 2 >= 1 << 53:
-        raise ValueError(f"GF({p}) residue space of dimension {dim} exceeds exact float64 range")
+        raise ParamError(f"GF({p}) residue space of dimension {dim} exceeds exact float64 range")
     ys = [p**k for k in range(m)]  # the ranks of y**k
     top = np.array([[field.neg(field.mul(y, c)) for c in gc[:t]] for y in ys], dtype=np.int64)
     # blocks[i], column k: digits of y**k x**i mod g
@@ -335,9 +352,12 @@ def _frobenius_matrix(field: Field, gc: Sequence[int]) -> np.ndarray:
     blocks = [eye[:, i * m : (i + 1) * m] for i in range(t)]
     blocks.append(_digit_split(top, field).transpose(1, 2, 0).reshape(dim, m).astype(float))
     mul_x = np.hstack(blocks[1:])
-    while len(blocks) < t + p:
-        blocks.append(mul_x @ blocks[-1] % p)
-    mul_xp = np.hstack(blocks[p : p + t])
+    if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
+        mul_xp = _power_mod(mul_x, p, p)
+    else:
+        while len(blocks) < t + p:
+            blocks.append(mul_x @ blocks[-1] % p)
+        mul_xp = np.hstack(blocks[p : p + t])
     first = np.zeros((dim, m))
     first[:m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
     out = [first]
@@ -435,23 +455,12 @@ def _frobenius_inverse(frob: np.ndarray, p: int) -> np.ndarray | None:
 
     y -> y**p has order m*t on GF(q**t), and order dividing m*t on
     GF(q)[x]/g for square-free g whose factor degrees all divide t; there
-    F**-1 is F**(m*t - 1).  That power is taken by repeated squaring in
-    float64, exact under the bound `_frobenius_matrix` enforces, where
-    x - p*floor(x/p) is an exact mod several times cheaper than float %.
-    It is kept if F times it is the identity; otherwise elimination decides.
+    F**-1 is F**(m*t - 1), taken by `_power_mod`.  It is kept if F times
+    it is the identity; otherwise elimination decides.
     """
-    def mod(x):
-        return x - p * np.floor(x / p)
-
     dim = len(frob)
-    base, power, e = frob.astype(float), np.eye(dim), dim - 1
-    while e:
-        if e & 1:
-            power = mod(power @ base)
-        e >>= 1
-        if e:
-            base = mod(base @ base)
-    if np.array_equal(mod(frob @ power), np.eye(dim)):
+    power = _power_mod(frob, dim - 1, p)
+    if np.array_equal(_fmod(frob @ power, p), np.eye(dim)):
         return power.astype(np.int64)
     return modp.inv_mod_p(frob, p)
 

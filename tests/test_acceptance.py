@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from pgoppa.alternant import feasibility_probe
-from pgoppa.decoder import decode, locator_from_error
+from pgoppa.decoder import decode
 from pgoppa.experiments import (
     TrialConfig,
     binomial_sigma,
@@ -29,6 +29,8 @@ from pgoppa.popov import (
     weak_popov_reduce,
 )
 from pgoppa.rng import SplitMix64
+
+from oracles import locator_from_error
 
 ACCEPTANCE_SEED = 20240811
 

@@ -6,7 +6,6 @@ import pytest
 
 from pgoppa.alternant import (
     AlternantCode,
-    alternant_locator_from_error,
     alternant_syndrome,
     feasibility_probe,
     predicted_feasibility,
@@ -21,6 +20,8 @@ from pgoppa.fields import make_field
 from pgoppa.polyring import Poly, inv_mod, poly_pth_power
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
+
+from oracles import alternant_locator_from_error
 
 
 def alternant_syndrome_series(code, e):

@@ -66,6 +66,13 @@ def test_gen_param_error_exit(tmp_path, capsys):
                          "--n", "27", "-o", str(tmp_path / "x.txt"))
     assert rc == 1
     assert "error:" in err
+    # p > 2**26: the Frobenius matrix of the modulus (m = 2) or of the
+    # generator (t = 2) would leave the exact float64 range
+    for m, t, n in [("2", "1", "3"), ("1", "2", "5")]:
+        rc, _, err = run_cli(capsys, "gen", "--p", "67108879", "--m", m, "--t", t,
+                             "--n", n, "-o", str(tmp_path / "x.txt"))
+        assert rc == 1
+        assert err.startswith("error:")
 
 
 def test_out_of_range_code_and_word_exit_nonzero(tmp_path, capsys):

@@ -137,13 +137,6 @@ def test_run_trials_report_fields():
     assert rep.wallclock > 0
 
 
-def test_fixed_code_mode():
-    cfg = TrialConfig(3, 2, 2, 1, trials=30, seed=3, fresh_code_per_trial=False)
-    a = run_trials(cfg, workers=1)
-    b = run_trials(cfg, workers=2)
-    assert a.successes == b.successes
-
-
 def test_csv_format():
     cfg = TrialConfig(3, 2, 2, 1, trials=10, seed=1)
     rep = run_trials(cfg, workers=1)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pgoppa.errors import NotPrimeError, ParamError, ReducibleModulusError
-from pgoppa.fields import Field, field_from_text, is_prime, make_field
+from pgoppa.fields import Field, _is_irreducible_modulus, field_from_text, is_prime, make_field
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -35,47 +35,47 @@ def brute_mul(a, b, p, m, modulus):
     return sum(c * p**i for i, c in enumerate(conv[:m]))
 
 
+def monic_of_rank(k, p, m):
+    """Monic degree-m polynomial whose low coefficients are the base-p
+    digits of k, coefficients low to high."""
+    digits = []
+    for _ in range(m):
+        k, d = divmod(k, p)
+        digits.append(d)
+    return digits + [1]
+
+
+def trial_division_irreducible(f, p):
+    """Monic f over GF(p) (low to high) has no monic factor of degree
+    1..deg(f)//2, by trial division."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for k in range(p**d):
+            g = monic_of_rank(k, p, d)
+            # remainder of f mod g
+            r = list(f)
+            while len(r) - 1 >= d and any(r):
+                while r and r[-1] == 0:
+                    r.pop()
+                if len(r) - 1 < d:
+                    break
+                c = r[-1]
+                off = len(r) - 1 - d
+                for i in range(d + 1):
+                    r[off + i] = (r[off + i] - c * g[i]) % p
+            while r and r[-1] == 0:
+                r.pop()
+            if not r:
+                return False
+    return True
+
+
 def smallest_irreducible_oracle(p, m):
     """Enumerate monic degree-m candidates by the base-p integer value of
     their low coefficients; return the first with no nontrivial factor."""
-
-    def poly_of(k):
-        digits = []
-        for _ in range(m):
-            k, d = divmod(k, p)
-            digits.append(d)
-        return digits + [1]
-
-    def is_irred(f):
-        # trial division by every monic polynomial of degree 1..m//2
-        for d in range(1, m // 2 + 1):
-            for k in range(p**d):
-                g = []
-                kk = k
-                for _ in range(d):
-                    kk, dig = divmod(kk, p)
-                    g.append(dig)
-                g.append(1)
-                # remainder of f mod g
-                r = list(f)
-                while len(r) - 1 >= d and any(r):
-                    while r and r[-1] == 0:
-                        r.pop()
-                    if len(r) - 1 < d:
-                        break
-                    c = r[-1]
-                    off = len(r) - 1 - d
-                    for i in range(d + 1):
-                        r[off + i] = (r[off + i] - c * g[i]) % p
-                while r and r[-1] == 0:
-                    r.pop()
-                if not r:
-                    return False
-        return True
-
     for k in range(p**m):
-        f = poly_of(k)
-        if is_irred(f):
+        f = monic_of_rank(k, p, m)
+        if trial_division_irreducible(f, p):
             return tuple(f)
     raise AssertionError
 
@@ -87,9 +87,25 @@ def test_make_field_prime_field():
 
 
 def test_make_field_default_modulus_is_smallest_irreducible():
-    for p, m in [(3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]:
+    # (521, 2): the prime field has no lookup tables
+    for p, m in [(3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (7, 2), (11, 2), (3, 4), (5, 3), (521, 2)]:
         f = make_field(p, m)
         assert f.modulus == smallest_irreducible_oracle(p, m)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))])
+def test_modulus_check_matches_trial_division(p, degrees):
+    for m in degrees:
+        for k in range(p**m):
+            f = monic_of_rank(k, p, m)
+            assert _is_irreducible_modulus(p, f) == trial_division_irreducible(f, p), f
+
+
+def test_modulus_check_beyond_exact_float64_range():
+    # m*(p-1)**2 >= 2**53: the Frobenius matrix would not be exact
+    with pytest.raises(ParamError):
+        make_field(67108879, 2)
+    assert make_field(67108879, 1).q == 67108879  # degree 1 needs no test
 
 
 def test_make_field_rejects_composite_characteristic():

@@ -19,6 +19,8 @@ from pgoppa.goppa import (
 from pgoppa.polyring import Poly, is_irreducible, is_square_free
 from pgoppa.rng import SplitMix64
 
+from oracles import magnitude_profile
+
 
 @pytest.fixture(scope="module")
 def code338():
@@ -169,15 +171,15 @@ def test_codeword_min_weight_at_design_distance(code338):
 def test_sample_error_basics():
     rng = SplitMix64(57)
     z = sample_error(10, 0, "equal", 3, rng)
-    assert z.weight == 0 and z.magnitude_profile == {}
+    assert z.weight == 0 and magnitude_profile(z) == {}
     e = sample_error(40, 9, "equal", 5, rng)
     assert e.weight == 9
-    assert len(e.magnitude_profile) == 1
-    assert sum(e.magnitude_profile.values()) == 9
+    assert len(magnitude_profile(e)) == 1
+    assert sum(magnitude_profile(e).values()) == 9
     fixed = sample_error(40, 6, ("equal", 3), 5, rng)
-    assert fixed.magnitude_profile == {3: 6}
+    assert magnitude_profile(fixed) == {3: 6}
     prof = sample_error(40, 5, {1: 2, 4: 3}, 5, rng)
-    assert prof.magnitude_profile == {1: 2, 4: 3}
+    assert magnitude_profile(prof) == {1: 2, 4: 3}
 
 
 def test_sample_error_uniform_multinomial():
@@ -186,7 +188,7 @@ def test_sample_error_uniform_multinomial():
     e = sample_error(2000, w, "uniform", 5, rng)
     sigma = math.sqrt(w * 0.25 * 0.75)
     for v in (1, 2, 3, 4):
-        assert abs(e.magnitude_profile.get(v, 0) - w / 4) <= 3 * sigma
+        assert abs(magnitude_profile(e).get(v, 0) - w / 4) <= 3 * sigma
 
 
 def test_sample_error_param_errors():
@@ -240,5 +242,5 @@ def test_word_text_roundtrip():
 def test_error_pattern_fields():
     e = ErrorPattern((0, 2, 0, 2, 1))
     assert e.weight == 3
-    assert e.magnitude_profile == {2: 2, 1: 1}
+    assert magnitude_profile(e) == {2: 2, 1: 1}
     assert e.support == (1, 3, 4)

@@ -14,7 +14,6 @@ from pgoppa.polyring import (
     Poly,
     _FrobeniusSolver,
     _frobenius_matrix,
-    ext_gcd,
     inv_mod,
     is_irreducible,
     is_square_free,
@@ -26,6 +25,8 @@ from pgoppa.polyring import (
     random_irreducible,
 )
 from pgoppa.rng import SplitMix64
+
+from oracles import ext_gcd
 
 F3 = make_field(3, 1)
 
@@ -229,7 +230,8 @@ def frobenius_digits(poly, t):
 
 def test_frobenius_matrix_is_pth_power():
     rng = SplitMix64(19)
-    for p, m in [(2, 3), (3, 2), (5, 1), (7, 2), (3, 6)]:
+    # at (67, 1) the product by x**p is taken by squaring, elsewhere by p - 1 steps
+    for p, m in [(2, 3), (3, 2), (5, 1), (7, 2), (3, 6), (67, 1)]:
         f = make_field(p, m)
         g1 = random_irreducible(3, f, rng)
         while True:
@@ -362,8 +364,9 @@ def test_serialization():
     assert poly_from_text(f, a.to_text()) == a
     assert Poly.zero(f).to_text() == "0"
     assert poly_from_text(f, "0").is_zero()
-    with pytest.raises(ParamError):
-        poly_from_text(f, "4 0 seven")
+    for bad in ("4 0 seven", "4 0 9", "-1 1"):  # ranks must lie in [0, 9)
+        with pytest.raises(ParamError):
+            poly_from_text(f, bad)
 
 
 def test_gcd_monic():
