@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decoder import KeyLattice, _root_multiplicity
+from .decoder import KeyLattice
 from .errors import NotInvertibleError, ParamError
 from .fields import Field, make_field
-from .polyring import Poly, inv_mod
+from .polyring import Poly, _root_multiplicities, inv_mod
 from .popov import PolyMatrix
 
 
@@ -137,13 +137,9 @@ def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int
     support points: e_j = phi * mu_j / xi_j."""
     f = code.field
     p = f.p
-    out: dict[int, int] = {}
-    for j, lj in enumerate(code.L):
-        point = f.inv(lj)
-        if sigma(point) == 0:
-            mu = _root_multiplicity(sigma, point)
-            out[j] = (phi * mu * pow(code.xi[j], p - 2, p)) % p
-    return out
+    xi = code.xi
+    mults = _root_multiplicities(sigma, [f.inv(lj) for lj in code.L])
+    return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}
 
 
 @dataclass

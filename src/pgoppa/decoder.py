@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegreeBoundError, NotInvertibleError, ParamError
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _synthetic_division, inv_mod, poly_pth_power, pth_root_mod
+from .polyring import Poly, _root_multiplicities, inv_mod, poly_pth_power, pth_root_mod
 from .popov import PolyMatrix, weak_popov_reduce
 
 
@@ -104,40 +102,11 @@ def assemble_locator(a: Sequence[Poly], phi: int, t: int) -> Locator:
     return Locator(sigma.monic(), phi)
 
 
-def _root_multiplicity(sigma: Poly, lj: int) -> int:
-    f = sigma.field
-    lin = Poly(f, (f.neg(lj), 1))
-    count = 0
-    h = sigma
-    while not h.is_zero() and h(lj) == 0:
-        h = h // lin
-        count += 1
-    return count
-
-
 def find_roots_multiplicities(locator: Locator | Poly, code: GoppaCode) -> dict[int, int]:
-    """Map support index -> multiplicity of L_j as a root of sigma.
-
-    sigma is evaluated at every support point at once by synthetic
-    division.  At a root a the quotient rows are exactly sigma/(x - a), so
-    the points that hit are divided again, each by its own quotient, until
-    none hits.  Keys come in ascending support order.
-    """
+    """Map support index -> multiplicity of L_j as a root of sigma, in
+    ascending support order."""
     sigma = locator.poly if isinstance(locator, Locator) else locator
-    if sigma.is_zero():
-        raise ValueError("the zero polynomial has no root multiplicities")
-    index = np.arange(code.n)
-    points = np.array(code.L)
-    mults = np.zeros(code.n, dtype=np.int64)
-    rows = _synthetic_division(sigma.coeffs, points, code.field)
-    hit = rows[-1] == 0
-    while hit.any():
-        index, points = index[hit], points[hit]
-        mults[index] += 1
-        quotient = [r[hit] for r in reversed(rows[:-1])]
-        rows = _synthetic_division(quotient, points, code.field)
-        hit = rows[-1] == 0
-    return {int(j): int(mults[j]) for j in np.flatnonzero(mults)}
+    return _root_multiplicities(sigma, code.L)
 
 
 def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:

@@ -190,25 +190,23 @@ class Field:
         return self.from_coeffs(c % p for c in conv[:m])
 
     def _build_tables(self) -> None:
-        q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                s = self._add_raw(a, b)
-                add[base + b] = s
-                add[b * q + a] = s
-                pr = self._mul_raw(a, b)
-                mul[base + b] = pr
-                mul[b * q + a] = pr
-        neg = [self.from_coeffs((-c) % self.p for c in self.coeffs(a)) for a in range(q)]
+        p, q = self.p, self.q
+        if self.m == 1:  # flat lists: the kernels index them element by element
+            add = [(a + b) % p for a in range(q) for b in range(q)]
+            mul = [a * b % p for a in range(q) for b in range(q)]
+        else:
+            add, mul = [0] * (q * q), [0] * (q * q)
+            for a in range(q):
+                for b in range(a, q):
+                    add[a * q + b] = add[b * q + a] = self._add_raw(a, b)
+                    mul[a * q + b] = mul[b * q + a] = self._mul_raw(a, b)
+        neg = [self.from_coeffs((-c) % p for c in self.coeffs(a)) for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self.pow(a, q - 2)
         proot = [0] * q
         for a in range(q):
-            proot[self.mul(a, self.pow(a, self.p - 1))] = a
+            proot[self.mul(a, self.pow(a, p - 1))] = a
         self._add, self._mul, self._neg, self._inv, self._proot = add, mul, neg, inv, proot
 
     # -- misc ----------------------------------------------------------------

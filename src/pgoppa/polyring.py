@@ -74,42 +74,25 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        add = self.field.add
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(self.field, out)
+        return _plus_scaled(self.field, self.coeffs, 1, other.coeffs)
 
     def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly(self.field, [neg(c) for c in self.coeffs])
+        return _plus_scaled(self.field, (), self.field.neg(1), self.coeffs)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        return _plus_scaled(self.field, self.coeffs, self.field.neg(1), other.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(self.field)
-        mul = self.field.mul
-        add = self.field.add
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
+        out: list[int] = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                _row_addmul([out], [other.coeffs], c, i, self.field)
         return Poly(self.field, out)
 
     def scale(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly(self.field)
-        mul = self.field.mul
-        return Poly(self.field, [mul(c, x) for x in self.coeffs])
+        return _plus_scaled(self.field, (), c, self.coeffs)
 
     def shift(self, e: int) -> "Poly":
         """Multiply by x**e."""
@@ -121,23 +104,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        db = other.degree
-        r = list(self.coeffs)
-        if len(r) - 1 < db:
-            return Poly(f), self
-        inv_lb = f.inv(other.lc())
-        q = [0] * (len(r) - db)
-        bc = other.coeffs
-        mul, sub = f.mul, f.sub
-        for k in range(len(r) - 1 - db, -1, -1):
-            c = mul(r[k + db], inv_lb)
-            if c:
-                q[k] = c
-                for i, bi in enumerate(bc):
-                    if bi:
-                        r[k + i] = sub(r[k + i], mul(c, bi))
-        return Poly(f, q), Poly(f, r[:db])
+        q, r = _divmod(self.coeffs, other.coeffs, self.field)
+        return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -145,13 +113,10 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __call__(self, x: int) -> int:
-        """Evaluate at a field element (Horner)."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+    def __call__(self, a: int) -> int:
+        """Evaluate at a field element a: the remainder mod x - a."""
+        r = _divmod(self.coeffs, (self.field.neg(a), 1), self.field)[1]
+        return r[0] if r else 0
 
     def deriv(self) -> "Poly":
         """Formal derivative; exponents act through the prime subfield."""
@@ -204,37 +169,78 @@ def poly_from_text(field: Field, line: str) -> Poly:
     return Poly(field, coeffs)
 
 
-# -- raw coefficient-list kernels ------------------------------------------
+# -- coefficient-list kernels ----------------------------------------------
 #
-# Table-backed fields get a fused remainder loop on bare lists for the gcds
-# of the irreducibility test, where the per-coefficient method-call overhead
-# of Poly would dominate.
+# Every GF(q)[x] operation reduces to these two loops on bare coefficient
+# lists (low to high, trimmed).  Table-backed fields run them fused over the
+# flat add/mul tables; others make the same updates through Field.add and
+# Field.mul.
 
 
-def _raw_rem(a: list[int], b: list[int], field: Field) -> list[int]:
-    mul, add, neg, q = field._mul, field._add, field._neg, field.q
-    r = list(a)
+def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: int, field: Field) -> None:
+    """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists."""
+    add, mul, q = field._add, field._mul, field.q
+    ncq = nc * q
+    for j, s in enumerate(src):
+        if not s:
+            continue
+        d = dst[j]
+        short = e + len(s) - len(d)
+        if short > 0:
+            d.extend([0] * short)
+        if mul is not None:
+            for i, si in enumerate(s, e):
+                d[i] = add[d[i] * q + mul[ncq + si]]
+        else:
+            for i, si in enumerate(s, e):
+                d[i] = field.add(d[i], field.mul(nc, si))
+        while d and d[-1] == 0:
+            d.pop()
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], field: Field) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b, as trimmed coefficient lists.
+
+    One fused loop: each elimination step subtracts c * x**k * b from the
+    running remainder in place, touching only b's nonzero coefficients.
+    """
     db = len(b) - 1
+    r = list(a)
+    if len(r) <= db:
+        return [], r
+    add, mul, neg, q = field._add, field._mul, field._neg, field.q
     inv_lb = field.inv(b[-1])
-    while len(r) - 1 >= db:
-        c = mul[r[-1] * q + inv_lb]
-        k = len(r) - 1 - db
-        if c:
-            cq = c * q
-            for i in range(db):
-                bi = b[i]
-                if bi:
-                    r[k + i] = add[r[k + i] * q + neg[mul[cq + bi]]]
+    quo = [0] * (len(r) - db)
+    steps = range(len(quo) - 1, -1, -1)
+    if mul is not None:
+        for k in steps:
+            c = mul[r[k + db] * q + inv_lb]
+            if c:
+                quo[k] = c
+                ncq = neg[c] * q
+                for i, bi in enumerate(b, k):
+                    if bi:
+                        r[i] = add[r[i] * q + mul[ncq + bi]]
+    else:
+        for k in steps:
+            c = field.mul(r[k + db], inv_lb)
+            if c:
+                quo[k] = c
+                nc = field.neg(c)
+                for i, bi in enumerate(b, k):
+                    if bi:
+                        r[i] = field.add(r[i], field.mul(nc, bi))
+    del r[db:]
+    while r and r[-1] == 0:
         r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    return quo, r
 
 
-def _raw_gcd(a: list[int], b: list[int], field: Field) -> list[int]:
-    while b:
-        a, b = b, _raw_rem(a, b, field)
-    return a
+def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Poly:
+    """a + c * b, as a Poly."""
+    out = list(a)
+    _row_addmul([out], [b], c, 0, field)
+    return Poly(field, out)
 
 
 def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -254,9 +260,11 @@ def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    a._check(b)
+    x, y = a.coeffs, b.coeffs
+    while y:
+        x, y = y, _divmod(x, y, a.field)[1]
+    return Poly(a.field, x).monic()
 
 
 def inv_mod(f: Poly, g: Poly) -> Poly:
@@ -303,6 +311,30 @@ def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
     for c in reversed(gc[:-1]):
         rows.append(add(mul(rows[-1], points), c))
     return rows
+
+
+def _root_multiplicities(sigma: Poly, points: Sequence[int]) -> dict[int, int]:
+    """Map point index -> multiplicity of points[i] as a root of sigma.
+
+    sigma is evaluated at every point at once by synthetic division.  At a
+    root a the quotient rows are exactly sigma/(x - a), so the points that
+    hit are divided again, each by its own quotient, until none hits.  Keys
+    come in ascending index order; points that are not roots are absent.
+    """
+    if sigma.is_zero():
+        raise ValueError("the zero polynomial has no root multiplicities")
+    index = np.arange(len(points))
+    points = np.array(points)
+    mults = np.zeros(len(points), dtype=np.int64)
+    rows = _synthetic_division(sigma.coeffs, points, sigma.field)
+    hit = rows[-1] == 0
+    while hit.any():
+        index, points = index[hit], points[hit]
+        mults[index] += 1
+        quotient = [r[hit] for r in reversed(rows[:-1])]
+        rows = _synthetic_division(quotient, points, sigma.field)
+        hit = rows[-1] == 0
+    return {int(j): int(mults[j]) for j in np.flatnonzero(mults)}
 
 
 def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
@@ -384,7 +416,7 @@ def is_irreducible(g: Poly) -> bool:
     f = g.field
     p, m = f.p, f.m
     gm = g.monic()
-    gc = list(gm.coeffs)
+    gc = gm.coeffs
     screened = f._mul is not None
     if screened:
         if not _synthetic_division(gc, np.arange(f.q), f)[-1].all():
@@ -403,12 +435,7 @@ def is_irreducible(g: Poly) -> bool:
         diff = h.copy()
         diff[m] = (diff[m] - 1) % p
         ranks = (diff.reshape(t, m) @ weights).astype(np.int64).tolist()
-        while ranks and ranks[-1] == 0:
-            ranks.pop()
-        if screened:
-            if len(_raw_gcd(gc, ranks, f)) != 1:
-                return False
-        elif poly_gcd(Poly(f, ranks), gm).degree != 0:
+        if poly_gcd(gm, Poly(f, ranks)).degree != 0:
             return False
     return True
 

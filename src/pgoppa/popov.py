@@ -14,19 +14,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import Field
-from .polyring import NEG_INF, Poly
+from .polyring import Poly, _row_addmul
 
 
 def pivot_index(row: Sequence[Poly]) -> int:
     """1-based index of the rightmost entry of maximal degree; 0 for a zero row."""
-    best = 0
-    best_deg = NEG_INF
-    for j, entry in enumerate(row, start=1):
-        d = entry.degree
-        if d is not NEG_INF and d >= best_deg:
-            best_deg = d
-            best = j
-    return best
+    return _pivot([entry.coeffs for entry in row])
 
 
 class PolyMatrix:
@@ -95,32 +88,7 @@ class PolyMatrix:
         return "\n".join(lines)
 
 
-def _row_addmul(dst: list[list[int]], src: list[list[int]], nc: int, e: int, field: Field) -> None:
-    """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists.
-
-    Table-backed fields run one fused loop over the flat add/mul tables;
-    others make the same updates through Field.add and Field.mul.
-    """
-    add, mul, q = field._add, field._mul, field.q
-    ncq = nc * q
-    for j, s in enumerate(src):
-        if not s:
-            continue
-        d = dst[j]
-        short = e + len(s) - len(d)
-        if short > 0:
-            d.extend([0] * short)
-        if mul is not None:
-            for i, si in enumerate(s, e):
-                d[i] = add[d[i] * q + mul[ncq + si]]
-        else:
-            for i, si in enumerate(s, e):
-                d[i] = field.add(d[i], field.mul(nc, si))
-        while d and d[-1] == 0:
-            d.pop()
-
-
-def _pivot(row: list[list[int]]) -> int:
+def _pivot(row: Sequence[Sequence[int]]) -> int:
     """pivot_index on coefficient lists: degrees are lengths minus one."""
     best = 0
     best_len = 1

@@ -10,6 +10,82 @@ from pgoppa.goppa import ErrorPattern, GoppaCode
 from pgoppa.polyring import Poly, _gcd_cofactor
 
 
+# -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
+
+
+def schoolbook_add(a: Poly, b: Poly) -> Poly:
+    add = a.field.add
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] = add(out[i], c)
+    return Poly(a.field, out)
+
+
+def schoolbook_neg(a: Poly) -> Poly:
+    return Poly(a.field, [a.field.neg(c) for c in a.coeffs])
+
+
+def schoolbook_sub(a: Poly, b: Poly) -> Poly:
+    return schoolbook_add(a, schoolbook_neg(b))
+
+
+def schoolbook_scale(a: Poly, c: int) -> Poly:
+    return Poly(a.field, [a.field.mul(c, x) for x in a.coeffs])
+
+
+def schoolbook_mul(a: Poly, b: Poly) -> Poly:
+    f = a.field
+    if not a.coeffs or not b.coeffs:
+        return Poly(f)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return Poly(f, out)
+
+
+def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    f = a.field
+    db = b.degree
+    r = list(a.coeffs)
+    if len(r) - 1 < db:
+        return Poly(f), a
+    inv_lb = f.inv(b.lc())
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = f.mul(r[k + db], inv_lb)
+        q[k] = c
+        for i, bi in enumerate(b.coeffs):
+            r[k + i] = f.sub(r[k + i], f.mul(c, bi))
+    return Poly(f, q), Poly(f, r[:db])
+
+
+def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid on the schoolbook remainder."""
+    while b.coeffs:
+        a, b = b, schoolbook_divmod(a, b)[1]
+    return schoolbook_scale(a, a.field.inv(a.lc())) if a.coeffs else a
+
+
+def root_multiplicity(sigma: Poly, point: int) -> int:
+    """Multiplicity of point as a root of a nonzero sigma, by repeated
+    division by x - point; the per-point reference for the vectorised
+    root finder."""
+    f = sigma.field
+    lin = Poly(f, (f.neg(point), 1))
+    count = 0
+    h = sigma
+    while h.coeffs:
+        h, r = schoolbook_divmod(h, lin)
+        if r.coeffs:
+            break
+        count += 1
+    return count
+
+
 def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Locator:
     """Direct product prod (x - L_i)**(e_i/phi), exponents lifted to 0..p-1."""
     f = code.field

@@ -21,7 +21,7 @@ from pgoppa.polyring import Poly, inv_mod, poly_pth_power
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
-from oracles import alternant_locator_from_error
+from oracles import alternant_locator_from_error, root_multiplicity
 
 
 def alternant_syndrome_series(code, e):
@@ -209,3 +209,28 @@ def test_feasibility_probe_deterministic():
     a = feasibility_probe(2, 2, 4, 300, SplitMix64(3010))
     b = feasibility_probe(2, 2, 4, 300, SplitMix64(3010))
     assert a.line() == b.line()
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 2), (7, 1), (3, 6)])
+def test_recover_error_values_matches_per_point_oracle(p, m):
+    # random locators times repeated factors x - 1/L_j; GF(3^6) has no tables
+    rng = SplitMix64(40 + p * m)
+    f = make_field(p, m)
+    support = rng.sample(range(1, f.q), min(f.q - 1, 24))
+    xi = [1 + rng.randrange(p - 1) for _ in support]
+    code = AlternantCode(f, tuple(support), tuple(f.mul(x, l) for x, l in zip(xi, support)), 4)
+    for _ in range(15):
+        sigma = Poly(f, [rng.randrange(f.q) for _ in range(1 + rng.randrange(4))] + [1])
+        for _ in range(rng.randrange(4)):
+            lin = Poly(f, (f.neg(f.inv(support[rng.randrange(code.n)])), 1))
+            for _ in range(1 + rng.randrange(3)):
+                sigma = sigma * lin
+        phi = 1 + rng.randrange(p - 1)
+        want = {}
+        for j, lj in enumerate(code.L):
+            mu = root_multiplicity(sigma, f.inv(lj))
+            if mu:
+                want[j] = (phi * mu * pow(code.xi[j], p - 2, p)) % p
+        assert recover_error_values(code, sigma, phi) == want
+    with pytest.raises(ValueError):
+        recover_error_values(code, Poly.zero(f), 1)

@@ -220,3 +220,15 @@ def test_serialization_roundtrip():
 def test_field_cache_identity():
     assert make_field(3, 3) is make_field(3, 3)
     assert make_field(3, 2, [1, 0, 1]) is make_field(3, 2)
+
+
+@pytest.mark.parametrize("p", [7, 509])
+def test_prime_field_tables_match_digit_arithmetic(p):
+    f = make_field(p, 1)
+    assert type(f._add) is list and type(f._mul) is list
+    rng = random.Random(p)
+    pairs = [(a, b) for a in (0, 1, p - 1) for b in (0, 1, p - 1)]
+    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
+    for a, b in pairs:
+        assert f._add[a * p + b] == f._add_raw(a, b)
+        assert f._mul[a * p + b] == f._mul_raw(a, b) == brute_mul(a, b, p, 1, f.modulus)

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgoppa import modp
 from pgoppa.errors import NoRootError, NotInvertibleError, ParamError
@@ -26,7 +27,17 @@ from pgoppa.polyring import (
 )
 from pgoppa.rng import SplitMix64
 
-from oracles import ext_gcd
+from oracles import (
+    ext_gcd,
+    schoolbook_add,
+    schoolbook_divmod,
+    schoolbook_gcd,
+    schoolbook_mul,
+    schoolbook_neg,
+    schoolbook_scale,
+    schoolbook_sub,
+)
+from test_popov import PROPERTY_FIELDS, polys
 
 F3 = make_field(3, 1)
 
@@ -382,3 +393,30 @@ def test_gcd_monic():
         if not c.is_zero():
             assert ((a * c) % d).is_zero()
             assert (d % c.monic()).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernels_match_schoolbook(data):
+    # both kernel branches: the tabled fields and GF(3^6), which has none;
+    # zero operands and degree-0 divisors come up often
+    p, m = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    f = make_field(p, m)
+    a, b = data.draw(polys(f, 7)), data.draw(polys(f, 5))
+    c = data.draw(st.integers(0, f.q - 1))
+    assert a + b == schoolbook_add(a, b)
+    assert a - b == schoolbook_sub(a, b)
+    assert -a == schoolbook_neg(a)
+    assert a * b == schoolbook_mul(a, b)
+    assert a.scale(c) == schoolbook_scale(a, c)
+    assert poly_gcd(a, b) == schoolbook_gcd(a, b)
+    if b.is_zero():
+        return
+    assert divmod(a, b) == schoolbook_divmod(a, b)
+    try:
+        u = inv_mod(a, b)
+    except NotInvertibleError:
+        assert schoolbook_gcd(a, b).degree != 0
+    else:
+        assert u.degree < b.degree
+        assert schoolbook_divmod(schoolbook_mul(u, a), b)[1] == schoolbook_divmod(Poly.one(f), b)[1]
