@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import NotPrimeError, ParamError, ReducibleModulusError
 
 _TABLE_LIMIT = 512
@@ -43,7 +45,7 @@ def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
     """Verdict on a monic modulus f over GF(p), coefficients low to high.
 
     A degree-1 f needs no test, which also keeps make_field(p, 1) from
-    recursing; higher degrees go through Ben-Or's test in polyring.
+    recursing; higher degrees go through Rabin's test in polyring.
     """
     if len(f) == 2:
         return True
@@ -54,17 +56,20 @@ def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, candidates ordered by the
-    base-p integer value of their low coefficient vector."""
-    for k in range(p**m):
-        digits = []
-        kk = k
-        for _ in range(m):
-            kk, d = divmod(kk, p)
-            digits.append(d)
-        cand = digits + [1]
-        if _is_irreducible_modulus(p, cand):
-            return tuple(cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    base-p integer value of their low coefficient vector.  Blocks of
+    consecutive ranks go through polyring's block test."""
+    if m == 1:
+        return (0, 1)
+    from .polyring import _block_rows, _irreducible_rows  # local: polyring imports fields
+
+    k = _block_rows(m)
+    for start in range(0, p**m, k):
+        ranks, rows = np.arange(start, start + k), np.ones((k, m + 1), dtype=np.int64)
+        for i in range(m):
+            ranks, rows[:, i] = np.divmod(ranks, p)
+        hit = next(_irreducible_rows(make_field(p, 1), rows), None)
+        if hit is not None:
+            return tuple(rows[hit].tolist())
 
 
 class Field:
@@ -190,24 +195,21 @@ class Field:
         return self.from_coeffs(c % p for c in conv[:m])
 
     def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        if self.m == 1:  # flat lists: the kernels index them element by element
-            add = [(a + b) % p for a in range(q) for b in range(q)]
-            mul = [a * b % p for a in range(q) for b in range(q)]
-        else:
-            add, mul = [0] * (q * q), [0] * (q * q)
-            for a in range(q):
-                for b in range(a, q):
-                    add[a * q + b] = add[b * q + a] = self._add_raw(a, b)
-                    mul[a * q + b] = mul[b * q + a] = self._mul_raw(a, b)
-        neg = [self.from_coeffs((-c) % p for c in self.coeffs(a)) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
+        """Tables from digit arithmetic: digit k of a*b is sum_j b_j (a y**j)_k."""
+        p, m, q = self.p, self.m, self.q
+        weights = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // weights % p
+        powers = np.vstack([np.eye(m, dtype=np.int64), self._red])  # digits of y**k, k < 2m - 1
+        lifted = np.stack([digits @ powers[j : j + m] for j in range(m)], axis=1)
+        add = sum((digits[:, None, k] + digits[:, k]) % p * weights[k] for k in range(m))
+        mul = sum(digits @ lifted[:, :, k].T % p * weights[k] for k in range(m))
+        self._add, self._mul = add.ravel().tolist(), mul.ravel().tolist()
+        self._neg = (-digits % p @ weights).tolist()
+        self._inv = np.argmax(mul == 1, axis=1).tolist()
         proot = [0] * q
         for a in range(q):
-            proot[self.mul(a, self.pow(a, p - 1))] = a
-        self._add, self._mul, self._neg, self._inv, self._proot = add, mul, neg, inv, proot
+            proot[self.pow(a, p)] = a
+        self._proot = proot
 
     # -- misc ----------------------------------------------------------------
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import modp
 from .errors import NoRootError, NotInvertibleError, ParamError
-from .fields import Field, ints_from_text
+from .fields import Field, ints_from_text, is_prime
 
 NEG_INF = float("-inf")
 
@@ -343,112 +343,128 @@ def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
 
 
 def _fmod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for float64 x holding exact integers; several times cheaper
-    than float %."""
-    return x - p * np.floor(x / p)
+    """x mod p, in place, for a float temporary x of exact integers below
+    2**24 (float32) or 2**53; several times cheaper than float %."""
+    r = x / p
+    x -= np.multiply(np.floor(r, out=r), p, out=r)
+    return x
 
 
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p by repeated squaring in float64, exact under the bound
-    `_frobenius_matrix` enforces."""
-    base, power = a.astype(float), np.eye(len(a))
+    """a**e mod p by repeated squaring in a's float dtype, exact under the
+    bound `_frobenius_matrix` enforces."""
+    base, power = a, None
     while e:
         if e & 1:
-            power = _fmod(power @ base, p)
+            power = base if power is None else _fmod(power @ base, p)
         e >>= 1
         if e:
             base = _fmod(base @ base, p)
-    return power
+    return np.eye(a.shape[-1]) if power is None else power
 
 
-def _frobenius_matrix(field: Field, gc: Sequence[int]) -> np.ndarray:
-    """GF(p) matrix of y -> y**p on GF(q)[x]/g, for monic g = sum gc[i] x**i.
+def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
+    """GF(p) matrices of y -> y**p on GF(q)[x]/g, one for each monic row
+    g = sum gc[k, i] x**i of gc, stacked as a float (K, m*t, m*t) array.
 
     Coordinate j*m + k is digit k of the coefficient of x**j.  With C the
     matrix of multiplication by x (its last block, -y**k * (g - x**t), takes
     m*t field products), block j of the result is (C**p)**j applied to the
     digits of (y**k)**p, k < m.  Every dot product sums m*t terms below
-    (p-1)**2, so the float64 products are exact while m*t*(p-1)**2 < 2**53,
-    and ParamError is raised beyond; on the experiment grid the sum stays
-    below 12,000.
+    (p-1)**2: float32 is exact while m*t*(p-1)**2 < 2**24, as everywhere
+    on the experiment grid (below 12,000), float64 while it is < 2**53, and
+    ParamError is raised beyond.
     """
     p, m = field.p, field.m
-    t = len(gc) - 1
+    rows, t = gc.shape[0], gc.shape[1] - 1
     dim = m * t
     if dim * (p - 1) ** 2 >= 1 << 53:
         raise ParamError(f"GF({p}) residue space of dimension {dim} exceeds exact float64 range")
+    dtype = np.float32 if dim * (p - 1) ** 2 < 1 << 24 else np.float64
     ys = [p**k for k in range(m)]  # the ranks of y**k
-    top = np.array([[field.neg(field.mul(y, c)) for c in gc[:t]] for y in ys], dtype=np.int64)
-    # blocks[i], column k: digits of y**k x**i mod g
-    eye = np.eye(dim)
-    blocks = [eye[:, i * m : (i + 1) * m] for i in range(t)]
-    blocks.append(_digit_split(top, field).transpose(1, 2, 0).reshape(dim, m).astype(float))
-    mul_x = np.hstack(blocks[1:])
+    top = _elementwise(field)[1](np.array([field.neg(y) for y in ys])[:, None], gc[:, None, :t])
+    eye = np.eye(dim, dtype=dtype)
+    mul_x = np.empty((rows, dim, dim), dtype=dtype)
+    mul_x[:, :, :-m] = eye[:, m:]
+    mul_x[:, :, -m:] = _digit_split(top, field).transpose(0, 2, 3, 1).reshape(rows, dim, m)
     if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
         mul_xp = _power_mod(mul_x, p, p)
-    else:
+    else:  # blocks[i], column k: digits of y**k x**i mod g
+        blocks = [eye[:, i * m : (i + 1) * m] for i in range(t)] + [mul_x[:, :, -m:]]
         while len(blocks) < t + p:
-            blocks.append(mul_x @ blocks[-1] % p)
-        mul_xp = np.hstack(blocks[p : p + t])
-    first = np.zeros((dim, m))
-    first[:m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
-    out = [first]
-    for _ in range(1, t):
-        out.append(mul_xp @ out[-1] % p)
-    return np.hstack(out).astype(np.int64)
+            blocks.append(_fmod(mul_x @ blocks[-1], p))
+        mul_xp = np.concatenate(np.broadcast_arrays(*blocks[p : p + t]), axis=-1)
+    out = np.zeros((rows, dim, dim), dtype=dtype)
+    out[:, :m, :m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
+    for j in range(1, t):
+        out[:, :, j * m : (j + 1) * m] = _fmod(mul_xp @ out[:, :, (j - 1) * m : j * m], p)
+    return out
+
+
+def _block_rows(t: int) -> int:
+    """Candidates per block at degree t.  About one in t is irreducible; a
+    quarter of that wait, plus 8, tests few rows past the accepted one."""
+    return t // 4 + 8
+
+
+def _irreducible_rows(field: Field, gc: np.ndarray):
+    """Indices, in order, of the irreducible rows of gc; row k holds the
+    coefficients, low to high, of a monic g of degree t >= 1.
+
+    Rabin's test on the whole block: g is irreducible iff x**(q**t) == x
+    (mod g) and gcd(x**(q**(t/r)) - x, g) = 1 for each prime r | t.  Over a
+    table-backed field a root screen (g at every element) decides
+    gcd(x**q - x, g) first, and all of t <= 3.  x**(q**i) mod g comes from
+    the rows' stacked q-Frobenius matrices; only rows with x**(q**t) == x
+    reach a gcd, lazily, one row at a time.
+    """
+    t = gc.shape[1] - 1
+    live = np.arange(len(gc))
+    screened = field._mul is not None
+    if screened and t > 1:
+        columns = [c[:, None] for c in gc.T[:-1]] + [1]
+        live = live[_synthetic_division(columns, np.arange(field.q), field)[-1].all(axis=1)]
+    if t == 1 or (screened and t < 4) or not len(live):
+        yield from live.tolist()
+        return
+    p, m = field.p, field.m
+    levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r) and not (screened and r == t)]
+    frob_q = _power_mod(_frobenius_matrix(field, gc[live]), m, p)  # y -> y**q
+    x = (np.arange(m * t) == m).astype(frob_q.dtype)
+    h, powers = np.tile(x, (len(live), 1)), {}
+    for i in range(1, t + 1):
+        h = _fmod(np.matmul(frob_q, h[:, :, None])[:, :, 0], p)
+        if i in levels:
+            powers[i] = h
+    for k in np.flatnonzero((h == x).all(axis=1)).tolist():
+        g = Poly(field, gc[live[k]].tolist())
+        ranks = (_fmod(powers[i][k] - x, p).reshape(t, m) @ p ** np.arange(m) for i in levels)
+        if all(poly_gcd(g, Poly(field, r.astype(np.int64).tolist())).degree == 0 for r in ranks):
+            yield int(live[k])
 
 
 def is_irreducible(g: Poly) -> bool:
-    """Irreducibility over GF(q) by Ben-Or's test.
-
-    g of degree t is reducible iff it has an irreducible factor of degree
-    i <= t/2, iff gcd(x**(q**i) - x, g) is non-constant for some such i.
-    The powers x**(q**i) mod g come from m steps each of the p-Frobenius
-    matrix.  Step i = 1 is decided first, and exactly, by evaluating g at
-    every element of a table-backed field: gcd(x**q - x, g) != 1 iff g has
-    a root in GF(q), and for t <= 3 that step is the whole test.
-    """
-    t = g.degree
-    if t < 1:
-        return False
-    if t == 1:
-        return True
-    f = g.field
-    p, m = f.p, f.m
-    gm = g.monic()
-    gc = gm.coeffs
-    screened = f._mul is not None
-    if screened:
-        if not _synthetic_division(gc, np.arange(f.q), f)[-1].all():
-            return False
-        if t < 4:
-            return True  # a reducible g of degree <= 3 has a root
-    frob = _frobenius_matrix(f, gc).astype(float)
-    h = np.zeros(m * t)
-    h[m] = 1.0  # x
-    weights = (p ** np.arange(m)).astype(float)
-    for i in range(1, t // 2 + 1):
-        for _ in range(m):
-            h = frob @ h % p
-        if i == 1 and screened:
-            continue
-        diff = h.copy()
-        diff[m] = (diff[m] - 1) % p
-        ranks = (diff.reshape(t, m) @ weights).astype(np.int64).tolist()
-        if poly_gcd(gm, Poly(f, ranks)).degree != 0:
-            return False
-    return True
+    """Irreducibility over GF(q): `_irreducible_rows` on a block of one row."""
+    gc = np.array([g.monic().coeffs])
+    return g.degree >= 1 and next(_irreducible_rows(g.field, gc), None) is not None
 
 
 def random_irreducible(t: int, field: Field, rng) -> Poly:
-    """Uniform monic irreducible of degree exactly t (rejection sampling)."""
+    """Uniform monic irreducible of degree exactly t (rejection sampling).
+    Each candidate takes t randrange(q) draws of rng, low coefficient first;
+    blocks of `_block_rows(t)` are drawn and tested at once, and rng is left
+    just after the accepted candidate's draws."""
     if t < 1:
         raise ValueError("degree must be >= 1")
-    q = field.q
+    k, q = _block_rows(t), field.q
     while True:
-        g = Poly(field, [rng.randrange(q) for _ in range(t)] + [1])
-        if is_irreducible(g):
-            return g
+        draws = rng.next_u64_block(k * t)
+        gc = np.ones((k, t + 1), dtype=np.int64)
+        gc[:, :t] = (draws % np.uint64(q)).reshape(k, t)
+        hit = next(_irreducible_rows(field, gc), None)
+        rng.advance(t * (k if hit is None else hit + 1))
+        if hit is not None:
+            return Poly(field, gc[hit].tolist())
 
 
 def pth_power_decompose(f: Poly) -> list[Poly]:
@@ -486,7 +502,7 @@ def _frobenius_inverse(frob: np.ndarray, p: int) -> np.ndarray | None:
     it is the identity; otherwise elimination decides.
     """
     dim = len(frob)
-    power = _power_mod(frob, dim - 1, p)
+    power = _power_mod(frob.astype(float), dim - 1, p)
     if np.array_equal(_fmod(frob @ power, p), np.eye(dim)):
         return power.astype(np.int64)
     return modp.inv_mod_p(frob, p)
@@ -505,10 +521,9 @@ class _FrobeniusSolver:
     def __init__(self, field: Field, g: Poly):
         self.field = field
         self.g = g
-        p, t = field.p, g.degree
-        self.t = t
-        self.matrix = _frobenius_matrix(field, g.monic().coeffs)
-        self.inverse = _frobenius_inverse(self.matrix, p)
+        self.t = g.degree
+        self.matrix = _frobenius_matrix(field, np.array([g.monic().coeffs]))[0].astype(np.int64)
+        self.inverse = _frobenius_inverse(self.matrix, field.p)
 
     def root(self, z: Poly) -> Poly:
         f = self.field

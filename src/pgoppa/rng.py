@@ -12,12 +12,15 @@ and irrelevant for the desk-scale n used here.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 def mix64(z: int) -> int:
-    """The splitmix64 output function (Stafford variant 13)."""
+    """The splitmix64 output function (Stafford variant 13); elementwise on
+    a uint64 array, where numpy wraps the products mod 2**64."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -35,6 +38,15 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
         return mix64(self.state)
+
+    def next_u64_block(self, n: int) -> np.ndarray:
+        """The next n next_u64() outputs as a uint64 array, without moving
+        the state; `advance(n)` moves it past them."""
+        return mix64(np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64))
+
+    def advance(self, n: int) -> None:
+        """Skip n draws."""
+        self.state = (self.state + n * _GAMMA) & _MASK64
 
     def randrange(self, n: int) -> int:
         """Uniform-ish integer in [0, n)."""

@@ -7,7 +7,7 @@ from typing import Sequence
 from pgoppa.alternant import AlternantCode
 from pgoppa.decoder import Locator
 from pgoppa.goppa import ErrorPattern, GoppaCode
-from pgoppa.polyring import Poly, _gcd_cofactor
+from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd
 
 
 # -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
@@ -68,6 +68,28 @@ def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
     while b.coeffs:
         a, b = b, schoolbook_divmod(a, b)[1]
     return schoolbook_scale(a, a.field.inv(a.lc())) if a.coeffs else a
+
+
+def rabin_irreducible(g: Poly) -> bool:
+    """Rabin's criterion with Poly arithmetic only: monic g of degree t >= 1
+    is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
+    is 1 for every prime r dividing t."""
+    f, t = g.field, g.degree
+    x = Poly.x(f)
+    powers = [x % g]  # x**(q**i) mod g, i = 0..t
+    for _ in range(t):
+        powers.append(powers[-1].pow_mod(f.q, g))
+    primes = [r for r in range(2, t + 1) if t % r == 0 and all(r % d for d in range(2, r))]
+    return powers[t] == x % g and all(poly_gcd(powers[t // r] - x, g).degree == 0 for r in primes)
+
+
+def random_irreducible_reference(t: int, field, rng) -> Poly:
+    """The generator search one candidate at a time: t next_u64 draws per
+    candidate, low coefficient first, each decided by rabin_irreducible."""
+    while True:
+        g = Poly(field, [rng.next_u64() % field.q for _ in range(t)] + [1])
+        if rabin_irreducible(g):
+            return g
 
 
 def root_multiplicity(sigma: Poly, point: int) -> int:

@@ -30,6 +30,17 @@ def test_splitmix64_reference_vectors():
     ]
 
 
+def test_splitmix64_block_draw_equals_successive_draws():
+    # the state passes 2**64 within the first few draws from each seed
+    for seed in (0, (1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15, 1234567):
+        block, single = SplitMix64(seed), SplitMix64(seed)
+        draws = block.next_u64_block(40).tolist()
+        assert block.state == seed  # drawing a block does not move the state
+        assert draws == [single.next_u64() for _ in range(40)]
+        block.advance(40)
+        assert block.state == single.state
+
+
 def test_splitmix64_draw_helpers():
     g = SplitMix64(9)
     vals = [g.randrange(10) for _ in range(1000)]

@@ -222,13 +222,25 @@ def test_field_cache_identity():
     assert make_field(3, 2, [1, 0, 1]) is make_field(3, 2)
 
 
-@pytest.mark.parametrize("p", [7, 509])
-def test_prime_field_tables_match_digit_arithmetic(p):
-    f = make_field(p, 1)
+# prime fields, then every table-backed extension field the Table-1 grid uses
+@pytest.mark.parametrize(
+    "p,m", [(7, 1), (509, 1), (2, 4), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)],
+    ids=["7", "509", "2-4", "2-5", "3-3", "3-4", "5-2", "5-3", "7-2", "11-2"],
+)
+def test_prime_field_tables_match_digit_arithmetic(p, m):
+    f = make_field(p, m)
+    q = f.q
     assert type(f._add) is list and type(f._mul) is list
-    rng = random.Random(p)
-    pairs = [(a, b) for a in (0, 1, p - 1) for b in (0, 1, p - 1)]
-    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
+    if m == 1:
+        rng = random.Random(p)
+        pairs = [(a, b) for a in (0, 1, p - 1) for b in (0, 1, p - 1)]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]
+    else:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
     for a, b in pairs:
-        assert f._add[a * p + b] == f._add_raw(a, b)
-        assert f._mul[a * p + b] == f._mul_raw(a, b) == brute_mul(a, b, p, 1, f.modulus)
+        assert f._add[a * q + b] == f._add_raw(a, b)
+        assert f._mul[a * q + b] == f._mul_raw(a, b) == brute_mul(a, b, p, m, f.modulus)
+    for a in range(q):
+        assert f._add_raw(a, f._neg[a]) == 0
+        assert a == 0 or f._mul_raw(a, f._inv[a]) == 1
+        assert f.pow(f._proot[a], p) == a

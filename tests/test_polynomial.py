@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgoppa import modp
+from pgoppa import modp, polyring
 from pgoppa.errors import NoRootError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.polyring import (
@@ -15,6 +15,7 @@ from pgoppa.polyring import (
     Poly,
     _FrobeniusSolver,
     _frobenius_matrix,
+    _irreducible_rows,
     inv_mod,
     is_irreducible,
     is_square_free,
@@ -29,6 +30,8 @@ from pgoppa.rng import SplitMix64
 
 from oracles import (
     ext_gcd,
+    rabin_irreducible,
+    random_irreducible_reference,
     schoolbook_add,
     schoolbook_divmod,
     schoolbook_gcd,
@@ -233,6 +236,53 @@ def test_irreducible_matches_trial_division():
     assert (3, True) in verdicts and (3, False) in verdicts
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # x^4 + 1 = (x^2 + 2)(x^2 + 3); (x^2 + 2)^2; x (x^3 + 1); x^4 + 2
+        [[1, 0, 0, 0, 1], [4, 0, 4, 0, 1], [0, 1, 0, 0, 1], [2, 0, 0, 0, 1]],
+        # x^8 + 1 = (x^4 + 2)(x^4 + 3): the gcd at t/2 = 4 rejects it, not the one at 2; x^8 + 2
+        [[1] + [0] * 7 + [1], [2] + [0] * 7 + [1]],
+    ],
+    ids=["t4", "t8"],
+)
+def test_block_verdicts_on_crafted_rows(monkeypatch, rows):
+    # row 0 is square-free with factor degrees dividing t, so it passes
+    # x**(q**t) == x and only a gcd can reject it; the last row is irreducible
+    f = make_field(5, 1)
+    t = len(rows[0]) - 1
+    x = Poly.x(f)
+    assert x.pow_mod(5**t, Poly(f, rows[0])) == x
+    gcd_calls = []
+    monkeypatch.setattr(polyring, "poly_gcd", lambda a, b: gcd_calls.append(a) or poly_gcd(a, b))
+    assert list(_irreducible_rows(f, np.array(rows))) == [len(rows) - 1]
+    assert [g.coeffs for g in gcd_calls] == [tuple(rows[0]), tuple(rows[-1])]
+    for k, row in enumerate(rows):
+        g = Poly(f, row)
+        assert is_irreducible(g) == irreducible_by_trial_division(g) == rabin_irreducible(g) == (k == len(rows) - 1)
+
+
+# the untabled GF(3^6) runs the block test without the root screen
+BLOCK_FIELDS = [(2, 3), (3, 2), (7, 1), (3, 4), (3, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BLOCK_FIELDS), st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_block_search_matches_one_at_a_time_reference(field, t, seed):
+    f = make_field(*field)
+    block, single = SplitMix64(seed), SplitMix64(seed)
+    assert random_irreducible(t, f, block) == random_irreducible_reference(t, f, single)
+    assert block.state == single.state
+
+
+def test_block_search_matches_reference_on_fresh_block():
+    f = make_field(3, 4)  # the (3,4,20) Table-1 block
+    for seed in (1, 2):
+        block, single = SplitMix64(seed), SplitMix64(seed)
+        assert random_irreducible(20, f, block) == random_irreducible_reference(20, f, single)
+        assert block.state == single.state
+
+
 def frobenius_digits(poly, t):
     f = poly.field
     cs = poly.coeffs + (0,) * (t - len(poly.coeffs))
@@ -241,8 +291,9 @@ def frobenius_digits(poly, t):
 
 def test_frobenius_matrix_is_pth_power():
     rng = SplitMix64(19)
-    # at (67, 1) the product by x**p is taken by squaring, elsewhere by p - 1 steps
-    for p, m in [(2, 3), (3, 2), (5, 1), (7, 2), (3, 6), (67, 1)]:
+    # at (67, 1) and (4099, 1) the product by x**p is taken by squaring,
+    # elsewhere by p - 1 steps; (4099, 1) is past float32's exact range
+    for p, m in [(2, 3), (3, 2), (5, 1), (7, 2), (3, 6), (67, 1), (4099, 1)]:
         f = make_field(p, m)
         g1 = random_irreducible(3, f, rng)
         while True:
@@ -253,7 +304,7 @@ def test_frobenius_matrix_is_pth_power():
         composite = g2 * g3
         assert is_square_free(composite) and not is_irreducible(composite)
         for g in (g1, composite):
-            frob = _frobenius_matrix(f, g.coeffs)
+            frob = _frobenius_matrix(f, np.array([g.coeffs]))[0]
             for _ in range(20):
                 z = Poly(f, [rng.randrange(f.q) for _ in range(3)])
                 image = (frob @ np.array(frobenius_digits(z, 3))) % p
