@@ -60,14 +60,13 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     consecutive ranks go through polyring's block test."""
     if m == 1:
         return (0, 1)
-    from .polyring import _block_rows, _irreducible_rows  # local: polyring imports fields
+    from .polyring import _BLOCK_ROWS, _first_irreducible  # local: polyring imports fields
 
-    k = _block_rows(m)
-    for start in range(0, p**m, k):
-        ranks, rows = np.arange(start, start + k), np.ones((k, m + 1), dtype=np.int64)
+    for start in range(0, p**m, _BLOCK_ROWS):
+        ranks, rows = np.arange(start, start + _BLOCK_ROWS), np.ones((_BLOCK_ROWS, m + 1), dtype=np.int64)
         for i in range(m):
             ranks, rows[:, i] = np.divmod(ranks, p)
-        hit = next(_irreducible_rows(make_field(p, 1), rows), None)
+        hit = _first_irreducible(make_field(p, 1), rows)
         if hit is not None:
             return tuple(rows[hit].tolist())
 

@@ -19,6 +19,8 @@ from .fields import Field, ints_from_text, is_prime
 
 NEG_INF = float("-inf")
 
+_BLOCK_ROWS = 8  # candidates per block of the generator search
+
 
 class Poly:
     """Immutable dense polynomial over a Field."""
@@ -389,11 +391,13 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     mul_x[:, :, -m:] = _digit_split(top, field).transpose(0, 2, 3, 1).reshape(rows, dim, m)
     if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
         mul_xp = _power_mod(mul_x, p, p)
-    else:  # blocks[i], column k: digits of y**k x**i mod g
-        blocks = [eye[:, i * m : (i + 1) * m] for i in range(t)] + [mul_x[:, :, -m:]]
-        while len(blocks) < t + p:
-            blocks.append(_fmod(mul_x @ blocks[-1], p))
-        mul_xp = np.concatenate(np.broadcast_arrays(*blocks[p : p + t]), axis=-1)
+    else:  # block i of C**p, column k: digits of y**k x**(p + i) mod g
+        mul_xp, low = np.empty_like(mul_x), max(t - p, 0) * m
+        mul_xp[:, :, :low] = eye[:, p * m :]
+        tail = [mul_x[:, :, -m:]]  # x**t, ..., x**(t + p - 1)
+        while len(tail) < p:
+            tail.append(_fmod(mul_x @ tail[-1], p))
+        mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
     out = np.zeros((rows, dim, dim), dtype=dtype)
     out[:, :m, :m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
     for j in range(1, t):
@@ -401,22 +405,16 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rows(t: int) -> int:
-    """Candidates per block at degree t.  About one in t is irreducible; a
-    quarter of that wait, plus 8, tests few rows past the accepted one."""
-    return t // 4 + 8
-
-
-def _irreducible_rows(field: Field, gc: np.ndarray):
-    """Indices, in order, of the irreducible rows of gc; row k holds the
+def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """Rabin's test on a block, all but its gcds.  Row k of gc holds the
     coefficients, low to high, of a monic g of degree t >= 1.
 
-    Rabin's test on the whole block: g is irreducible iff x**(q**t) == x
-    (mod g) and gcd(x**(q**(t/r)) - x, g) = 1 for each prime r | t.  Over a
-    table-backed field a root screen (g at every element) decides
-    gcd(x**q - x, g) first, and all of t <= 3.  x**(q**i) mod g comes from
-    the rows' stacked q-Frobenius matrices; only rows with x**(q**t) == x
-    reach a gcd, lazily, one row at a time.
+    g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
+    = 1 for each prime r | t.  Over a table-backed field a root screen (g at
+    every element) decides gcd(x**q - x, g) first, and all of t <= 3.
+    x**(q**i) mod g comes from the rows' stacked q-Frobenius matrices.
+    Returns the rows, in order, that pass, and for each level i = t/r whose
+    gcd is still open the coefficient ranks of x**(q**i) - x at those rows.
     """
     t = gc.shape[1] - 1
     live = np.arange(len(gc))
@@ -425,43 +423,47 @@ def _irreducible_rows(field: Field, gc: np.ndarray):
         columns = [c[:, None] for c in gc.T[:-1]] + [1]
         live = live[_synthetic_division(columns, np.arange(field.q), field)[-1].all(axis=1)]
     if t == 1 or (screened and t < 4) or not len(live):
-        yield from live.tolist()
-        return
+        return live.tolist(), []
     p, m = field.p, field.m
     levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r) and not (screened and r == t)]
     frob_q = _power_mod(_frobenius_matrix(field, gc[live]), m, p)  # y -> y**q
     x = (np.arange(m * t) == m).astype(frob_q.dtype)
-    h, powers = np.tile(x, (len(live), 1)), {}
+    h, powers = np.tile(x, (len(live), 1)), []
     for i in range(1, t + 1):
         h = _fmod(np.matmul(frob_q, h[:, :, None])[:, :, 0], p)
         if i in levels:
-            powers[i] = h
-    for k in np.flatnonzero((h == x).all(axis=1)).tolist():
-        g = Poly(field, gc[live[k]].tolist())
-        ranks = (_fmod(powers[i][k] - x, p).reshape(t, m) @ p ** np.arange(m) for i in levels)
-        if all(poly_gcd(g, Poly(field, r.astype(np.int64).tolist())).degree == 0 for r in ranks):
-            yield int(live[k])
+            powers.append(h)
+    passed = (h == x).all(axis=1)
+    weights = p ** np.arange(m)
+    return live[passed].tolist(), [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
 
 
 def is_irreducible(g: Poly) -> bool:
-    """Irreducibility over GF(q): `_irreducible_rows` on a block of one row."""
-    gc = np.array([g.monic().coeffs])
-    return g.degree >= 1 and next(_irreducible_rows(g.field, gc), None) is not None
+    """Irreducibility over GF(q) by Rabin's test: `_rabin_screen` on a block
+    of one row, then one gcd per open level."""
+    passed, gaps = _rabin_screen(g.field, np.array([g.monic().coeffs])) if g.degree >= 1 else ([], [])
+    return bool(passed) and all(poly_gcd(g, Poly(g.field, r[0].tolist())).degree == 0 for r in gaps)
+
+
+def _first_irreducible(field: Field, gc: np.ndarray) -> int | None:
+    """Index of the first irreducible row of gc (rows as in `_rabin_screen`):
+    is_irreducible decides the few rows the block screen passes, in order."""
+    return next((k for k in _rabin_screen(field, gc)[0] if is_irreducible(Poly(field, gc[k].tolist()))), None)
 
 
 def random_irreducible(t: int, field: Field, rng) -> Poly:
     """Uniform monic irreducible of degree exactly t (rejection sampling).
     Each candidate takes t randrange(q) draws of rng, low coefficient first;
-    blocks of `_block_rows(t)` are drawn and tested at once, and rng is left
+    blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
     just after the accepted candidate's draws."""
     if t < 1:
         raise ValueError("degree must be >= 1")
-    k, q = _block_rows(t), field.q
+    k, q = _BLOCK_ROWS, field.q
     while True:
         draws = rng.next_u64_block(k * t)
         gc = np.ones((k, t + 1), dtype=np.int64)
         gc[:, :t] = (draws % np.uint64(q)).reshape(k, t)
-        hit = next(_irreducible_rows(field, gc), None)
+        hit = _first_irreducible(field, gc)
         rng.advance(t * (k if hit is None else hit + 1))
         if hit is not None:
             return Poly(field, gc[hit].tolist())

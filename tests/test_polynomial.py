@@ -14,8 +14,9 @@ from pgoppa.polyring import (
     NEG_INF,
     Poly,
     _FrobeniusSolver,
+    _first_irreducible,
     _frobenius_matrix,
-    _irreducible_rows,
+    _rabin_screen,
     inv_mod,
     is_irreducible,
     is_square_free,
@@ -182,20 +183,13 @@ def test_random_irreducible_square_free():
 
 
 def test_irreducible_scan_equals_full_criterion():
-    # the degree <= t/2 factor scan decides Rabin's criterion: g of degree t
-    # is irreducible iff x**(q**t) == x mod g and gcd(x**(q**(t/r)) - x, g)
-    # is constant for every prime r dividing t
+    # the block screen and its gcds against Rabin's criterion in Poly arithmetic
     rng = SplitMix64(12)
     for p, m, t in [(2, 2, 6), (3, 2, 5), (5, 1, 6)]:
         f = make_field(p, m)
-        x = Poly.x(f)
-        primes = [r for r in (2, 3, 5) if t % r == 0]
         for _ in range(150):
             g = Poly(f, [rng.randrange(f.q) for _ in range(t)] + [1])
-            full = x.pow_mod(f.q**t, g) == x and all(
-                poly_gcd(x.pow_mod(f.q ** (t // r), g) - x, g).degree == 0 for r in primes
-            )
-            assert is_irreducible(g) == full
+            assert is_irreducible(g) == rabin_irreducible(g)
 
 
 def monic_polys(field, degree):
@@ -255,7 +249,8 @@ def test_block_verdicts_on_crafted_rows(monkeypatch, rows):
     assert x.pow_mod(5**t, Poly(f, rows[0])) == x
     gcd_calls = []
     monkeypatch.setattr(polyring, "poly_gcd", lambda a, b: gcd_calls.append(a) or poly_gcd(a, b))
-    assert list(_irreducible_rows(f, np.array(rows))) == [len(rows) - 1]
+    assert _rabin_screen(f, np.array(rows))[0] == [0, len(rows) - 1]
+    assert _first_irreducible(f, np.array(rows)) == len(rows) - 1
     assert [g.coeffs for g in gcd_calls] == [tuple(rows[0]), tuple(rows[-1])]
     for k, row in enumerate(rows):
         g = Poly(f, row)
@@ -275,11 +270,16 @@ def test_block_search_matches_one_at_a_time_reference(field, t, seed):
     assert block.state == single.state
 
 
-def test_block_search_matches_reference_on_fresh_block():
+def test_block_search_matches_reference_on_fresh_block(monkeypatch):
+    # the module-level is_irreducible (the name perfbench counts) decides
+    # the rows the block screen passes; the accepted g is the last it saw
+    decided = []
+    monkeypatch.setattr(polyring, "is_irreducible", lambda g: decided.append(g) or is_irreducible(g))
     f = make_field(3, 4)  # the (3,4,20) Table-1 block
     for seed in (1, 2):
         block, single = SplitMix64(seed), SplitMix64(seed)
-        assert random_irreducible(20, f, block) == random_irreducible_reference(20, f, single)
+        g = random_irreducible(20, f, block)
+        assert g == random_irreducible_reference(20, f, single) == decided[-1]
         assert block.state == single.state
 
 
