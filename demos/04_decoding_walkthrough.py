@@ -6,9 +6,9 @@ from pgoppa import (
     Poly,
     assemble_locator,
     build_code,
-    build_key_lattice,
     decode,
     find_roots_multiplicities,
+    key_lattices,
     sample_error,
 )
 from pgoppa.errors import DegreeBoundError
@@ -30,23 +30,24 @@ print("true error positions:", {i: v for i, v in enumerate(error.values) if v})
 s = Poly(code.field, code.syndrome_from_word(received))
 print("\nsyndrome degree:", s.degree)
 
-# Step 2: for each scale guess phi, radicand p-th roots define the lattice.
-for phi in range(1, p):
-    lattice = build_key_lattice(code, s, phi)
-    reduced, _ = weak_popov_reduce(lattice.basis)
+# Step 2: the radicands u_k = x^k - phi*k*x^(k-1)/s have p-th roots mod g
+# root(x^k) - phi*k*root(x^(k-1)/s), so 2(p-1) roots give the key lattice of
+# every scale guess phi.  Reduce each and read locators off its rows.
+for phi, basis in enumerate(key_lattices(code, s), start=1):
+    reduced, _ = weak_popov_reduce(basis)
     print(f"\nphi = {phi}: reduced degree tableau")
     print(reduced.degree_tableau())
     for row in reduced.rows:
         try:
-            locator = assemble_locator(row, phi, code.t)
+            sigma = assemble_locator(row, code.t)
         except DegreeBoundError:
             continue
-        mults = find_roots_multiplicities(locator, code)
+        mults = find_roots_multiplicities(sigma, code)
         errs = {j: (phi * mu) % p for j, mu in mults.items()}
         verdict = code.syndrome_from_word(
             [errs.get(j, 0) for j in range(code.n)]
         ) == list(s.coeffs) + [0] * (code.t - len(s.coeffs))
-        print(f"  locator degree {locator.poly.degree}, roots {mults}, verifies: {verdict}")
+        print(f"  locator degree {sigma.degree}, roots {mults}, verifies: {verdict}")
 
 # The decode() wrapper does all of the above, tries every phi, verifies each
 # candidate against the syndrome, and deduplicates.

@@ -23,15 +23,15 @@ e = [0] * code.n
 e[1] = 1
 truth = {1: 1}
 s = alternant_syndrome(code, e)
-lattice = try_build_alternant_lattice(code, s, phi=1)
-print("radicand is a square mod x^r:", lattice is not None)
-reduced, _ = weak_popov_reduce(lattice.basis)
+basis = try_build_alternant_lattice(code, s, phi=1)
+print("radicand is a square mod x^r:", basis is not None)
+reduced, _ = weak_popov_reduce(basis)
 for row in reduced.rows:
     try:
-        locator = assemble_locator(row, 1, code.r)
+        sigma = assemble_locator(row, code.r)
     except DegreeBoundError:
         continue
-    recovered = recover_error_values(code, locator.poly, 1)
+    recovered = recover_error_values(code, sigma, 1)
     if recovered == truth:
         print("recovered error from locator roots at inverse support points:", recovered)
 

@@ -11,7 +11,7 @@ from .alternant import (
     recover_error_values,
     try_build_alternant_lattice,
 )
-from .decoder import assemble_locator, build_key_lattice, decode, find_roots_multiplicities
+from .decoder import assemble_locator, decode, find_roots_multiplicities, key_lattices
 from .errors import ParamError, PgoppaError
 from .experiments import TrialConfig, run_trials, success_prob_model, sweep_weights
 from .fields import make_field

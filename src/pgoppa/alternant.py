@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decoder import KeyLattice
 from .errors import NotInvertibleError, ParamError
 from .fields import Field, make_field
 from .polyring import Poly, _root_multiplicities, inv_mod
@@ -101,13 +100,15 @@ def pth_root_mod_xr(u: Poly, r: int) -> Poly | None:
     return Poly(f, [f.pth_root(cs[i]) if i < len(cs) else 0 for i in range(0, r, p)])
 
 
-def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> KeyLattice | None:
+def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> PolyMatrix | None:
     """Basis for the phi-th key equation mod x**r, if the radicands admit
     p-th roots; None otherwise.
 
     The key equation here is -phi*sigma' == sigma*s (mod x**r), so the
     radicands carry the opposite sign from the Goppa case:
-    u_k = x**k + phi*k*x**(k-1)/s.
+    u_k = x**k + phi*k*x**(k-1)/s.  Each u_k is rooted whole: modulo x**r
+    the p-th root is not a bijection, so the decoder's split into
+    root(x**k) and root(x**(k-1)/s) does not exist here.
     """
     f = code.field
     p = f.p
@@ -117,8 +118,6 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> KeyLa
         raise NotInvertibleError("syndrome not invertible modulo x**r (constant term zero)")
     s_inv = inv_mod(s, xr)
     zero, one = Poly.zero(f), Poly.one(f)
-    us: list[Poly] = []
-    vs: list[Poly] = []
     rows: list[list[Poly]] = [[xr] + [zero] * (p - 1)]
     for k in range(1, p):
         c = (phi * k) % p
@@ -126,10 +125,8 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> KeyLa
         v = pth_root_mod_xr(u, r)
         if v is None:
             return None
-        us.append(u)
-        vs.append(v)
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
-    return KeyLattice(phi=phi, u=us, v=vs, basis=PolyMatrix(f, rows))
+    return PolyMatrix(f, rows)
 
 
 def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int, int]:

@@ -40,6 +40,14 @@ def _parse_dist(text: str):
     )
 
 
+def _parse_block(text: str) -> tuple[int, int, int]:
+    try:
+        p, m, t = (int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"block {text!r} is not three integers P,M,T") from None
+    return p, m, t
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -120,11 +128,7 @@ def _run_rows(rows, trials, seed, dist, workers) -> tuple[list, bool]:
 
 def _cmd_table1(args) -> int:
     if args.rows:
-        blocks = []
-        for spec_str in args.rows:
-            p, m, t = (int(tok) for tok in spec_str.split(","))
-            blocks.append((p, m, t))
-        rows = table_rows(blocks)
+        rows = table_rows(args.rows)
     else:
         rows = table_rows(include_binary=not args.no_binary)
     reports, hard_ok = _run_rows(rows, args.trials, args.seed, "equal", args.workers)
@@ -192,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument(
         "--rows",
         action="append",
+        type=_parse_block,
         metavar="P,M,T",
         help="restrict to one block, e.g. --rows 3,3,8 (repeatable)",
     )

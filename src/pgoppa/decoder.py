@@ -16,24 +16,8 @@ from typing import Sequence
 
 from .errors import DegreeBoundError, NotInvertibleError, ParamError
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _root_multiplicities, inv_mod, poly_pth_power, pth_root_mod
+from .polyring import Poly, _root_multiplicities, inv_mod, poly_pth_power, pth_power_decompose, pth_root_mod
 from .popov import PolyMatrix, weak_popov_reduce
-
-
-@dataclass
-class KeyLattice:
-    """Reduction input for one scale guess: radicand roots and the basis."""
-
-    phi: int
-    u: list[Poly]
-    v: list[Poly]
-    basis: PolyMatrix
-
-
-@dataclass
-class Locator:
-    poly: Poly
-    phi: int
 
 
 @dataclass
@@ -57,36 +41,31 @@ class DecodeOutcome:
         return [c.codeword for c in self.candidates]
 
 
-def build_key_lattice(code: GoppaCode, s: Poly, phi: int) -> KeyLattice:
-    """Basis whose short vectors solve the phi-th key equation.
+def key_lattices(code: GoppaCode, s: Poly) -> list[PolyMatrix]:
+    """Bases whose short vectors solve the key equations for phi = 1..p-1.
 
-    First row (g, 0, ..., 0); row k+1 is (-v_k, 0, .., 1, .., 0) where
-    v_k**p == x**k - phi*k*x**(k-1)/s (mod g).
+    Row 0 of each is (g, 0, ..., 0); row k is (-v_k, 0, .., 1, .., 0) with
+    v_k**p == x**k - phi*k*x**(k-1)/s (mod g).  The p-th root mod a
+    square-free g is additive and fixes GF(p), so -v_k = phi*b_k - a_k with
+    a_k = root(x**k) and b_k = k*root(x**(k-1)/s): 2(p-1) roots in all.
+    Raises NotInvertibleError when s is not invertible mod g.
     """
-    s_inv = inv_mod(s, code.g)
-    return _key_lattice(code, s_inv, phi, -1)
-
-
-def _key_lattice(code: GoppaCode, s_inv: Poly, phi: int, sign: int) -> KeyLattice:
     f = code.field
     p = f.p
     g = code.g
+    s_inv = inv_mod(s, g)
     zero, one = Poly.zero(f), Poly.one(f)
-    us: list[Poly] = []
-    vs: list[Poly] = []
-    rows: list[list[Poly]] = [[g] + [zero] * (p - 1)]
-    for k in range(1, p):
-        c = (sign * phi * k) % p
-        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)) % g
-        v = pth_root_mod(u, g)
-        us.append(u)
-        vs.append(v)
-        row = [-v] + [one if j == k else zero for j in range(1, p)]
-        rows.append(row)
-    return KeyLattice(phi=phi, u=us, v=vs, basis=PolyMatrix(f, rows))
+    a = [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, p)]
+    b = [pth_root_mod(s_inv.shift(k - 1), g).scale(k) for k in range(1, p)]
+    head = [g] + [zero] * (p - 1)
+    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
+    return [
+        PolyMatrix(f, [head] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)])
+        for phi in range(1, p)
+    ]
 
 
-def assemble_locator(a: Sequence[Poly], phi: int, t: int) -> Locator:
+def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
     """sigma = sum x**j a_j**p, made monic; rejects rows breaking the
     degree bounds deg(a_j) <= (t - j) // p."""
     f = a[0].field
@@ -99,13 +78,12 @@ def assemble_locator(a: Sequence[Poly], phi: int, t: int) -> Locator:
             sigma = sigma + poly_pth_power(aj).shift(j)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")
-    return Locator(sigma.monic(), phi)
+    return sigma.monic()
 
 
-def find_roots_multiplicities(locator: Locator | Poly, code: GoppaCode) -> dict[int, int]:
+def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
     """Map support index -> multiplicity of L_j as a root of sigma, in
     ascending support order."""
-    sigma = locator.poly if isinstance(locator, Locator) else locator
     return _root_multiplicities(sigma, code.L)
 
 
@@ -118,10 +96,6 @@ def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
     basis is assembled and syndrome-checked, and candidates are
     deduplicated in (phi, row) discovery order.
     """
-    return _decode_impl(code, received, -1)
-
-
-def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeOutcome:
     f = code.field
     p = f.p
     n = code.n
@@ -141,20 +115,19 @@ def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeO
         )
         return DecodeOutcome([cand])
     try:
-        s_inv = inv_mod(s_poly, code.g)
+        bases = key_lattices(code, s_poly)
     except NotInvertibleError:
         return DecodeOutcome([])
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
-    for phi in range(1, p):
-        lattice = _key_lattice(code, s_inv, phi, sign)
-        reduced, _ = weak_popov_reduce(lattice.basis)
+    for phi, basis in enumerate(bases, start=1):
+        reduced, _ = weak_popov_reduce(basis)
         for row in reduced.rows:
             try:
-                loc = assemble_locator(row, phi, code.t)
+                sigma = assemble_locator(row, code.t)
             except DegreeBoundError:
                 continue
-            mults = find_roots_multiplicities(loc, code)
+            mults = find_roots_multiplicities(sigma, code)
             if not mults:
                 continue
             e = [0] * n
@@ -166,18 +139,18 @@ def _decode_impl(code: GoppaCode, received: Sequence[int], sign: int) -> DecodeO
             if codeword in seen:
                 continue
             seen.add(codeword)
-            outcome.candidates.append(
-                Candidate(codeword, ErrorPattern(tuple(e)), phi, loc.poly, mults)
-            )
+            outcome.candidates.append(Candidate(codeword, ErrorPattern(tuple(e)), phi, sigma, mults))
     return outcome
 
 
 def verify_sign_convention() -> int:
-    """Decode a known single-error instance under both radicand signs and
-    return the one that verifies (-1, matching the key-equation algebra).
+    """Check the radicand sign on a known single-error instance and return
+    the one that holds (-1, matching the key-equation algebra).
 
-    Raises if the minus convention fails to decode it or the plus
-    convention does.
+    The true locator's p-th-power decomposition must lie in the phi = 1
+    basis and not in the phi = p - 1 basis, which is the one the plus sign
+    u_k = x**k + phi*k*x**(k-1)/s would build for phi = 1.  Raises
+    otherwise.
     """
     from .goppa import build_code, sample_error
     from .rng import SplitMix64
@@ -185,11 +158,19 @@ def verify_sign_convention() -> int:
     rng = SplitMix64(0x5167)
     code = build_code(3, 2, 2, rng=rng)
     error = sample_error(code.n, 1, ("equal", 1), 3, rng)
-    results = {}
-    for sign in (-1, +1):
-        outcome = _decode_impl(code, error.values, sign)
-        zero = (0,) * code.n
-        results[sign] = zero in outcome.codewords()
+    f = code.field
+    a = pth_power_decompose(Poly(f, (f.neg(code.L[error.support[0]]), 1)))
+
+    def contains(basis: PolyMatrix) -> bool:
+        # (a_0, .., a_{p-1}) = sum_k a_k row_k + lambda*row_0 iff g divides
+        # a_0 - sum_k a_k row_k[0]
+        residue = a[0]
+        for k in range(1, f.p):
+            residue = residue - a[k] * basis.rows[k][0]
+        return (residue % code.g).is_zero()
+
+    bases = key_lattices(code, code.syndrome_poly(error.values))
+    results = {-1: contains(bases[0]), +1: contains(bases[-1])}
     if not results[-1] or results[+1]:
-        raise AssertionError(f"radicand sign check: decoded under {results}, expected only -1")
+        raise AssertionError(f"radicand sign check: holds under {results}, expected only -1")
     return -1

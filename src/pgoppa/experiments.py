@@ -94,7 +94,10 @@ def resolve_workers(requested: int | None = None) -> int:
     base = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKERS_ENV)
     if cap:
-        base = min(base, int(cap))
+        try:
+            base = min(base, int(cap))
+        except ValueError:
+            raise ParamError(f"{WORKERS_ENV}={cap!r} is not an integer") from None
     return max(1, base)
 
 

@@ -5,9 +5,9 @@ from collections import Counter
 from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
-from pgoppa.decoder import Locator
 from pgoppa.goppa import ErrorPattern, GoppaCode
-from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd
+from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
+from pgoppa.popov import PolyMatrix
 
 
 # -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
@@ -108,7 +108,7 @@ def root_multiplicity(sigma: Poly, point: int) -> int:
     return count
 
 
-def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Locator:
+def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Poly:
     """Direct product prod (x - L_i)**(e_i/phi), exponents lifted to 0..p-1."""
     f = code.field
     p = f.p
@@ -120,7 +120,23 @@ def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Locator:
             lin = Poly(f, (f.neg(code.L[i]), 1))
             for _ in range(exp):
                 sigma = sigma * lin
-    return Locator(sigma, phi)
+    return sigma
+
+
+def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> PolyMatrix:
+    """The phi-th key lattice one radicand at a time: u_k = x**k -
+    phi*k*x**(k-1)*s_inv mod g, then v_k = pth_root_mod(u_k, g) and row k =
+    (-v_k, 0, .., 1, .., 0) under (g, 0, ..., 0)."""
+    f = code.field
+    p = f.p
+    g = code.g
+    zero, one = Poly.zero(f), Poly.one(f)
+    rows = [[g] + [zero] * (p - 1)]
+    for k in range(1, p):
+        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale((-phi * k) % p)) % g
+        v = pth_root_mod(u, g)
+        rows.append([-v] + [one if j == k else zero for j in range(1, p)])
+    return PolyMatrix(f, rows)
 
 
 def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int) -> Poly:

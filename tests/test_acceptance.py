@@ -108,7 +108,7 @@ def test_criterion_4_key_equation_suite():
         code = build_code(p, m, t, rng=rng)
         error = sample_error(code.n, rng.randrange(code.n + 1), "uniform", p, rng)
         phi = 1 + rng.randrange(p - 1)
-        sigma = locator_from_error(code, error, phi).poly
+        sigma = locator_from_error(code, error, phi)
         s = code.syndrome_poly(error.values)
         if (sigma.deriv().scale(phi) % code.g) != ((sigma * s) % code.g):
             failures += 1

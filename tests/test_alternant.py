@@ -135,19 +135,22 @@ def test_end_to_end_feasible_binary_instances():
             e = random_error(code, 1 + rng.randrange(min(code.n, 2)), rng)
             truth = {j: v for j, v in enumerate(e) if v}
             s = alternant_syndrome(code, e)
-            lat = try_build_alternant_lattice(code, s, 1)
-            assert lat is not None
-            assert lat.basis.rows[0][0] == Poly.monomial(code.field, r)
-            for u, v in zip(lat.u, lat.v):
-                assert poly_pth_power(v) % Poly.monomial(code.field, r) == u
-            reduced, _ = weak_popov_reduce(lat.basis)
+            basis = try_build_alternant_lattice(code, s, 1)
+            assert basis is not None
+            xr = Poly.monomial(code.field, r)
+            assert basis.rows[0][0] == xr
+            s_inv = inv_mod(s, xr)
+            for k in range(1, p):
+                u = (Poly.monomial(code.field, k) + s_inv.shift(k - 1).scale(k % p)) % xr
+                assert poly_pth_power(-basis.rows[k][0]) % xr == u
+            reduced, _ = weak_popov_reduce(basis)
             hit = False
             for row in reduced.rows:
                 try:
-                    loc = assemble_locator(row, 1, r)
+                    sigma = assemble_locator(row, r)
                 except DegreeBoundError:
                     continue
-                if recover_error_values(code, loc.poly, 1) == truth:
+                if recover_error_values(code, sigma, 1) == truth:
                     hit = True
             assert hit
             recovered += 1

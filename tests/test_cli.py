@@ -148,6 +148,23 @@ def test_table1_binary_hard_assertion(capsys):
     assert row[5] == "30"  # all successes
 
 
+@pytest.mark.parametrize("spec", ["3,3", "a,b,c", "3,3,8,1"])
+def test_table1_bad_block_is_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--rows", spec, "--trials", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"block {spec!r} is not three integers P,M,T" in err
+
+
+def test_table1_bad_worker_cap_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("PGOPPA_MAX_WORKERS", "abc")
+    rc, out, err = run_cli(capsys, "table1", "--rows", "3,3,8", "--trials", "1")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: PGOPPA_MAX_WORKERS='abc' is not an integer\n"
+
+
 def test_sweep(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--p", "3", "--m", "2", "--t", "3",
                          "--trials", "20", "--seed", "9", "--workers", "1")

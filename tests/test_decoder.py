@@ -3,24 +3,23 @@ solution, locator assembly and root extraction, and end-to-end decoding
 across characteristics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgoppa import decoder
 from pgoppa.decoder import (
-    Candidate,
-    DecodeOutcome,
     assemble_locator,
-    build_key_lattice,
     decode,
     find_roots_multiplicities,
+    key_lattices,
     verify_sign_convention,
 )
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, pth_power_decompose, random_irreducible
+from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, random_irreducible
 from pgoppa.rng import SplitMix64
 
-from oracles import locator_from_error, magnitude_profile
+from oracles import locator_from_error, magnitude_profile, reference_key_lattice
 
 
 def corrupt(codeword, error, p):
@@ -43,11 +42,22 @@ def test_sign_convention_is_minus():
 
 
 def test_sign_check_rejects_a_verifying_plus(monkeypatch):
-    def both_signs_decode(code, received, sign):
-        zero = (0,) * code.n
-        return DecodeOutcome([Candidate(zero, ErrorPattern(tuple(received)), 1, Poly.one(code.field), {})])
+    # every phi gets the phi = 1 basis, so the plus sign's basis holds too
+    real = decoder.key_lattices
 
-    monkeypatch.setattr(decoder, "_decode_impl", both_signs_decode)
+    def both_signs(code, s):
+        bases = real(code, s)
+        return [bases[0]] * len(bases)
+
+    monkeypatch.setattr(decoder, "key_lattices", both_signs)
+    with pytest.raises(AssertionError, match="expected only -1"):
+        verify_sign_convention()
+
+
+def test_sign_check_rejects_a_failing_minus(monkeypatch):
+    # bases in reverse phi order: only the plus sign's basis holds
+    real = decoder.key_lattices
+    monkeypatch.setattr(decoder, "key_lattices", lambda code, s: real(code, s)[::-1])
     with pytest.raises(AssertionError, match="expected only -1"):
         verify_sign_convention()
 
@@ -73,7 +83,7 @@ def test_key_equation_identity_random():
         p = code.field.p
         e = sample_error(code.n, rng.randrange(code.n + 1), "uniform", p, rng)
         phi = 1 + rng.randrange(p - 1)
-        sigma = locator_from_error(code, e, phi).poly
+        sigma = locator_from_error(code, e, phi)
         s = code.syndrome_poly(e.values)
         assert (sigma.deriv().scale(phi) % code.g) == ((sigma * s) % code.g)
         checked += 1
@@ -83,11 +93,11 @@ def test_locator_from_error_examples():
     rng = SplitMix64(2002)
     code = build_code(3, 2, 3, rng=rng)
     zero = ErrorPattern((0,) * code.n)
-    assert locator_from_error(code, zero, 1).poly == Poly.one(code.field)
+    assert locator_from_error(code, zero, 1) == Poly.one(code.field)
     # degree = sum over the profile of lifted v/phi exponents
     e = sample_error(code.n, 4, "uniform", 3, rng)
     for phi in (1, 2):
-        sigma = locator_from_error(code, e, phi).poly
+        sigma = locator_from_error(code, e, phi)
         phi_inv = pow(phi, 1, 3) if phi == 1 else 2
         expect = sum(((v * phi_inv) % 3) * cnt for v, cnt in magnitude_profile(e).items())
         assert sigma.degree == expect
@@ -97,7 +107,7 @@ def test_locator_p2_equals_patterson_product():
     rng = SplitMix64(2003)
     code = build_code(2, 4, 3, rng=rng)
     e = sample_error(code.n, 3, ("equal", 1), 2, rng)
-    sigma = locator_from_error(code, e, 1).poly
+    sigma = locator_from_error(code, e, 1)
     f = code.field
     direct = Poly.one(f)
     for i in e.support:
@@ -116,11 +126,15 @@ def test_key_lattice_defining_property():
         s = code.syndrome_poly(e.values)
         if s.is_zero():
             continue
+        phi = 1 + rng.randrange(p - 1)
         try:
-            lat = build_key_lattice(code, s, 1 + rng.randrange(p - 1))
+            basis = key_lattices(code, s)[phi - 1]
         except NotInvertibleError:
             continue
-        for k, (u, v) in enumerate(zip(lat.u, lat.v), start=1):
+        s_inv = inv_mod(s, code.g)
+        for k in range(1, p):
+            u = (Poly.monomial(code.field, k) - s_inv.shift(k - 1).scale(phi * k % p)) % code.g
+            v = -basis.rows[k][0]
             assert v.pow_mod(p, code.g) == u
             assert v.degree < code.t
 
@@ -130,11 +144,15 @@ def test_key_lattice_binary_shape():
     code = build_code(2, 4, 3, rng=rng)
     e = sample_error(code.n, 2, ("equal", 1), 2, rng)
     s = code.syndrome_poly(e.values)
-    lat = build_key_lattice(code, s, 1)
-    assert lat.basis.nrows == 2
-    assert lat.basis.rows[0][0] == code.g
-    assert lat.basis.rows[1][0] == -lat.v[0]
-    assert lat.basis.rows[1][1] == Poly.one(code.field)
+    bases = key_lattices(code, s)
+    assert len(bases) == 1
+    basis = bases[0]
+    assert basis.nrows == 2
+    assert basis.rows[0][0] == code.g
+    # -v with v**2 == x - 1/s == x + 1/s (mod g)
+    u = (Poly.x(code.field) + inv_mod(s, code.g)) % code.g
+    assert basis.rows[1][0].pow_mod(2, code.g) == u
+    assert basis.rows[1][1] == Poly.one(code.field)
 
 
 def test_true_solution_lies_in_lattice():
@@ -150,19 +168,19 @@ def test_true_solution_lies_in_lattice():
         phi = 1 + rng.randrange(p - 1)
         w = rng.randint(1, code.t)
         e = sample_error(code.n, w, ("equal", phi), p, rng)
-        sigma = locator_from_error(code, e, phi).poly
+        sigma = locator_from_error(code, e, phi)
         assert sigma.degree == w
         s = code.syndrome_poly(e.values)
         if s.is_zero():
             continue
         try:
-            lat = build_key_lattice(code, s, phi)
+            basis = key_lattices(code, s)[phi - 1]
         except NotInvertibleError:
             continue
         a = pth_power_decompose(sigma)
         residue = a[0]
         for k in range(1, p):
-            residue = residue + a[k] * lat.v[k - 1]
+            residue = residue - a[k] * basis.rows[k][0]
         assert (residue % code.g).is_zero()
         # reconstruct the multiplier vector and check the product row by row
         lam = residue // code.g
@@ -170,23 +188,58 @@ def test_true_solution_lies_in_lattice():
         product = [Poly.zero(code.field) for _ in range(p)]
         for i, ci in enumerate(combo):
             for j in range(p):
-                product[j] = product[j] + ci * lat.basis.rows[i][j]
+                product[j] = product[j] + ci * basis.rows[i][j]
         assert product == a
         hits += 1
+
+
+# (p, m, t) with p in {2, 3, 5, 7}; drawn with irreducible and composite g
+LATTICE_BLOCKS = [(2, 4, 3), (2, 4, 2), (3, 2, 2), (3, 3, 4), (5, 2, 4), (7, 2, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LATTICE_BLOCKS), st.booleans(), st.integers(0, 2**64 - 1))
+def test_key_lattices_equal_per_phi_reference(block, irreducible, seed):
+    p, m, t = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, rng=rng, irreducible_only=irreducible)
+    f = code.field
+    s = Poly(f, [rng.randrange(f.q) for _ in range(t)])
+    try:
+        s_inv = inv_mod(s, code.g)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            key_lattices(code, s)
+        return
+    want = [reference_key_lattice(code, s_inv, phi) for phi in range(1, p)]
+    assert key_lattices(code, s) == want
+
+
+def test_decode_takes_two_roots_per_radicand_index(monkeypatch):
+    # a_k and b_k for k = 1..p-1, shared by every phi: 2(p-1) roots, not (p-1)**2
+    calls = []
+    real = decoder.pth_root_mod
+    monkeypatch.setattr(decoder, "pth_root_mod", lambda z, g: calls.append(z) or real(z, g))
+    rng = SplitMix64(2021)
+    code = build_code(5, 2, 4, rng=rng)
+    e = sample_error(code.n, 2, "uniform", 5, rng)
+    cw = code.random_codeword(rng)
+    assert cw in decode(code, corrupt(cw, e, 5)).codewords()
+    assert len(calls) == 2 * (5 - 1)
 
 
 def test_assemble_locator_examples():
     f3 = make_field(3, 1)
     one = Poly.one(f3)
     zero = Poly.zero(f3)
-    assert assemble_locator([one, zero, zero], 1, 6).poly == one
+    assert assemble_locator([one, zero, zero], 6) == one
     # a = (x + c, 0, 0) assembles to (x + c)^3 = x^3 + c^3
     for c in range(3):
-        sigma = assemble_locator([Poly(f3, (c, 1)), zero, zero], 1, 6).poly
+        sigma = assemble_locator([Poly(f3, (c, 1)), zero, zero], 6)
         assert sigma == Poly(f3, ((c**3) % 3, 0, 0, 1))
     # a = (c, 1, 0) assembles to c^3 + x
     for c in range(3):
-        sigma = assemble_locator([Poly(f3, (c,)), one, zero], 1, 6).poly
+        sigma = assemble_locator([Poly(f3, (c,)), one, zero], 6)
         assert sigma == Poly(f3, ((c**3) % 3, 1))
 
 
@@ -194,7 +247,7 @@ def test_assemble_locator_degree_filter():
     f3 = make_field(3, 1)
     big = Poly(f3, (1, 1, 1))  # degree 2 > (4 - 0) // 3
     with pytest.raises(DegreeBoundError):
-        assemble_locator([big, Poly.zero(f3), Poly.zero(f3)], 1, 4)
+        assemble_locator([big, Poly.zero(f3), Poly.zero(f3)], 4)
 
 
 def test_assemble_decompose_roundtrip():
@@ -204,7 +257,7 @@ def test_assemble_decompose_roundtrip():
         t = 3 + rng.randrange(6)
         sigma = Poly(f, [rng.randrange(9) for _ in range(t)] + [1])
         parts = pth_power_decompose(sigma)
-        back = assemble_locator(parts, 1, t).poly
+        back = assemble_locator(parts, t)
         assert back == sigma  # sigma was monic already
 
 
@@ -319,6 +372,18 @@ def test_decode_patterson_regime_sample():
         assert cw in decode(code, corrupt(cw, e, 2)).codewords()
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([(2, 4, 3), (2, 5, 6)]), st.integers(0, 2**64 - 1))
+def test_binary_full_weight_always_decodes(block, seed):
+    # p = 2, irreducible g: every error of weight t is corrected
+    p, m, t = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, rng=rng)
+    e = sample_error(code.n, t, ("equal", 1), p, rng)
+    cw = code.random_codeword(rng)
+    assert cw in decode(code, corrupt(cw, e, p)).codewords()
+
+
 def test_two_over_p_bound_on_locator_degrees():
     # weight <= (2/p)t: some phi keeps the locator degree within t
     rng = SplitMix64(2014)
@@ -326,7 +391,7 @@ def test_two_over_p_bound_on_locator_degrees():
         code = build_code(5, 2, 12, rng=rng)
         w = rng.randrange(1 + (2 * code.t) // 5)
         e = sample_error(code.n, w, "uniform", 5, rng)
-        best = min(locator_from_error(code, e, phi).poly.degree for phi in range(1, 5))
+        best = min(locator_from_error(code, e, phi).degree for phi in range(1, 5))
         assert best <= code.t
 
 
@@ -343,7 +408,7 @@ def test_decode_equal_magnitude_sigma_degree():
     rng = SplitMix64(2016)
     code = build_code(3, 3, 8, rng=rng)
     e = sample_error(code.n, 8, ("equal", 2), 3, rng)
-    sigma = locator_from_error(code, e, 2).poly
+    sigma = locator_from_error(code, e, 2)
     assert sigma.degree == 8
 
 

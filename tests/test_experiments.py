@@ -166,3 +166,7 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.delenv("PGOPPA_MAX_WORKERS")
     assert resolve_workers(3) == 3
     assert resolve_workers(0) == 1
+    for bad in ("abc", "2.5"):
+        monkeypatch.setenv("PGOPPA_MAX_WORKERS", bad)
+        with pytest.raises(ParamError, match="PGOPPA_MAX_WORKERS"):
+            resolve_workers(3)

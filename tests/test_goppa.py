@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgoppa.errors import ParamError
-from pgoppa.fields import make_field
+from pgoppa.fields import field_from_text, make_field
 from pgoppa.goppa import (
     ErrorPattern,
     GoppaCode,
@@ -16,7 +17,7 @@ from pgoppa.goppa import (
     word_from_text,
     word_to_text,
 )
-from pgoppa.polyring import Poly, is_irreducible, is_square_free
+from pgoppa.polyring import Poly, is_irreducible, is_square_free, poly_from_text, random_irreducible
 from pgoppa.rng import SplitMix64
 
 from oracles import magnitude_profile
@@ -236,6 +237,30 @@ def test_code_record_rejects_ranks_outside_field(code338):
 
 def test_word_text_roundtrip():
     w = (0, 2, 1, 0, 4)
+    assert word_from_text(word_to_text(w)) == w
+
+
+# (p, m, largest t) with q - t - m*t > 0, so a support of size > m*t exists
+RECORD_FIELDS = [(2, 4, 3), (3, 2, 2), (3, 3, 3), (5, 2, 3), (7, 1, 3)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(RECORD_FIELDS), st.data())
+def test_records_round_trip(block, data):
+    p, m, tmax = block
+    rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+    # a random modulus, not only the default one
+    f = make_field(p, m, random_irreducible(m, make_field(p, 1), rng).coeffs)
+    assert field_from_text(f.to_text()) is f
+    g = random_irreducible(data.draw(st.integers(1, tmax)), f, rng)
+    usable = [a for a in f.elements() if g(a) != 0]
+    code = GoppaCode(f, rng.sample(usable, rng.randint(m * g.degree + 1, len(usable))), g)
+    back = GoppaCode.from_text(code.to_text())
+    assert (back.field, back.g, back.L) == (f, g, code.L)
+    assert back.to_text() == code.to_text()
+    a = Poly(f, data.draw(st.lists(st.integers(0, f.q - 1), max_size=6)))
+    assert poly_from_text(f, a.to_text()) == a
+    w = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=code.n)))
     assert word_from_text(word_to_text(w)) == w
 
 
