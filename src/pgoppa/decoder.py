@@ -12,7 +12,7 @@ reproduces the received syndrome exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegreeBoundError, NotInvertibleError, ParamError
 from .goppa import ErrorPattern, GoppaCode
@@ -87,18 +87,29 @@ def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
     return _root_multiplicities(sigma, code.L)
 
 
-def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
+def locator_degree(e: Sequence[int], phi: int, p: int) -> int:
+    """Least degree of a locator that yields error e from scale guess phi:
+    a root multiplicity mu_j is congruent to e_j/phi (mod p) and at least 1
+    where e_j != 0, so the sum of e_j/phi lifted into 1..p-1."""
+    inv = pow(phi, -1, p)
+    return sum(v * inv % p for v in e if v)
+
+
+def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None = None) -> DecodeOutcome:
     """Full decode of a received word; returns every verified candidate.
 
     A zero syndrome short-circuits to the received word itself.  Otherwise
-    every scale guess phi is tried even after a success (distinct phi can
-    yield distinct valid codewords), every degree-valid row of each reduced
-    basis is assembled and syndrome-checked, and candidates are
-    deduplicated in (phi, row) discovery order.
+    each scale guess in `phis` (default 1..p-1) is tried even after a success
+    (distinct phi can yield distinct valid codewords), every degree-valid row
+    of each reduced basis is assembled and syndrome-checked, and candidates
+    are deduplicated in (phi ascending, row) discovery order.
     """
     f = code.field
     p = f.p
     n = code.n
+    tried = range(1, p) if phis is None else sorted(set(phis))
+    if any(not 1 <= phi < p for phi in tried):
+        raise ParamError(f"scale guesses must lie in [1, {p})")
     if len(received) != n:
         raise ParamError(f"received word has length {len(received)}, code length is {n}")
     if any(not 0 <= r < p for r in received):
@@ -120,8 +131,8 @@ def decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
         return DecodeOutcome([])
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
-    for phi, basis in enumerate(bases, start=1):
-        reduced, _ = weak_popov_reduce(basis)
+    for phi in tried:
+        reduced, _ = weak_popov_reduce(bases[phi - 1])
         for row in reduced.rows:
             try:
                 sigma = assemble_locator(row, code.t)

@@ -1,10 +1,11 @@
 """Monte-Carlo harness for decoding-success statistics.
 
-Each trial draws a fresh random code, an error pattern, and a random
-codeword, corrupts, decodes, and counts success when the true codeword
-appears among the candidates.  Trial i consumes only the stream derived
-from (seed, i), so counts are reproducible bit-for-bit regardless of how
-trials are scheduled across worker processes.
+Each trial draws a fresh random code and an error e, and succeeds when
+decoding c + e returns the codeword c.  `decode` reads a word only through
+its syndrome and returns it minus each verified error, so that is decoding e
+to the zero codeword, which the harness does instead.  Trial i consumes only
+the stream derived from (seed, i), so counts are reproducible bit-for-bit
+regardless of how trials are scheduled across worker processes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .decoder import decode
+from .decoder import decode, locator_degree
 from .errors import ParamError
 from .goppa import build_code, sample_error
 from .rng import trial_stream
@@ -102,12 +103,15 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _single_trial(cfg: TrialConfig, index: int) -> bool:
+    """Whether the zero word decodes from trial `index`'s error e; the
+    codeword, the stream's last draw, is never drawn.  A candidate from phi
+    has a locator of degree at least `locator_degree(e, phi, p)` and at most
+    t, so only those phi are tried, and no decode runs when there are none."""
     rng = trial_stream(cfg.seed, index)
     code = build_code(cfg.p, cfg.m, cfg.t, cfg.n, rng=rng)
-    error = sample_error(code.n, cfg.w, cfg.dist, cfg.p, rng)
-    codeword = code.random_codeword(rng)
-    received = tuple((a + b) % cfg.p for a, b in zip(codeword, error.values))
-    return codeword in decode(code, received).codewords()
+    e = sample_error(code.n, cfg.w, cfg.dist, cfg.p, rng).values
+    phis = [phi for phi in range(1, cfg.p) if locator_degree(e, phi, cfg.p) <= cfg.t]
+    return bool(phis) and (0,) * code.n in decode(code, e, phis).codewords()
 
 
 def _count_chunk(args: tuple[TrialConfig, int, int]) -> int:

@@ -57,18 +57,21 @@ def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, candidates ordered by the
     base-p integer value of their low coefficient vector.  Blocks of
-    consecutive ranks go through polyring's block test."""
+    consecutive ranks, doubling up to 1024 after each miss (all p reducible
+    x**3 + c come first when p = 2 mod 3), go through polyring's block test."""
     if m == 1:
         return (0, 1)
     from .polyring import _BLOCK_ROWS, _first_irreducible  # local: polyring imports fields
 
-    for start in range(0, p**m, _BLOCK_ROWS):
-        ranks, rows = np.arange(start, start + _BLOCK_ROWS), np.ones((_BLOCK_ROWS, m + 1), dtype=np.int64)
+    start, size = 0, _BLOCK_ROWS
+    while True:
+        ranks, rows = np.arange(start, start + size), np.ones((size, m + 1), dtype=np.int64)
         for i in range(m):
             ranks, rows[:, i] = np.divmod(ranks, p)
         hit = _first_irreducible(make_field(p, 1), rows)
         if hit is not None:
             return tuple(rows[hit].tolist())
+        start, size = start + size, min(2 * size, 1024)
 
 
 class Field:

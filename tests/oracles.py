@@ -5,9 +5,12 @@ from collections import Counter
 from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
-from pgoppa.goppa import ErrorPattern, GoppaCode
+from pgoppa.decoder import decode
+from pgoppa.experiments import TrialConfig
+from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
 from pgoppa.popov import PolyMatrix
+from pgoppa.rng import trial_stream
 
 
 # -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
@@ -168,3 +171,15 @@ def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 def magnitude_profile(e: ErrorPattern) -> dict[int, int]:
     """Nonzero magnitude -> number of positions carrying it."""
     return dict(Counter(v for v in e.values if v))
+
+
+def reference_trial(cfg: TrialConfig, index: int) -> bool:
+    """Trial `index` of cfg by the recipe: code, error and a random codeword
+    from trial_stream(seed, index), then a full decode of codeword + error;
+    success when the codeword is among the candidates."""
+    rng = trial_stream(cfg.seed, index)
+    code = build_code(cfg.p, cfg.m, cfg.t, cfg.n, rng=rng)
+    error = sample_error(code.n, cfg.w, cfg.dist, cfg.p, rng)
+    codeword = code.random_codeword(rng)
+    received = tuple((a + b) % cfg.p for a, b in zip(codeword, error.values))
+    return codeword in decode(code, received).codewords()

@@ -1,5 +1,7 @@
 """CLI tests driving main(argv) and checking files, formats, exit codes."""
 
+import hashlib
+
 import pytest
 
 from pgoppa.cli import main
@@ -138,6 +140,28 @@ def test_table1_csv_and_determinism(capsys):
     assert len(lines) == 5  # header + w in (8,7,6) + seed comment
     assert [ln.split(",")[3] for ln in lines[1:4]] == ["8", "7", "6"]
     assert lines[-1].startswith("# seed=42")
+
+
+# sha256 of whole CSV outputs (seed comment and package version included).
+# A change to any draw, decode or success count shows here; the hashes move
+# only with a deliberate change to what a trial computes.
+GOLDEN_CSV = [
+    (
+        ["table1", "--rows", "3,3,8", "--rows", "5,2,12", "--rows", "7,2,24", "--trials", "20", "--seed", "7"],
+        "bc4879ce8701ada754b4668015726f5ace4d36251571d8de60eff9ec9dd99b93",
+    ),
+    (
+        ["sweep", "--p", "5", "--m", "2", "--t", "12", "--dist", "uniform", "--trials", "20", "--seed", "7"],
+        "b15e8e493d5f5b71c5a9dd8b1ef3d5456dd8c3da0608a7379a5569d38ba65494",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_CSV, ids=["table1", "sweep"])
+def test_experiment_csv_matches_golden_hash(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table1_binary_hard_assertion(capsys):

@@ -11,6 +11,7 @@ from pgoppa.decoder import (
     decode,
     find_roots_multiplicities,
     key_lattices,
+    locator_degree,
     verify_sign_convention,
 )
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
@@ -393,6 +394,52 @@ def test_two_over_p_bound_on_locator_degrees():
         e = sample_error(code.n, w, "uniform", 5, rng)
         best = min(locator_from_error(code, e, phi).degree for phi in range(1, 5))
         assert best <= code.t
+
+
+def test_locator_degree_examples():
+    # e_j / phi mod p, lifted into 1..p-1, summed over the nonzero e_j
+    e = (1, 1, 2, 0)
+    assert [locator_degree(e, phi, 5) for phi in range(1, 5)] == [4, 7, 8, 11]
+    assert [locator_degree((3, 3, 3), phi, 7) for phi in (1, 3, 4)] == [9, 3, 18]
+    assert locator_degree((1, 0, 1), 1, 2) == 2
+    assert locator_degree((0, 0, 0), 2, 3) == 0
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+def test_locator_degree_sums_to_w_p_choose_2(p, data):
+    # as phi runs over the units, e_j / phi runs over 1..p-1 once: the sum
+    # is w p(p-1)/2, so the best phi has degree at most floor(w p / 2)
+    e = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
+    w = sum(1 for v in e if v)
+    degrees = [locator_degree(e, phi, p) for phi in range(1, p)]
+    assert sum(degrees) == w * p * (p - 1) // 2
+    assert min(degrees) <= w * p // 2
+
+
+def test_locator_degree_is_degree_of_direct_locator():
+    rng = SplitMix64(2019)
+    for p, m, t in [(3, 3, 8), (5, 2, 12), (7, 2, 6)]:
+        code = build_code(p, m, t, rng=rng)
+        e = sample_error(code.n, t, "uniform", p, rng)
+        for phi in range(1, p):
+            assert locator_degree(e.values, phi, p) == locator_from_error(code, e, phi).degree
+
+
+def test_decode_scale_guess_boundaries():
+    rng = SplitMix64(2248)  # candidates from phi = 1, 2 and 3
+    code = build_code(5, 2, 3, rng=rng)
+    e = sample_error(code.n, 3, "uniform", 5, rng)
+    rx = corrupt(code.random_codeword(rng), e, 5)
+    for bad in ([0], [5], [1, 5], [-1]):
+        with pytest.raises(ParamError):
+            decode(code, rx, bad)
+    full = decode(code, rx)
+    assert [c.phi for c in full.candidates] == [1, 2, 3]
+    assert decode(code, rx, range(1, 5)).candidates == full.candidates
+    assert decode(code, rx, [4, 2, 2, 1, 3]).candidates == full.candidates
+    # a subset keeps exactly the candidates of its phi, in the same order
+    assert decode(code, rx, [3, 1]).candidates == [c for c in full.candidates if c.phi in (1, 3)]
+    assert decode(code, rx, []).candidates == []
 
 
 def test_decode_uniform_magnitudes_within_bound():

@@ -2,6 +2,7 @@
 worker independence, and the seeded generator's reference vectors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgoppa.errors import ParamError
 from pgoppa.experiments import (
@@ -9,6 +10,7 @@ from pgoppa.experiments import (
     CSV_HEADER,
     TABLE_BLOCKS,
     TrialConfig,
+    _single_trial,
     binomial_sigma,
     csv_report,
     resolve_workers,
@@ -18,6 +20,8 @@ from pgoppa.experiments import (
     table_rows,
 )
 from pgoppa.rng import SplitMix64, mix64, trial_stream
+
+from oracles import reference_trial
 
 
 def test_splitmix64_reference_vectors():
@@ -134,6 +138,30 @@ def test_run_trials_reproducible_and_worker_independent():
     par = run_trials(cfg, workers=2)
     assert seq.successes == rerun.successes == par.successes
     assert seq.csv_row() == par.csv_row()
+
+
+@st.composite
+def trial_configs(draw):
+    p, m, t = draw(st.sampled_from([(2, 4, 3), (3, 3, 6), (5, 2, 6), (7, 2, 4)]))
+    w = draw(st.integers(0, t + 2))
+    kind = draw(st.sampled_from(["equal", "equal=v", "uniform", "profile"]))
+    if kind == "equal=v":
+        dist = ("equal", draw(st.integers(1, p - 1)))
+    elif kind == "profile":
+        u, v = draw(st.permutations(range(1, p)))[:2] if p > 2 else (1, 1)
+        k = draw(st.integers(0, w))
+        dist = {u: k, v: w - k} if u != v else {u: w}
+    else:
+        dist = kind
+    return TrialConfig(p, m, t, w, dist=dist, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trial_configs(), st.integers(0, 2**20))
+def test_single_trial_equals_full_decode_of_a_corrupted_codeword(cfg, index):
+    # decoding e against the zero word, only at the phi whose locator degree
+    # is <= t, gives the success bit of the full decode of codeword + e
+    assert _single_trial(cfg, index) == reference_trial(cfg, index)
 
 
 def test_run_trials_report_fields():

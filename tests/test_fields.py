@@ -2,7 +2,9 @@
 integer-polynomial arithmetic."""
 
 import random
+from itertools import count
 
+import numpy as np
 import pytest
 
 from pgoppa.errors import NotPrimeError, ParamError, ReducibleModulusError
@@ -91,6 +93,19 @@ def test_make_field_default_modulus_is_smallest_irreducible():
     for p, m in [(3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (7, 2), (11, 2), (3, 4), (5, 3), (521, 2)]:
         f = make_field(p, m)
         assert f.modulus == smallest_irreducible_oracle(p, m)
+    for p in (1031, 65537):
+        assert make_field(p, 3).modulus == (4, 1, 0, 1)
+
+
+def test_default_cubic_modulus_past_the_binomials():
+    # p = 2 mod 3: every x^3 + c has a root, so the first irreducible lies
+    # past rank p, in one of the later, doubled blocks of the search (whose
+    # bounds are 8, 24, 56, ..., 1016, 2040); a cubic is irreducible iff it
+    # has no root.  These p put the first hit on both sides of each bound.
+    for p in (5, 11, 23, 29, 53, 59, 113, 131, 239, 251, 503, 509, 1013, 1019, 2039, 2063):
+        xs = np.arange(p)
+        first = next(f for f in (monic_of_rank(k, p, 3) for k in count()) if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())
+        assert make_field(p, 3).modulus == tuple(first), p
 
 
 @pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))])
