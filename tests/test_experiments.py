@@ -156,7 +156,7 @@ def trial_configs(draw):
     return TrialConfig(p, m, t, w, dist=dist, seed=draw(st.integers(0, 2**64 - 1)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(trial_configs(), st.integers(0, 2**20))
 def test_single_trial_equals_full_decode_of_a_corrupted_codeword(cfg, index):
     # decoding e against the zero word, only at the phi whose locator degree

@@ -104,7 +104,8 @@ def test_default_cubic_modulus_past_the_binomials():
     # has no root.  These p put the first hit on both sides of each bound.
     for p in (5, 11, 23, 29, 53, 59, 113, 131, 239, 251, 503, 509, 1013, 1019, 2039, 2063):
         xs = np.arange(p)
-        first = next(f for f in (monic_of_rank(k, p, 3) for k in count()) if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())
+        cubics = (monic_of_rank(k, p, 3) for k in count())
+        first = next(f for f in cubics if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())
         assert make_field(p, 3).modulus == tuple(first), p
 
 
