@@ -2,8 +2,7 @@
 """Tour of the arithmetic layer: GF(p^m) contexts, element encoding,
 p-th roots, and the characteristic-p polynomial decomposition."""
 
-from pgoppa import Poly, make_field, pth_power_decompose, pth_root_mod, random_irreducible
-from pgoppa.polyring import poly_pth_power
+from pgoppa import Poly, assemble_locator, make_field, pth_power_decompose, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
 # A field context fixes p, m, and a monic irreducible modulus.  Elements are
@@ -33,9 +32,8 @@ F3 = make_field(3, 1)
 h = Poly(F3, [1, 1, 2, 0, 1])  # x^4 + 2x^2 + x + 1
 parts = pth_power_decompose(h)
 print("\ndecomposition of", h, "->", parts)
-recomposed = Poly.zero(F3)
-for k, ak in enumerate(parts):
-    recomposed = recomposed + poly_pth_power(ak).shift(k)
+# assemble_locator is that sum (made monic), as the decoder rebuilds sigma
+recomposed = assemble_locator(parts, h.degree)
 print("recomposed equals original:", recomposed == h)
 
 # Modular p-th roots: the inverse Frobenius on GF(q)[x]/g, solved as a

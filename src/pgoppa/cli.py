@@ -81,8 +81,7 @@ def _cmd_corrupt(args) -> int:
     code = GoppaCode.load(args.code)
     with open(args.word) as fh:
         word = word_from_text(fh.read())
-    if len(word) != code.n:
-        raise PgoppaError(f"word length {len(word)} does not match code length {code.n}")
+    code.syndrome_from_word(word)  # ParamError on a bad length or entry
     rng = SplitMix64(args.seed)
     error = sample_error(code.n, args.weight, args.dist, code.field.p, rng)
     received = tuple((a + b) % code.field.p for a, b in zip(word, error.values))

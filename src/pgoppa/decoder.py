@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegreeBoundError, NotInvertibleError, ParamError
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _root_multiplicities, inv_mod, poly_pth_power, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _root_multiplicities, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import PolyMatrix, weak_popov_reduce
 
 
@@ -67,15 +67,18 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[PolyMatrix]:
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
     """sigma = sum x**j a_j**p, made monic; rejects rows breaking the
-    degree bounds deg(a_j) <= (t - j) // p."""
+    degree bounds deg(a_j) <= (t - j) // p.  Coefficient i of a_j, raised
+    to the p-th power, is coefficient p*i + j of sigma: j < p, so no two
+    terms share a slot."""
     f = a[0].field
     p = f.p
-    sigma = Poly.zero(f)
+    out = [0] * (t + 1)
     for j, aj in enumerate(a):
         if aj.degree > (t - j) // p:
             raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
-        if aj:
-            sigma = sigma + poly_pth_power(aj).shift(j)
+        for i, c in enumerate(aj.coeffs):
+            out[p * i + j] = f.pow(c, p)
+    sigma = Poly(f, out)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")
     return sigma.monic()
@@ -110,11 +113,7 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     tried = range(1, p) if phis is None else sorted(set(phis))
     if any(not 1 <= phi < p for phi in tried):
         raise ParamError(f"scale guesses must lie in [1, {p})")
-    if len(received) != n:
-        raise ParamError(f"received word has length {len(received)}, code length is {n}")
-    if any(not 0 <= r < p for r in received):
-        raise ParamError(f"received word entries must lie in [0, {p})")
-    s_vec = code.syndrome_from_word(received)
+    s_vec = code.syndrome_from_word(received)  # ParamError on a bad length or entry
     s_poly = Poly(f, s_vec)
     if s_poly.is_zero():
         cand = Candidate(

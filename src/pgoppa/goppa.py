@@ -1,10 +1,10 @@
 """Goppa codes over GF(p): construction, parity checks, syndromes, sampling.
 
 A code is determined by a support L of distinct field elements and a
-monic square-free generator g with g(L_i) != 0.  The parity-check matrix
-over GF(q) and its trace expansion over GF(p) are cached eagerly; the
-codeword kernel basis is computed on first use.  Support order is part of
-the code identity and of the serialized form.
+monic square-free generator g with g(L_i) != 0.  The trace expansion over
+GF(p) of the parity-check matrix is cached eagerly; the codeword kernel
+basis is computed on first use.  Support order is part of the code
+identity and of the serialized form.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
 
 
 class GoppaCode:
-    """Immutable Goppa code with cached parity-check matrices."""
+    """Immutable Goppa code with a cached GF(p) parity-check matrix."""
 
-    __slots__ = ("field", "L", "g", "n", "t", "H", "Hbar", "_kernel")
+    __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel")
 
     def __init__(self, field: Field, support: Sequence[int], g: Poly):
         n = len(support)
@@ -113,9 +113,7 @@ class GoppaCode:
         self.g = g
         self.n = n
         self.t = t
-        h = self._build_parity_check()
-        self.H = h.tolist()
-        self.Hbar = self._expand_trace(h)
+        self.Hbar = self._expand_trace(self._build_parity_check())
         self._kernel = None
 
     # -- parity checks -------------------------------------------------------
@@ -154,18 +152,17 @@ class GoppaCode:
         return acc
 
     def syndrome_from_word(self, word: Sequence[int]) -> list[int]:
-        """H @ word over GF(q); entries are the syndrome coefficients."""
-        f = self.field
-        add, mul = f.add, f.mul
-        out = [0] * self.t
-        for j, wj in enumerate(word):
-            if wj:
-                col_scale = wj
-                for i in range(self.t):
-                    hij = self.H[i][j]
-                    if hij:
-                        out[i] = add(out[i], mul(hij, col_scale) if col_scale != 1 else hij)
-        return out
+        """The syndrome coefficients, low to high, as GF(q) ranks: Hbar @ word
+        mod p, each coefficient's m digits folded by powers of p.  ParamError
+        unless word has length n and entries in [0, p)."""
+        p, m = self.field.p, self.field.m
+        w = np.asarray(word)
+        if w.shape != (self.n,):
+            raise ParamError(f"word has length {len(word)}, code length is {self.n}")
+        if w.min() < 0 or w.max() >= p:
+            raise ParamError(f"word entries must lie in [0, {p})")
+        digits = self.Hbar @ w.astype(np.int64) % p
+        return (digits.reshape(self.t, m) @ p ** np.arange(m)).tolist()
 
     def expand_syndrome(self, s: Sequence[int]) -> list[int]:
         """GF(q) syndrome -> mt GF(p) coordinates (trace construction)."""

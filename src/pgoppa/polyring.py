@@ -438,17 +438,24 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     return live[passed].tolist(), [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
 
 
-def is_irreducible(g: Poly) -> bool:
-    """Irreducibility over GF(q) by Rabin's test: `_rabin_screen` on a block
-    of one row, then one gcd per open level."""
-    passed, gaps = _rabin_screen(g.field, np.array([g.monic().coeffs])) if g.degree >= 1 else ([], [])
-    return bool(passed) and all(poly_gcd(g, Poly(g.field, r[0].tolist())).degree == 0 for r in gaps)
+def is_irreducible(g: Poly, gaps: Sequence[Sequence[int]] | None = None) -> bool:
+    """Irreducibility over GF(q) by Rabin's test.  With `gaps`, g passed
+    `_rabin_screen` and gaps are its rows there (x**(q**i) - x at each open
+    level), so one gcd per level decides; without, g is screened alone."""
+    if gaps is None:
+        return g.degree >= 1 and _first_irreducible(g.field, np.array([g.monic().coeffs])) == 0
+    return all(poly_gcd(g, Poly(g.field, r)).degree == 0 for r in gaps)
 
 
 def _first_irreducible(field: Field, gc: np.ndarray) -> int | None:
     """Index of the first irreducible row of gc (rows as in `_rabin_screen`):
-    is_irreducible decides the few rows the block screen passes, in order."""
-    return next((k for k in _rabin_screen(field, gc)[0] if is_irreducible(Poly(field, gc[k].tolist()))), None)
+    one screen of the block, then is_irreducible decides its survivors in
+    order from the screen's own levels."""
+    passed, gaps = _rabin_screen(field, gc)
+    return next(
+        (k for j, k in enumerate(passed) if is_irreducible(Poly(field, gc[k].tolist()), [v[j].tolist() for v in gaps])),
+        None,
+    )
 
 
 def random_irreducible(t: int, field: Field, rng) -> Poly:
@@ -485,28 +492,19 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     return [Poly(fld, cs) for cs in parts]
 
 
-def poly_pth_power(a: Poly) -> Poly:
-    """Exact a**p using (sum c_i x**i)**p = sum c_i**p x**(p*i)."""
-    fld = a.field
-    p = fld.p
-    out = [0] * (p * len(a.coeffs))
-    for i, c in enumerate(a.coeffs):
-        out[p * i] = fld.pow(c, p)
-    return Poly(fld, out)
-
-
 def _frobenius_inverse(frob: np.ndarray, p: int) -> np.ndarray | None:
     """Inverse of the p-Frobenius matrix F on GF(q)[x]/g, or None if singular.
 
     y -> y**p has order m*t on GF(q**t), and order dividing m*t on
     GF(q)[x]/g for square-free g whose factor degrees all divide t; there
-    F**-1 is F**(m*t - 1), taken by `_power_mod`.  It is kept if F times
-    it is the identity; otherwise elimination decides.
+    F**-1 is F**(m*t - 1), taken by `_power_mod` in the float dtype
+    `_frobenius_matrix` chose for F.  It is kept if F times it is the
+    identity; otherwise elimination decides.
     """
     dim = len(frob)
-    power = _power_mod(frob.astype(float), dim - 1, p)
+    power = _power_mod(frob, dim - 1, p)
     if np.array_equal(_fmod(frob @ power, p), np.eye(dim)):
-        return power.astype(np.int64)
+        return power
     return modp.inv_mod_p(frob, p)
 
 
@@ -517,15 +515,19 @@ class _FrobeniusSolver:
     linear over GF(p), so its matrix is materialized once per modulus.  For
     square-free g the ring is a product of fields and the map is bijective
     (matrix invertible); otherwise roots are found, when they exist, by
-    per-call elimination.
+    per-call elimination.  Both matrices are kept in the least unsigned
+    dtype that holds p - 1.
     """
 
     def __init__(self, field: Field, g: Poly):
         self.field = field
         self.g = g
         self.t = g.degree
-        self.matrix = _frobenius_matrix(field, np.array([g.monic().coeffs]))[0].astype(np.int64)
-        self.inverse = _frobenius_inverse(self.matrix, field.p)
+        frob = _frobenius_matrix(field, np.array([g.monic().coeffs]))[0]
+        inverse = _frobenius_inverse(frob, field.p)
+        dtype = np.min_scalar_type(field.p - 1)
+        self.matrix = frob.astype(dtype)
+        self.inverse = None if inverse is None else inverse.astype(dtype)
 
     def root(self, z: Poly) -> Poly:
         f = self.field

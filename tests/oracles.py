@@ -6,6 +6,7 @@ from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
 from pgoppa.decoder import decode
+from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
@@ -86,6 +87,32 @@ def rabin_irreducible(g: Poly) -> bool:
     return powers[t] == x % g and all(poly_gcd(powers[t // r] - x, g).degree == 0 for r in primes)
 
 
+def poly_pth_power(a: Poly) -> Poly:
+    """Exact a**p using (sum c_i x**i)**p = sum c_i**p x**(p*i)."""
+    fld = a.field
+    p = fld.p
+    out = [0] * (p * len(a.coeffs))
+    for i, c in enumerate(a.coeffs):
+        out[p * i] = fld.pow(c, p)
+    return Poly(fld, out)
+
+
+def assemble_locator_reference(a: Sequence[Poly], t: int) -> Poly:
+    """sigma = sum x**j a_j**p as a sum of Poly terms, made monic, with the
+    degree bounds deg(a_j) <= (t - j) // p checked in order."""
+    f = a[0].field
+    p = f.p
+    sigma = Poly.zero(f)
+    for j, aj in enumerate(a):
+        if aj.degree > (t - j) // p:
+            raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
+        if aj:
+            sigma = sigma + poly_pth_power(aj).shift(j)
+    if sigma.is_zero():
+        raise DegreeBoundError("zero locator")
+    return sigma.monic()
+
+
 def random_irreducible_reference(t: int, field, rng) -> Poly:
     """The generator search one candidate at a time: t next_u64 draws per
     candidate, low coefficient first, each decided by rabin_irreducible."""
@@ -109,6 +136,15 @@ def root_multiplicity(sigma: Poly, point: int) -> int:
             break
         count += 1
     return count
+
+
+def parity_check(code: GoppaCode) -> list[list[int]]:
+    """The t x n parity-check matrix over GF(q), entry (i, j) the
+    coefficient of x**i in 1/(x - L_j) mod g: code.Hbar with each
+    coefficient's m digit rows folded back into one rank."""
+    f, t, n = code.field, code.t, code.n
+    digits = code.Hbar.reshape(t, f.m, n)
+    return sum(digits[:, k] * f.p**k for k in range(f.m)).tolist()
 
 
 def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Poly:

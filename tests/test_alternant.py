@@ -17,11 +17,11 @@ from pgoppa.alternant import (
 from pgoppa.decoder import assemble_locator
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
-from pgoppa.polyring import Poly, inv_mod, poly_pth_power
+from pgoppa.polyring import Poly, inv_mod
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
-from oracles import alternant_locator_from_error, root_multiplicity
+from oracles import alternant_locator_from_error, poly_pth_power, root_multiplicity
 
 
 def alternant_syndrome_series(code, e):

@@ -94,6 +94,21 @@ def test_out_of_range_code_and_word_exit_nonzero(tmp_path, capsys):
     assert rc == 1 and "error:" in err
 
 
+def test_corrupt_rejects_a_word_of_the_wrong_length_or_entry(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    rx_path = tmp_path / "rx.txt"
+    run_cli(capsys, "gen", "--p", "3", "--m", "2", "--t", "2", "--seed", "4", "-o", str(code_path))
+    code = GoppaCode.load(code_path)
+    for word in (["0"] * (code.n - 1), ["0"] * (code.n + 1), ["3"] + ["0"] * (code.n - 1)):
+        word_path.write_text(" ".join(word) + "\n")
+        rc, _, err = run_cli(capsys, "corrupt", "--code", str(code_path), "--word", str(word_path),
+                             "--weight", "1", "-o", str(rx_path))
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not rx_path.exists()
+
+
 def test_non_numeric_word_token_exits_nonzero(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     word_path = tmp_path / "word.txt"

@@ -20,7 +20,8 @@ from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, random_irreducible
 from pgoppa.rng import SplitMix64
 
-from oracles import locator_from_error, magnitude_profile, reference_key_lattice
+from oracles import assemble_locator_reference, locator_from_error, magnitude_profile, reference_key_lattice
+from test_popov import PROPERTY_FIELDS, polys
 
 
 def corrupt(codeword, error, p):
@@ -249,6 +250,24 @@ def test_assemble_locator_degree_filter():
     big = Poly(f3, (1, 1, 1))  # degree 2 > (4 - 0) // 3
     with pytest.raises(DegreeBoundError):
         assemble_locator([big, Poly.zero(f3), Poly.zero(f3)], 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_assemble_locator_matches_poly_sum(data):
+    # the same sigma, or the same DegreeBoundError, as summing Poly terms
+    f = make_field(*data.draw(st.sampled_from(PROPERTY_FIELDS)))
+    p = f.p
+    t = data.draw(st.integers(0, 12))
+    row = [data.draw(polys(f, max(t - j, 0) // p + 1)) for j in range(p)]
+    try:
+        expected = assemble_locator_reference(row, t)
+    except DegreeBoundError as exc:
+        with pytest.raises(DegreeBoundError) as raised:
+            assemble_locator(row, t)
+        assert str(raised.value) == str(exc)
+    else:
+        assert assemble_locator(row, t) == expected
 
 
 def test_assemble_decompose_roundtrip():
@@ -501,6 +520,13 @@ def test_decode_rejects_wrong_length():
     code = build_code(3, 2, 2, rng=rng)
     with pytest.raises(ValueError):
         decode(code, (0,) * (code.n + 1))
+
+
+def test_decode_rejects_a_word_of_the_wrong_length():
+    code = build_code(3, 2, 2, rng=SplitMix64(2020))
+    for n in (code.n - 1, code.n + 1, 0):
+        with pytest.raises(ParamError):
+            decode(code, [0] * n)
 
 
 def test_decode_rejects_entries_outside_prime_field():

@@ -22,7 +22,6 @@ from pgoppa.polyring import (
     is_square_free,
     poly_from_text,
     poly_gcd,
-    poly_pth_power,
     pth_power_decompose,
     pth_root_mod,
     random_irreducible,
@@ -31,6 +30,7 @@ from pgoppa.rng import SplitMix64
 
 from oracles import (
     ext_gcd,
+    poly_pth_power,
     rabin_irreducible,
     random_irreducible_reference,
     schoolbook_add,
@@ -271,16 +271,19 @@ def test_block_search_matches_one_at_a_time_reference(field, t, seed):
 
 
 def test_block_search_matches_reference_on_fresh_block(monkeypatch):
-    # the module-level is_irreducible (the name perfbench counts) decides
-    # the rows the block screen passes; the accepted g is the last it saw
-    decided = []
-    monkeypatch.setattr(polyring, "is_irreducible", lambda g: decided.append(g) or is_irreducible(g))
+    # each block drawn is screened once: its survivors are decided from the
+    # screen's own levels, not screened again one row at a time
     f = make_field(3, 4)  # the (3,4,20) Table-1 block
+    blocks, screens = [], []
+    draw, screen = SplitMix64.next_u64_block, polyring._rabin_screen
+    monkeypatch.setattr(SplitMix64, "next_u64_block", lambda rng, n: blocks.append(n) or draw(rng, n))
+    monkeypatch.setattr(polyring, "_rabin_screen", lambda field, gc: screens.append(len(gc)) or screen(field, gc))
     for seed in (1, 2):
         block, single = SplitMix64(seed), SplitMix64(seed)
         g = random_irreducible(20, f, block)
-        assert g == random_irreducible_reference(20, f, single) == decided[-1]
+        assert g == random_irreducible_reference(20, f, single)
         assert block.state == single.state
+    assert len(screens) == len(blocks) > 0
 
 
 def frobenius_digits(poly, t):
@@ -312,26 +315,40 @@ def test_frobenius_matrix_is_pth_power():
 
 
 def test_frobenius_inverse_is_a_power_with_elimination_fallback(monkeypatch):
-    calls = []
-    inv_mod_p = modp.inv_mod_p
+    calls, dtypes = [], []
+    inv_mod_p, power_mod = modp.inv_mod_p, polyring._power_mod
     monkeypatch.setattr(modp, "inv_mod_p", lambda a, p: calls.append(p) or inv_mod_p(a, p))
+    monkeypatch.setattr(polyring, "_power_mod", lambda a, e, p: dtypes.append(a.dtype) or power_mod(a, e, p))
     rng = SplitMix64(21)
-    for p, m, t in [(3, 4, 5), (7, 2, 4), (2, 3, 6), (5, 1, 1)]:
+    # the power is taken in float32 while m*t*(p-1)**2 < 2**24: (2039, 1, 4)
+    # lies just below that bound, (4099, 1, 2) just above it
+    for p, m, t, dtype in [
+        (3, 4, 5, np.float32),
+        (7, 2, 4, np.float32),
+        (2, 3, 6, np.float32),
+        (5, 1, 1, np.float32),
+        (2039, 1, 4, np.float32),
+        (4099, 1, 2, np.float64),
+    ]:
         f = make_field(p, m)
-        solver = _FrobeniusSolver(f, random_irreducible(t, f, rng))
+        g = random_irreducible(t, f, rng)
+        dtypes.clear()
+        solver = _FrobeniusSolver(f, g)
+        assert set(dtypes) <= {np.dtype(dtype)} and (dtypes or m * t == 1)
         assert not calls  # F**(m*t - 1) passed its check
+        assert solver.inverse.dtype == solver.matrix.dtype == np.min_scalar_type(p - 1)
         assert np.array_equal(solver.inverse, inv_mod_p(solver.matrix, p))
     # factor degrees 2 and 3 do not divide 5, so F**(m*t) != I
     f = make_field(3, 2)
     solver = _FrobeniusSolver(f, random_irreducible(2, f, rng) * random_irreducible(3, f, rng))
-    frob = solver.matrix
+    frob = solver.matrix.astype(np.int64)
     eye = np.eye(len(frob), dtype=np.int64)
     power = eye
     for _ in range(len(frob) - 1):
         power = power @ frob % 3
     assert not np.array_equal(frob @ power % 3, eye)
     assert calls == [3]
-    assert np.array_equal(frob @ solver.inverse % 3, eye)
+    assert np.array_equal(frob @ solver.inverse.astype(np.int64) % 3, eye)
 
 
 def test_pth_power_decompose_zero():
