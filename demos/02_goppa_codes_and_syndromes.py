@@ -15,7 +15,9 @@ print("generator g =", code.g)
 print("code dimension (kernel of the GF(p) parity check):", code.dimension)
 
 # The syndrome of a word can be computed two independent ways: the rational
-# sum  s_e = sum e_i/(x - L_i) mod g, or the parity-check product H @ e.
+# sum  s_e = sum e_i/(x - L_i) mod g, or the parity-check product H @ e,
+# which the code takes over GF(p) as Hbar @ e, folding each coefficient's
+# m digits back into a GF(q) rank.
 e = sample_error(code.n, 5, "uniform", 3, rng)
 print("\nerror pattern:", {i: v for i, v in enumerate(e.values) if v})
 s_poly = code.syndrome_poly(e.values)

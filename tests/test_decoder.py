@@ -518,15 +518,9 @@ def test_decode_non_invertible_syndrome_returns_empty():
 def test_decode_rejects_wrong_length():
     rng = SplitMix64(2019)
     code = build_code(3, 2, 2, rng=rng)
-    with pytest.raises(ValueError):
-        decode(code, (0,) * (code.n + 1))
-
-
-def test_decode_rejects_a_word_of_the_wrong_length():
-    code = build_code(3, 2, 2, rng=SplitMix64(2020))
-    for n in (code.n - 1, code.n + 1, 0):
+    for n in (code.n + 1, code.n - 1):
         with pytest.raises(ParamError):
-            decode(code, [0] * n)
+            decode(code, (0,) * n)
 
 
 def test_decode_rejects_entries_outside_prime_field():

@@ -334,7 +334,7 @@ def test_frobenius_inverse_is_a_power_with_elimination_fallback(monkeypatch):
         g = random_irreducible(t, f, rng)
         dtypes.clear()
         solver = _FrobeniusSolver(f, g)
-        assert set(dtypes) <= {np.dtype(dtype)} and (dtypes or m * t == 1)
+        assert set(dtypes) == {np.dtype(dtype)}
         assert not calls  # F**(m*t - 1) passed its check
         assert solver.inverse.dtype == solver.matrix.dtype == np.min_scalar_type(p - 1)
         assert np.array_equal(solver.inverse, inv_mod_p(solver.matrix, p))
