@@ -8,8 +8,7 @@ from pgoppa.rng import SplitMix64
 # A field context fixes p, m, and a monic irreducible modulus.  Elements are
 # plain ints: the rank sum(c_i * p**i) of their coordinate vector.
 F9 = make_field(3, 2)
-print("field:", F9)
-print("serialized:", F9.to_text())
+print("field:", repr(F9))
 
 y = F9.from_coeffs((0, 1))
 print("\nthe generator y has rank", y)
@@ -36,8 +35,8 @@ print("\ndecomposition of", h, "->", parts)
 recomposed = assemble_locator(parts, h.degree)
 print("recomposed equals original:", recomposed == h)
 
-# Modular p-th roots: the inverse Frobenius on GF(q)[x]/g, solved as a
-# GF(p)-linear system (bijective whenever g is square-free).
+# Modular p-th roots: the inverse Frobenius on GF(q)[x]/g, a GF(p)-linear
+# map (bijective exactly when g is square-free) whose matrix is cached.
 rng = SplitMix64(7)
 gg = random_irreducible(5, F9, rng)
 z = Poly(F9, [rng.randrange(9) for _ in range(5)])

@@ -27,12 +27,13 @@ print("H @ e:               ", s_vec)
 print("coefficients agree:", list(s_poly.coeffs) + [0] * (code.t - len(s_poly.coeffs)) == s_vec)
 
 # The trace construction turns each GF(q) row into m rows over GF(p); the
-# kernel (the code itself) is unchanged, and the GF(q) syndrome can be
-# reassembled from the GF(p) one.
+# kernel (the code itself) is unchanged, and folding each coefficient's m
+# GF(p) digits by powers of p gives back the GF(q) syndrome.
 sbar = (code.Hbar @ np.array(e.values)) % 3
 print("\nGF(p) syndrome has", len(sbar), "entries =", code.field.m, "x", code.t)
-print("expand matches Hbar @ e:", list(sbar) == code.expand_syndrome(s_vec))
-print("reassembled GF(q) syndrome:", code.assemble_syndrome(list(sbar)) == s_vec)
+folded = (sbar.reshape(code.t, code.field.m) @ 3 ** np.arange(code.field.m)).tolist()
+print("digits folded by powers of p:", folded)
+print("fold matches H @ e:", folded == s_vec)
 
 # Codewords are sampled from the cached kernel basis.
 w = code.random_codeword(rng)

@@ -14,19 +14,8 @@ class ReducibleModulusError(PgoppaError, ValueError):
 
 
 class NotInvertibleError(PgoppaError, ArithmeticError):
-    """A residue has no inverse modulo the given polynomial.
-
-    The decoder relies on this as an early-exit signal, so it carries the
-    offending gcd when available.
-    """
-
-    def __init__(self, msg, gcd=None):
-        super().__init__(msg)
-        self.gcd = gcd
-
-
-class NoRootError(PgoppaError, ArithmeticError):
-    """No p-th root exists (inconsistent inverse-Frobenius system)."""
+    """A residue has no inverse modulo the given polynomial; the decoder
+    relies on this as an early-exit signal."""
 
 
 class DegreeBoundError(PgoppaError, ValueError):

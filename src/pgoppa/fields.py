@@ -218,10 +218,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def to_text(self) -> str:
-        """Textual record: p m c_0 c_1 ... c_m (modulus low to high)."""
-        return " ".join(map(str, (self.p, self.m, *self.modulus)))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Field)
@@ -280,13 +276,3 @@ def ints_from_text(text: str) -> list[int]:
         return [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise ParamError(f"malformed record {text.strip()!r}: {exc}") from None
-
-
-def field_from_text(text: str) -> Field:
-    parts = ints_from_text(text)
-    if len(parts) < 3:
-        raise ParamError(f"malformed field record: {text!r}")
-    p, m, coeffs = parts[0], parts[1], parts[2:]
-    if len(coeffs) != m + 1:
-        raise ParamError(f"field record has {len(coeffs)} coefficients, expected {m + 1}")
-    return make_field(p, m, coeffs)

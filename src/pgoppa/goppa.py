@@ -57,6 +57,8 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
     values = [0] * n
     positions = rng.sample(range(n), w)
     if isinstance(dist, dict):
+        if any(cnt < 0 for cnt in dist.values()):
+            raise ParamError("magnitude profile counts must be >= 0")
         if sum(dist.values()) != w:
             raise ParamError("magnitude profile counts do not sum to the weight")
         bag: list[int] = []
@@ -163,22 +165,6 @@ class GoppaCode:
             raise ParamError(f"word entries must lie in [0, {p})")
         digits = self.Hbar @ w.astype(np.int64) % p
         return (digits.reshape(self.t, m) @ p ** np.arange(m)).tolist()
-
-    def expand_syndrome(self, s: Sequence[int]) -> list[int]:
-        """GF(q) syndrome -> mt GF(p) coordinates (trace construction)."""
-        f = self.field
-        out: list[int] = []
-        for c in s:
-            out.extend(f.coeffs(c))
-        return out
-
-    def assemble_syndrome(self, sbar: Sequence[int]) -> list[int]:
-        """Inverse of expand_syndrome: mt GF(p) values -> t GF(q) ranks."""
-        f = self.field
-        m = f.m
-        if len(sbar) != m * self.t:
-            raise ValueError(f"expected {m * self.t} coordinates, got {len(sbar)}")
-        return [f.from_coeffs(sbar[i * m : (i + 1) * m]) for i in range(self.t)]
 
     # -- codewords ---------------------------------------------------------------
 

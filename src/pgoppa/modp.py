@@ -53,19 +53,6 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs mod p, or None if inconsistent."""
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1, 1) % p
-    aug, pivots = rref_mod_p(np.hstack([a, b]), p)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = aug[: len(pivots), cols]
-    return x
-
-
 def inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
     """Matrix inverse mod p, or None if singular."""
     a = np.array(mat, dtype=np.int64) % p

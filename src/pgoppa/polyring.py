@@ -3,7 +3,7 @@ decomposition and modular p-th root the decoder is built on.
 
 Coefficients are stored low-to-high with no trailing zeros; the zero
 polynomial has degree NEG_INF, a sentinel ordered below every integer
-(pivot bookkeeping in the lattice reduction relies on that total order).
+(so `decoder.assemble_locator`'s degree bound accepts a zero a_j).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import modp
-from .errors import NoRootError, NotInvertibleError, ParamError
-from .fields import Field, ints_from_text, is_prime
+from .errors import NotInvertibleError, ParamError
+from .fields import Field, is_prime
 
 NEG_INF = float("-inf")
 
@@ -163,14 +163,6 @@ class Poly:
         return " ".join(map(str, self.coeffs)) if self.coeffs else "0"
 
 
-def poly_from_text(field: Field, line: str) -> Poly:
-    """Inverse of Poly.to_text; ParamError on a rank outside [0, q)."""
-    coeffs = ints_from_text(line)
-    if any(not 0 <= c < field.q for c in coeffs):
-        raise ParamError(f"coefficient ranks must lie in [0, {field.q})")
-    return Poly(field, coeffs)
-
-
 # -- coefficient-list kernels ----------------------------------------------
 #
 # Every GF(q)[x] operation reduces to these two loops on bare coefficient
@@ -273,7 +265,7 @@ def inv_mod(f: Poly, g: Poly) -> Poly:
     """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1."""
     d, u = _gcd_cofactor(f % g, g)
     if d.degree != 0:
-        raise NotInvertibleError(f"not invertible, gcd has degree {d.degree}", gcd=d)
+        raise NotInvertibleError(f"not invertible, gcd has degree {d.degree}")
     return u % g
 
 
@@ -492,65 +484,38 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     return [Poly(fld, cs) for cs in parts]
 
 
-def _frobenius_inverse(frob: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of the p-Frobenius matrix F on GF(q)[x]/g, or None if singular.
-
-    y -> y**p has order m*t on GF(q**t), and order dividing m*t on
-    GF(q)[x]/g for square-free g whose factor degrees all divide t; there
-    F**-1 is F**(m*t - 1), taken by `_power_mod` in the float dtype
-    `_frobenius_matrix` chose for F.  It is kept if F times it is the
-    identity; otherwise elimination decides.
-    """
-    dim = len(frob)
-    power = _power_mod(frob, dim - 1, p)
-    if np.array_equal(_fmod(frob @ power, p), np.eye(dim)):
-        return power
-    return modp.inv_mod_p(frob, p)
-
-
-class _FrobeniusSolver:
-    """Inverse of y -> y**p on GF(q)[x]/g, as a GF(p)-linear system.
-
-    The residue ring is an m*t-dimensional GF(p)-space; the Frobenius is
-    linear over GF(p), so its matrix is materialized once per modulus.  For
-    square-free g the ring is a product of fields and the map is bijective
-    (matrix invertible); otherwise roots are found, when they exist, by
-    per-call elimination.  Both matrices are kept in the least unsigned
-    dtype that holds p - 1.
-    """
-
-    def __init__(self, field: Field, g: Poly):
-        self.field = field
-        self.g = g
-        self.t = g.degree
-        frob = _frobenius_matrix(field, np.array([g.monic().coeffs]))[0]
-        inverse = _frobenius_inverse(frob, field.p)
-        dtype = np.min_scalar_type(field.p - 1)
-        self.matrix = frob.astype(dtype)
-        self.inverse = None if inverse is None else inverse.astype(dtype)
-
-    def root(self, z: Poly) -> Poly:
-        f = self.field
-        p = f.p
-        cs = (z % self.g).coeffs
-        v = _digit_split(np.array(cs + (0,) * (self.t - len(cs)), dtype=np.int64), f).ravel()
-        if self.inverse is not None:
-            sol = (self.inverse @ v) % p
-        else:
-            sol = modp.solve_mod_p(self.matrix, v, p)
-            if sol is None:
-                raise NoRootError("no p-th root modulo a non-square-free modulus")
-        return Poly(f, (sol.reshape(self.t, f.m) @ p ** np.arange(f.m)).tolist())
-
-
 @lru_cache(maxsize=128)
-def _frobenius_solver(field: Field, g_coeffs: tuple[int, ...]) -> _FrobeniusSolver:
-    return _FrobeniusSolver(field, Poly(field, g_coeffs))
+def _frobenius_inverse(field: Field, g_coeffs: tuple[int, ...]) -> np.ndarray:
+    """Matrix of the inverse of y -> y**p on GF(q)[x]/g, for a monic g of
+    degree t >= 1, in the least unsigned dtype that holds p - 1.
+
+    The residue ring is an m*t-dimensional GF(p)-space and the Frobenius is
+    GF(p)-linear, so its matrix F comes from `_frobenius_matrix`.  y -> y**p
+    has order m*t on GF(q**t), and order dividing m*t on GF(q)[x]/g for
+    square-free g whose factor degrees all divide t; there F**-1 is
+    F**(m*t - 1), taken by `_power_mod` in the float dtype F has.  It is kept
+    if F times it is the identity; otherwise elimination inverts F, as a
+    composite square-free g needs.  F is singular exactly when g is not
+    square-free, and ParamError is raised.
+    """
+    p = field.p
+    frob = _frobenius_matrix(field, np.array([g_coeffs]))[0]
+    inverse = _power_mod(frob, len(frob) - 1, p)
+    if not np.array_equal(_fmod(frob @ inverse, p), np.eye(len(frob))):
+        inverse = modp.inv_mod_p(frob, p)
+        if inverse is None:
+            raise ParamError("p-th roots need a square-free modulus")
+    return inverse.astype(np.min_scalar_type(p - 1))
 
 
 def pth_root_mod(z: Poly, g: Poly) -> Poly:
-    """The v with v**p == z (mod g), unique when g is square-free."""
+    """The v with v**p == z (mod g) for a square-free g; ParamError for any
+    other g of degree >= 1."""
     if g.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    solver = _frobenius_solver(g.field, g.coeffs)
-    return solver.root(z)
+    f, t = g.field, g.degree
+    inverse = _frobenius_inverse(f, g.monic().coeffs)
+    cs = (z % g).coeffs
+    v = _digit_split(np.array(cs + (0,) * (t - len(cs)), dtype=np.int64), f).ravel()
+    digits = (inverse @ v % f.p).reshape(t, f.m)
+    return Poly(f, (digits @ f.p ** np.arange(f.m)).tolist())

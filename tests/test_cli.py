@@ -109,6 +109,20 @@ def test_corrupt_rejects_a_word_of_the_wrong_length_or_entry(tmp_path, capsys):
         assert not rx_path.exists()
 
 
+def test_corrupt_rejects_a_negative_profile_count(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    rx_path = tmp_path / "rx.txt"
+    run_cli(capsys, "gen", "--p", "3", "--m", "2", "--t", "2", "--seed", "4", "-o", str(code_path))
+    word_path.write_text(" ".join(["0"] * GoppaCode.load(code_path).n) + "\n")
+    # the counts sum to the weight, but one of them is negative
+    rc, _, err = run_cli(capsys, "corrupt", "--code", str(code_path), "--word", str(word_path),
+                         "--weight", "4", "--dist", "profile=1:5,2:-1", "-o", str(rx_path))
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not rx_path.exists()
+
+
 def test_non_numeric_word_token_exits_nonzero(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     word_path = tmp_path / "word.txt"

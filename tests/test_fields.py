@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pgoppa.errors import NotPrimeError, ParamError, ReducibleModulusError
-from pgoppa.fields import Field, _is_irreducible_modulus, field_from_text, is_prime, make_field
+from pgoppa.fields import Field, _is_irreducible_modulus, ints_from_text, is_prime, make_field
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -223,14 +223,13 @@ def test_coeffs_roundtrip():
 
 
 def test_serialization_roundtrip():
+    # a code record's modulus line rebuilds the identical (cached) context
     for p, m in [(2, 1), (3, 2), (5, 2)]:
         f = make_field(p, m)
-        g = field_from_text(f.to_text())
-        assert g is f  # cache returns the identical context
-    assert field_from_text("3 2 1 0 1").modulus == (1, 0, 1)
-    for bad in ("3 2 1 x 1", "3 2.0 1 0 1", "3 2"):
+        assert make_field(p, m, ints_from_text(" ".join(map(str, f.modulus)))) is f
+    for bad in ("1 x 1", "1 0.0 1"):
         with pytest.raises(ParamError):
-            field_from_text(bad)
+            ints_from_text(bad)
 
 
 def test_field_cache_identity():

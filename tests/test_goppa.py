@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgoppa.errors import ParamError
-from pgoppa.fields import field_from_text, make_field
+from pgoppa.fields import make_field
 from pgoppa.goppa import (
     ErrorPattern,
     GoppaCode,
@@ -18,7 +18,7 @@ from pgoppa.goppa import (
     word_from_text,
     word_to_text,
 )
-from pgoppa.polyring import Poly, is_irreducible, is_square_free, poly_from_text, random_irreducible
+from pgoppa.polyring import Poly, is_irreducible, is_square_free, random_irreducible
 from pgoppa.rng import SplitMix64
 
 from oracles import magnitude_profile, parity_check
@@ -138,7 +138,7 @@ def test_trace_construction_equivalence(code338):
         w = tuple(rng.randrange(3) for _ in range(code338.n))
         hq = code338.syndrome_from_word(w)
         hp = (code338.Hbar @ np.array(w)) % 3
-        assert list(hp) == code338.expand_syndrome(hq)
+        assert list(hp) == [d for c in hq for d in code338.field.coeffs(c)]
         assert (all(v == 0 for v in hq)) == (not hp.any())
 
 
@@ -176,13 +176,6 @@ def test_word_of_wrong_length_or_entry_is_rejected():
         with pytest.raises(ParamError):
             code.contains(bad)
     assert code.contains((0,) * 9)
-
-
-def test_trace_roundtrip(code338):
-    rng = SplitMix64(53)
-    for _ in range(200):
-        s = [rng.randrange(27) for _ in range(code338.t)]
-        assert code338.assemble_syndrome(code338.expand_syndrome(s)) == s
 
 
 def test_trace_degenerate_extension():
@@ -239,6 +232,8 @@ def test_sample_error_param_errors():
         sample_error(5, 2, ("equal", 0), 3, rng)
     with pytest.raises(ParamError):
         sample_error(5, 2, {1: 3}, 3, rng)
+    with pytest.raises(ParamError, match=">= 0"):  # counts sum to w, one is negative
+        sample_error(10, 4, {1: 5, 2: -1}, 3, SplitMix64(1))
     with pytest.raises(ParamError):
         sample_error(5, 2, "weird", 3, rng)
 
@@ -290,15 +285,12 @@ def test_records_round_trip(block, data):
     rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
     # a random modulus, not only the default one
     f = make_field(p, m, random_irreducible(m, make_field(p, 1), rng).coeffs)
-    assert field_from_text(f.to_text()) is f
     g = random_irreducible(data.draw(st.integers(1, tmax)), f, rng)
     usable = [a for a in f.elements() if g(a) != 0]
     code = GoppaCode(f, rng.sample(usable, rng.randint(m * g.degree + 1, len(usable))), g)
     back = GoppaCode.from_text(code.to_text())
     assert (back.field, back.g, back.L) == (f, g, code.L)
     assert back.to_text() == code.to_text()
-    a = Poly(f, data.draw(st.lists(st.integers(0, f.q - 1), max_size=6)))
-    assert poly_from_text(f, a.to_text()) == a
     w = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=code.n)))
     assert word_from_text(word_to_text(w)) == w
 
