@@ -66,7 +66,7 @@ def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
     f = make_field(p, m)
     nonzero = [a for a in f.elements() if a]
     support = rng.sample(nonzero, len(nonzero))
-    xi = [1 + rng.randrange(p - 1) for _ in support]
+    xi = [1 + r for r in rng.randranges([p - 1] * len(support))]
     d = [f.mul(x, l) for x, l in zip(xi, support)]
     return AlternantCode(f, tuple(support), tuple(d), r)
 
@@ -179,7 +179,7 @@ def feasibility_probe(p: int, m: int, r: int, trials: int, rng) -> ProbeReport:
     feasible = 0
     for i in range(trials):
         code = random_restricted_alternant(p, m, r, rng)
-        e = [rng.randrange(p) for _ in range(code.n)]
+        e = rng.randranges([p] * code.n)
         s = alternant_syndrome(code, e)
         try:
             if try_build_alternant_lattice(code, s, 1) is not None:

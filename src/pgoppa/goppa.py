@@ -69,7 +69,7 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
         rng.shuffle(bag)
         mags = bag
     elif dist == "uniform":
-        mags = [1 + rng.randrange(p - 1) for _ in range(w)]
+        mags = [1 + r for r in rng.randranges([p - 1] * w)]
     elif dist == "equal":
         v = 1 + rng.randrange(p - 1)
         mags = [v] * w
@@ -156,13 +156,13 @@ class GoppaCode:
     def syndrome_from_word(self, word: Sequence[int]) -> list[int]:
         """The syndrome coefficients, low to high, as GF(q) ranks: Hbar @ word
         mod p, each coefficient's m digits folded by powers of p.  ParamError
-        unless word has length n and entries in [0, p)."""
+        unless word has length n and integer entries in [0, p)."""
         p, m = self.field.p, self.field.m
         w = np.asarray(word)
         if w.shape != (self.n,):
             raise ParamError(f"word has length {len(word)}, code length is {self.n}")
-        if w.min() < 0 or w.max() >= p:
-            raise ParamError(f"word entries must lie in [0, {p})")
+        if w.dtype.kind not in "iu" or w.min() < 0 or w.max() >= p:
+            raise ParamError(f"word entries must be integers in [0, {p})")
         digits = self.Hbar @ w.astype(np.int64) % p
         return (digits.reshape(self.t, m) @ p ** np.arange(m)).tolist()
 
@@ -180,7 +180,7 @@ class GoppaCode:
 
     def random_codeword(self, rng) -> tuple[int, ...]:
         basis = self.kernel_basis
-        coeffs = np.array([rng.randrange(self.field.p) for _ in range(basis.shape[0])])
+        coeffs = np.array(rng.randranges([self.field.p] * basis.shape[0]))
         word = (coeffs @ basis) % self.field.p
         return tuple(int(v) for v in word)
 

@@ -397,14 +397,45 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _evaluation_matrix(field: Field, t: int) -> np.ndarray:
+    """GF(p) matrix of g -> (g(a) for every a in GF(q)) on polynomials of
+    degree <= t over a table-backed field, as a float ((t+1)*m, q*m) array.
+
+    Row i*m + k is digit k of coefficient i, column a*m + j digit j of g(a):
+    block (i, a) is the matrix of multiplication by a**i, its column k the
+    digits of y**k * a**i.  Every dot product sums (t+1)*m terms below
+    (p-1)**2, so float32 is exact while (t+1)*m*(p-1)**2 < 2**24, and
+    float64 is used beyond.
+    """
+    p, m, q = field.p, field.m, field.q
+    mul = _elementwise(field)[1]
+    powers = np.ones((t + 1, q), dtype=np.int64)  # powers[i, a] = a**i
+    for i in range(1, t + 1):
+        powers[i] = mul(powers[i - 1], np.arange(q))
+    # digits[k, i, a, j] is digit j of y**k * a**i, y**k having rank p**k
+    digits = _digit_split(mul(p ** np.arange(m)[:, None, None], powers), field)
+    dtype = np.float32 if (t + 1) * m * (p - 1) ** 2 < 1 << 24 else np.float64
+    return digits.transpose(1, 0, 2, 3).reshape((t + 1) * m, q * m).astype(dtype)
+
+
+def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
+    """Mask of the rows of gc (as in `_rabin_screen`, over a table-backed
+    field) with no root in GF(q): every row at every element in one product."""
+    evaluate = _evaluation_matrix(field, gc.shape[1] - 1)
+    values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
+    return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
+
+
 def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
     """Rabin's test on a block, all but its gcds.  Row k of gc holds the
     coefficients, low to high, of a monic g of degree t >= 1.
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
-    = 1 for each prime r | t.  Over a table-backed field a root screen (g at
-    every element) decides gcd(x**q - x, g) first, and all of t <= 3.
-    x**(q**i) mod g comes from the rows' stacked q-Frobenius matrices.
+    = 1 for each prime r | t.  Over a table-backed field a root screen
+    (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
+    of t <= 3.  x**(q**i) mod g comes from the rows' stacked q-Frobenius
+    matrices.
     Returns the rows, in order, that pass, and for each level i = t/r whose
     gcd is still open the coefficient ranks of x**(q**i) - x at those rows.
     """
@@ -412,8 +443,7 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     live = np.arange(len(gc))
     screened = field._mul is not None
     if screened and t > 1:
-        columns = [c[:, None] for c in gc.T[:-1]] + [1]
-        live = live[_synthetic_division(columns, np.arange(field.q), field)[-1].all(axis=1)]
+        live = live[_rootless(field, gc)]
     if t == 1 or (screened and t < 4) or not len(live):
         return live.tolist(), []
     p, m = field.p, field.m

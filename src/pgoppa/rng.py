@@ -16,14 +16,17 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants as uint64 scalars, for the block rounds
+_U64 = {c: np.uint64(c) for c in (_GAMMA, _MUL1, _MUL2, 27, 30, 31)}
+_BLOCK_MIN = 16  # fewer draws than this are cheaper one at a time
 
 
 def mix64(z: int) -> int:
-    """The splitmix64 output function (Stafford variant 13); elementwise on
-    a uint64 array, where numpy wraps the products mod 2**64."""
+    """The splitmix64 output function (Stafford variant 13)."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -41,8 +44,14 @@ class SplitMix64:
 
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n next_u64() outputs as a uint64 array, without moving
-        the state; `advance(n)` moves it past them."""
-        return mix64(np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64))
+        the state; `advance(n)` moves it past them.  The mix64 rounds run in
+        place on uint64 scalars, where numpy wraps the products mod 2**64."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * _U64[_GAMMA] + np.uint64(self.state)
+        for shift, mul in ((30, _MUL1), (27, _MUL2)):
+            z ^= z >> _U64[shift]
+            z *= _U64[mul]
+        z ^= z >> _U64[31]
+        return z
 
     def advance(self, n: int) -> None:
         """Skip n draws."""
@@ -54,6 +63,19 @@ class SplitMix64:
             raise ValueError("randrange() argument must be positive")
         return self.next_u64() % n
 
+    def randranges(self, bounds) -> list[int]:
+        """randrange(n) for each n in bounds, in order: the values and final
+        state of successive randrange calls, drawn as one block from
+        `_BLOCK_MIN` bounds up.  Each bound must be below 2**64."""
+        bounds = list(bounds)
+        if min(bounds, default=1) <= 0:
+            raise ValueError("randrange() argument must be positive")
+        if len(bounds) < _BLOCK_MIN:
+            return [self.next_u64() % n for n in bounds]
+        draws = self.next_u64_block(len(bounds)) % np.array(bounds, dtype=np.uint64)
+        self.advance(len(bounds))
+        return draws.tolist()
+
     def randint(self, a: int, b: int) -> int:
         """Integer in [a, b], both ends included."""
         return a + self.randrange(b - a + 1)
@@ -63,14 +85,12 @@ class SplitMix64:
         pool = list(seq)
         if not 0 <= k <= len(pool):
             raise ValueError("sample size out of range")
-        for i in range(k):
-            j = i + self.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        for i, r in enumerate(self.randranges(range(len(pool), len(pool) - k, -1))):
+            pool[i], pool[i + r] = pool[i + r], pool[i]
         return pool[:k]
 
     def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        for i, j in zip(range(len(seq) - 1, 0, -1), self.randranges(range(len(seq), 1, -1))):
             seq[i], seq[j] = seq[j], seq[i]
 
 

@@ -77,14 +77,17 @@ def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
 def rabin_irreducible(g: Poly) -> bool:
     """Rabin's criterion with Poly arithmetic only: monic g of degree t >= 1
     is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
-    is 1 for every prime r dividing t."""
+    is 1 for every prime r dividing t.  The gcd is taken at every i < t, not
+    only at t/r: a nontrivial one is a factor of degree dividing i, so a
+    reducible g is rejected at its least factor degree, at most t/2."""
     f, t = g.field, g.degree
     x = Poly.x(f)
-    powers = [x % g]  # x**(q**i) mod g, i = 0..t
-    for _ in range(t):
-        powers.append(powers[-1].pow_mod(f.q, g))
-    primes = [r for r in range(2, t + 1) if t % r == 0 and all(r % d for d in range(2, r))]
-    return powers[t] == x % g and all(poly_gcd(powers[t // r] - x, g).degree == 0 for r in primes)
+    h = x % g  # x**(q**i) mod g
+    for _ in range(1, t):
+        h = h.pow_mod(f.q, g)
+        if poly_gcd(h - x, g).degree > 0:
+            return False
+    return h.pow_mod(f.q, g) == x % g
 
 
 def poly_pth_power(a: Poly) -> Poly:
@@ -120,6 +123,23 @@ def random_irreducible_reference(t: int, field, rng) -> Poly:
         g = Poly(field, [rng.next_u64() % field.q for _ in range(t)] + [1])
         if rabin_irreducible(g):
             return g
+
+
+def sample_reference(rng, seq, k: int) -> list:
+    """SplitMix64.sample one draw at a time: partial Fisher-Yates with one
+    randrange call per position."""
+    pool = list(seq)
+    for i in range(k):
+        j = i + rng.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def shuffle_reference(rng, seq: list) -> None:
+    """SplitMix64.shuffle one draw at a time, in place."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
 
 
 def root_multiplicity(sigma: Poly, point: int) -> int:

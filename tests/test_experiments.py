@@ -21,7 +21,7 @@ from pgoppa.experiments import (
 )
 from pgoppa.rng import SplitMix64, mix64, trial_stream
 
-from oracles import reference_trial
+from oracles import reference_trial, sample_reference, shuffle_reference
 
 
 def test_splitmix64_reference_vectors():
@@ -56,6 +56,31 @@ def test_splitmix64_draw_helpers():
         SplitMix64(11).randrange(0)
     with pytest.raises(ValueError):
         SplitMix64(12).sample(range(3), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 30), st.lists(st.integers(1, 2**64 - 1), max_size=40))
+def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
+    # k and len(bounds) run across the size where one block replaces single draws
+    for k in range(n + 1):
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.sample(range(n), k) == sample_reference(single, range(n), k)
+        assert bulk.state == single.state
+    bulk, single = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    bulk.shuffle(items)
+    shuffle_reference(single, expected)
+    assert items == expected and bulk.state == single.state
+    assert bulk.randranges(bounds) == [single.randrange(b) for b in bounds]
+    assert bulk.state == single.state
+
+
+def test_bulk_draw_rejects_a_modulus_below_one():
+    g = SplitMix64(13)
+    for bounds in ([0], [5, 0, 3], [-1], [4, -7], [3] * 40 + [0]):
+        with pytest.raises(ValueError):
+            g.randranges(bounds)
+    assert g.state == 13  # nothing was drawn
 
 
 def test_trial_streams_are_decorrelated():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pgoppa.decoder import decode
 from pgoppa.errors import ParamError
 from pgoppa.fields import make_field
 from pgoppa.goppa import (
@@ -175,6 +176,12 @@ def test_word_of_wrong_length_or_entry_is_rejected():
     for bad in ((0, 0, 0), (0,) * 11, (0,) * 8 + (3,), (-1,) + (0,) * 8):
         with pytest.raises(ParamError):
             code.contains(bad)
+    # entries that are not integers, even ones equal to an integer
+    for entry in (0.5, 1.0, "1", None):
+        bad = (entry,) + (0,) * 8
+        for check in (code.contains, lambda w: decode(code, w)):
+            with pytest.raises(ParamError):
+                check(bad)
     assert code.contains((0,) * 9)
 
 

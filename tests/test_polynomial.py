@@ -14,10 +14,12 @@ from pgoppa.fields import make_field
 from pgoppa.polyring import (
     NEG_INF,
     Poly,
+    _evaluation_matrix,
     _first_irreducible,
     _frobenius_inverse,
     _frobenius_matrix,
     _rabin_screen,
+    _rootless,
     inv_mod,
     is_irreducible,
     is_square_free,
@@ -268,6 +270,44 @@ def test_block_search_matches_one_at_a_time_reference(field, t, seed):
     block, single = SplitMix64(seed), SplitMix64(seed)
     assert random_irreducible(t, f, block) == random_irreducible_reference(t, f, single)
     assert block.state == single.state
+
+
+def has_no_root(g):
+    return all(g(a) for a in g.field.elements())
+
+
+ROOT_SCREEN_FIELDS = [(2, 3), (7, 1), (3, 2), (3, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ROOT_SCREEN_FIELDS), st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_root_screen_keeps_exactly_the_rootless_rows(field, t, seed):
+    f = make_field(*field)
+    gc = np.ones((8, t + 1), dtype=np.int64)
+    gc[:, :t] = (SplitMix64(seed).next_u64_block(8 * t) % np.uint64(f.q)).reshape(8, t)
+    rootless = [k for k in range(8) if has_no_root(Poly(f, gc[k].tolist()))]
+    assert np.flatnonzero(_rootless(f, gc)).tolist() == rootless
+    passed = _rabin_screen(f, gc)[0]
+    if t == 1:  # every linear g is irreducible, and no row is screened
+        assert passed == list(range(8))
+    elif t < 4:  # the root screen is the whole verdict
+        assert passed == rootless
+    else:
+        assert set(passed) <= set(rootless)
+
+
+@pytest.mark.parametrize("t, dtype", [(64, np.float32), (65, np.float64)])
+def test_root_screen_at_the_float32_bound(t, dtype):
+    # 65 * 508**2 < 2**24 <= 66 * 508**2: t = 65 is the first degree over
+    # GF(509) whose evaluation sums float32 cannot hold exactly
+    f = make_field(509, 1)
+    assert _evaluation_matrix(f, t).dtype == dtype
+    rng = SplitMix64(t)
+    rows = [Poly(f, [rng.randrange(509) for _ in range(t)] + [1]) for _ in range(4)]
+    for a in (0, 508):  # rows with a root at a
+        rows.append(Poly(f, (f.neg(a), 1)) * Poly(f, [rng.randrange(509) for _ in range(t - 1)] + [1]))
+    gc = np.array([g.coeffs for g in rows])
+    assert _rootless(f, gc).tolist() == [has_no_root(g) for g in rows]
 
 
 def test_block_search_matches_reference_on_fresh_block(monkeypatch):
