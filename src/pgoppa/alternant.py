@@ -66,7 +66,7 @@ def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
     f = make_field(p, m)
     nonzero = [a for a in f.elements() if a]
     support = rng.sample(nonzero, len(nonzero))
-    xi = [1 + r for r in rng.randranges([p - 1] * len(support))]
+    xi = [1 + v for v in rng.randranges([p - 1] * len(support))]
     d = [f.mul(x, l) for x, l in zip(xi, support)]
     return AlternantCode(f, tuple(support), tuple(d), r)
 

@@ -69,7 +69,7 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
         rng.shuffle(bag)
         mags = bag
     elif dist == "uniform":
-        mags = [1 + r for r in rng.randranges([p - 1] * w)]
+        mags = [1 + v for v in rng.randranges([p - 1] * w)]
     elif dist == "equal":
         v = 1 + rng.randrange(p - 1)
         mags = [v] * w

@@ -16,17 +16,14 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-# the same constants as uint64 scalars, for the block rounds
-_U64 = {c: np.uint64(c) for c in (_GAMMA, _MUL1, _MUL2, 27, 30, 31)}
-_BLOCK_MIN = 16  # fewer draws than this are cheaper one at a time
 
 
 def mix64(z: int) -> int:
-    """The splitmix64 output function (Stafford variant 13)."""
+    """The splitmix64 output function (Stafford variant 13); elementwise on
+    a uint64 array, where numpy wraps the products mod 2**64."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -44,14 +41,8 @@ class SplitMix64:
 
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n next_u64() outputs as a uint64 array, without moving
-        the state; `advance(n)` moves it past them.  The mix64 rounds run in
-        place on uint64 scalars, where numpy wraps the products mod 2**64."""
-        z = np.arange(1, n + 1, dtype=np.uint64) * _U64[_GAMMA] + np.uint64(self.state)
-        for shift, mul in ((30, _MUL1), (27, _MUL2)):
-            z ^= z >> _U64[shift]
-            z *= _U64[mul]
-        z ^= z >> _U64[31]
-        return z
+        the state; `advance(n)` moves it past them."""
+        return mix64(np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64))
 
     def advance(self, n: int) -> None:
         """Skip n draws."""
@@ -65,13 +56,11 @@ class SplitMix64:
 
     def randranges(self, bounds) -> list[int]:
         """randrange(n) for each n in bounds, in order: the values and final
-        state of successive randrange calls, drawn as one block from
-        `_BLOCK_MIN` bounds up.  Each bound must be below 2**64."""
+        state of successive randrange calls, drawn as one block.  Each bound
+        must be below 2**64."""
         bounds = list(bounds)
         if min(bounds, default=1) <= 0:
             raise ValueError("randrange() argument must be positive")
-        if len(bounds) < _BLOCK_MIN:
-            return [self.next_u64() % n for n in bounds]
         draws = self.next_u64_block(len(bounds)) % np.array(bounds, dtype=np.uint64)
         self.advance(len(bounds))
         return draws.tolist()

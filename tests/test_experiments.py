@@ -61,7 +61,7 @@ def test_splitmix64_draw_helpers():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 30), st.lists(st.integers(1, 2**64 - 1), max_size=40))
 def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
-    # k and len(bounds) run across the size where one block replaces single draws
+    # k and len(bounds) run from an empty block up
     for k in range(n + 1):
         bulk, single = SplitMix64(seed), SplitMix64(seed)
         assert bulk.sample(range(n), k) == sample_reference(single, range(n), k)
