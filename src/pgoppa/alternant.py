@@ -1,8 +1,10 @@
 """Restricted alternant codes attacked with the same lattice machinery,
 working modulo x**r instead of a square-free generator.
 
-The restriction is D_j / L_j in GF(p) \\ {0}; locator roots are then the
-inverses of support elements and magnitudes follow e_j = phi * mu_j / xi_j.
+The restriction is xi_j = D_j / L_j in GF(p) \\ {0}, so a code is its
+support L plus these ratios, and each column multiplier D_j = xi_j * L_j is
+formed where the syndrome uses it.  Locator roots are the inverses of
+support elements and magnitudes follow e_j = phi * mu_j / xi_j.
 Because x**r is not square-free, the radicands u_k must be p-th powers by
 coefficient support alone (every index not divisible by p must vanish on
 the truncation), which is rare; feasibility_probe measures how rare
@@ -29,59 +31,60 @@ from .popov import PolyMatrix
 
 @dataclass(frozen=True)
 class AlternantCode:
-    """Alternant code with syndrome length r and prime-subfield ratios."""
+    """Restricted alternant code: support ranks L in [1, q), ratios xi in
+    [1, p) and syndrome length r."""
 
     field: Field
     L: tuple[int, ...]
-    D: tuple[int, ...]
+    xi: tuple[int, ...]
     r: int
 
     def __post_init__(self):
         f = self.field
         if self.r < 1:
             raise ParamError("syndrome length r must be >= 1")
-        if len(self.L) != len(self.D):
-            raise ParamError("L and D must have equal length")
+        if len(self.L) != len(self.xi):
+            raise ParamError("L and xi must have equal length")
         if len(set(self.L)) != len(self.L):
             raise ParamError("support elements must be distinct")
-        if any(l == 0 for l in self.L) or any(d == 0 for d in self.D):
-            raise ParamError("support and column multipliers must be nonzero")
-        for x in self.xi:
-            if not 1 <= x <= f.p - 1:
-                raise ParamError("each D_j / L_j must lie in the prime subfield, nonzero")
+        if any(not 1 <= l < f.q for l in self.L):
+            raise ParamError(f"support elements must lie in [1, {f.q})")
+        if any(not 1 <= x < f.p for x in self.xi):
+            raise ParamError(f"ratios D_j / L_j must lie in [1, {f.p})")
 
     @property
     def n(self) -> int:
         return len(self.L)
 
-    @property
-    def xi(self) -> tuple[int, ...]:
-        f = self.field
-        return tuple(f.mul(d, f.inv(l)) for l, d in zip(self.L, self.D))
-
 
 def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
     """Full-length code: L is a random ordering of all nonzero elements,
-    ratios xi uniform in 1..p-1, D = xi * L."""
+    ratios xi uniform in 1..p-1."""
     f = make_field(p, m)
     nonzero = [a for a in f.elements() if a]
     support = rng.sample(nonzero, len(nonzero))
     xi = [1 + v for v in rng.randranges([p - 1] * len(support))]
-    d = [f.mul(x, l) for x, l in zip(xi, support)]
-    return AlternantCode(f, tuple(support), tuple(d), r)
+    return AlternantCode(f, tuple(support), tuple(xi), r)
 
 
 def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:
-    """Power-sum syndrome: coefficient i is sum_j e_j * D_j * L_j**i, i < r."""
+    """Power-sum syndrome: coefficient i is sum_j e_j * D_j * L_j**i, i < r,
+    with D_j = xi_j * L_j.  ParamError unless e has length n and entries in
+    [0, p)."""
     f = code.field
+    p = f.p
+    if len(e) != code.n:
+        raise ParamError(f"error has length {len(e)}, code length is {code.n}")
+    if any(not 0 <= ej < p for ej in e):
+        raise ParamError(f"error entries must lie in [0, {p})")
     s = [0] * code.r
-    for j, ej in enumerate(e):
+    for ej, xj, lj in zip(e, code.xi, code.L):
         if ej:
-            c = f.mul(ej, code.D[j])
+            c = f.mul(ej * xj % p, lj)  # e_j * xi_j is a prime-subfield rank
             power = 1
             for i in range(code.r):
                 s[i] = f.add(s[i], f.mul(c, power))
-                power = f.mul(power, code.L[j])
+                power = f.mul(power, lj)
     return Poly(f, s)
 
 

@@ -5,12 +5,8 @@ class PgoppaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPrimeError(PgoppaError, ValueError):
-    """The requested characteristic is not a prime number."""
-
-
-class ReducibleModulusError(PgoppaError, ValueError):
-    """A supplied field modulus is not irreducible."""
+class ParamError(PgoppaError, ValueError):
+    """Invalid field, code, word or experiment parameters."""
 
 
 class NotInvertibleError(PgoppaError, ArithmeticError):
@@ -20,7 +16,3 @@ class NotInvertibleError(PgoppaError, ArithmeticError):
 
 class DegreeBoundError(PgoppaError, ValueError):
     """A candidate solution row violates the locator degree bounds."""
-
-
-class ParamError(PgoppaError, ValueError):
-    """Invalid code or experiment parameters."""

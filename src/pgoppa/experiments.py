@@ -167,13 +167,13 @@ BINARY_BLOCKS: list[tuple[int, int, int]] = [(2, 4, 3), (2, 5, 6)]
 SWEEP_STOP = 0.9999
 
 
-def sweep_weights(q: int, t: int, stop: float = SWEEP_STOP) -> list[int]:
+def sweep_weights(q: int, t: int) -> list[int]:
     """w descending from t, including the first w whose modeled success
-    exceeds the stop threshold."""
+    exceeds SWEEP_STOP."""
     out = []
     for w in range(t, -1, -1):
         out.append(w)
-        if success_prob_model(q, t, w) > stop:
+        if success_prob_model(q, t, w) > SWEEP_STOP:
             break
     return out
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotPrimeError, ParamError, ReducibleModulusError
+from .errors import ParamError
 
 _TABLE_LIMIT = 512
 
@@ -248,17 +248,15 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     least as large.
     """
     if not is_prime(p):
-        raise NotPrimeError(f"characteristic must be prime, got {p}")
+        raise ParamError(f"characteristic must be prime, got {p}")
     if m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
+        raise ParamError(f"extension degree must be >= 1, got {m}")
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ReducibleModulusError(
-                f"modulus must be monic of degree {m}, got {list(modulus)}"
-            )
+            raise ParamError(f"modulus must be monic of degree {m}, got {list(modulus)}")
         if not _is_irreducible_modulus(p, modulus):
-            raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over GF({p})")
+            raise ParamError(f"modulus {list(modulus)} is reducible over GF({p})")
         key = (p, m, modulus)
     else:
         key = (p, m, None)

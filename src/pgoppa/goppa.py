@@ -292,8 +292,6 @@ def build_code(
         raise ParamError(
             f"support of size {target} impossible: only {len(candidates)} usable elements"
         )
-    if target - m * t <= 0:
-        raise ParamError(f"dimension bound violated: n - m*t = {target - m * t}")
     support = rng.sample(candidates, target)
     return GoppaCode(field, support, g)
 

@@ -486,7 +486,7 @@ def random_irreducible(t: int, field: Field, rng) -> Poly:
     blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
     just after the accepted candidate's draws."""
     if t < 1:
-        raise ValueError("degree must be >= 1")
+        raise ParamError("degree must be >= 1")
     k, q = _BLOCK_ROWS, field.q
     while True:
         draws = rng.next_u64_block(k * t)
@@ -539,10 +539,10 @@ def _frobenius_inverse(field: Field, g_coeffs: tuple[int, ...]) -> np.ndarray:
 
 
 def pth_root_mod(z: Poly, g: Poly) -> Poly:
-    """The v with v**p == z (mod g) for a square-free g; ParamError for any
-    other g of degree >= 1."""
+    """The v with v**p == z (mod g) for a square-free g of degree >= 1;
+    ParamError for any other g."""
     if g.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
+        raise ParamError("modulus must have degree >= 1")
     f, t = g.field, g.degree
     inverse = _frobenius_inverse(f, g.monic().coeffs)
     cs = (z % g).coeffs

@@ -48,9 +48,6 @@ class PolyMatrix:
     def pivots(self) -> list[int]:
         return [pivot_index(r) for r in self.rows]
 
-    def copy(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.rows)
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         zero = Poly.zero(self.field)
         out = []

@@ -25,14 +25,14 @@ from oracles import alternant_locator_from_error, poly_pth_power, root_multiplic
 
 
 def alternant_syndrome_series(code, e):
-    """Same syndrome via sum_j e_j * D_j / (1 - x L_j) mod x**r."""
+    """Same syndrome via sum_j e_j * D_j / (1 - x L_j) mod x**r, D_j = xi_j * L_j."""
     f = code.field
     xr = Poly.monomial(f, code.r)
     acc = Poly.zero(f)
     for j, ej in enumerate(e):
         if ej:
             denom = Poly(f, (1, f.neg(code.L[j])))
-            acc = acc + inv_mod(denom, xr).scale(f.mul(ej, code.D[j]))
+            acc = acc + inv_mod(denom, xr).scale(f.mul(ej, f.mul(code.xi[j], code.L[j])))
     return acc % xr
 
 
@@ -49,18 +49,36 @@ def test_code_validation():
         AlternantCode(f, (0, 1), (1, 1), 2)  # zero support element
     y = f.from_coeffs((0, 1))
     with pytest.raises(ParamError):
-        AlternantCode(f, (y, 1), (f.mul(y, y), 1), 2)  # xi = y not in GF(p)
-    code = AlternantCode(f, (1, 2), (2, 2), 2)
-    assert code.xi == (2, 1)
+        AlternantCode(f, (y, 1), (y, 1), 2)  # xi = y not in GF(p)
+    with pytest.raises(ParamError):
+        AlternantCode(f, (1, 2), (1,), 2)  # one ratio per support element
+    assert AlternantCode(f, (1, 2), (2, 1), 2).n == 2
+
+
+def test_code_rejects_ranks_outside_the_field():
+    # support ranks lie in [1, q) and ratios in [1, p), checked before any
+    # table lookup: 500 would index past GF(9)'s tables, -1 from their end
+    f = make_field(3, 2)
+    for support, xi in [((1, 500), (1, 1)), ((1, -1), (1, 1)), ((1, 9), (1, 1)),
+                        ((1, 2), (1, 3)), ((1, 2), (0, 1)), ((1, 2), (1, -2))]:
+        with pytest.raises(ParamError):
+            AlternantCode(f, support, xi, 1)
+
+
+def test_syndrome_rejects_a_wrong_length_or_entry():
+    code = random_restricted_alternant(3, 2, 2, SplitMix64(3011))
+    for e in ([1], [0] * (code.n - 1), [0] * (code.n + 1),
+              [5] + [0] * (code.n - 1), [3] + [0] * (code.n - 1), [-1] + [0] * (code.n - 1)):
+        with pytest.raises(ParamError):
+            alternant_syndrome(code, e)
 
 
 def test_random_restricted_alternant_shape():
     rng = SplitMix64(3000)
     code = random_restricted_alternant(3, 2, 4, rng)
     assert code.n == 8
+    assert sorted(code.L) == list(range(1, 9))
     assert all(1 <= x <= 2 for x in code.xi)
-    f = code.field
-    assert all(f.mul(x, l) == d for x, l, d in zip(code.xi, code.L, code.D))
 
 
 def test_syndrome_zero_and_single():
@@ -71,7 +89,8 @@ def test_syndrome_zero_and_single():
     e = [0] * code.n
     e[2] = 1
     s = alternant_syndrome(code, e)
-    expect = [f.mul(code.D[2], f.pow(code.L[2], i)) for i in range(code.r)]
+    d2 = f.mul(code.xi[2], code.L[2])
+    expect = [f.mul(d2, f.pow(code.L[2], i)) for i in range(code.r)]
     assert list(s.coeffs) + [0] * (code.r - len(s.coeffs)) == expect
 
 
@@ -221,7 +240,7 @@ def test_recover_error_values_matches_per_point_oracle(p, m):
     f = make_field(p, m)
     support = rng.sample(range(1, f.q), min(f.q - 1, 24))
     xi = [1 + rng.randrange(p - 1) for _ in support]
-    code = AlternantCode(f, tuple(support), tuple(f.mul(x, l) for x, l in zip(xi, support)), 4)
+    code = AlternantCode(f, tuple(support), tuple(xi), 4)
     for _ in range(15):
         sigma = Poly(f, [rng.randrange(f.q) for _ in range(1 + rng.randrange(4))] + [1])
         for _ in range(rng.randrange(4)):

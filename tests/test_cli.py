@@ -77,6 +77,25 @@ def test_gen_param_error_exit(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_extension_degree_zero_exits_one(tmp_path, capsys):
+    # m = 0 from a flag or a code-file header is a ParamError, not a traceback
+    for argv in (["gen", "--p", "3", "--m", "0", "--t", "1"],
+                 ["sweep", "--p", "3", "--m", "0", "--t", "1", "--trials", "2", "--workers", "1"],
+                 ["alternant-probe", "--p", "3", "--m", "0", "--r", "1", "--trials", "2"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+    code_path = tmp_path / "code.txt"
+    word_path = tmp_path / "word.txt"
+    code_path.write_text("3 0 1 3\n1\n0 1\n0 1 2\n")
+    word_path.write_text("0 0 0\n")
+    for argv in (["decode", "--word", str(word_path)], ["encode"],
+                 ["corrupt", "--word", str(word_path), "--weight", "1"]):
+        rc, out, err = run_cli(capsys, argv[0], "--code", str(code_path), *argv[1:])
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_out_of_range_code_and_word_exit_nonzero(tmp_path, capsys):
     code_path = tmp_path / "code.txt"
     word_path = tmp_path / "word.txt"

@@ -7,7 +7,7 @@ from itertools import count
 import numpy as np
 import pytest
 
-from pgoppa.errors import NotPrimeError, ParamError, ReducibleModulusError
+from pgoppa.errors import ParamError
 from pgoppa.fields import Field, _is_irreducible_modulus, ints_from_text, is_prime, make_field
 
 
@@ -125,14 +125,19 @@ def test_modulus_check_beyond_exact_float64_range():
 
 
 def test_make_field_rejects_composite_characteristic():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(ParamError, match="prime"):
         make_field(4, 1)
 
 
+def test_make_field_rejects_a_degree_below_one():
+    with pytest.raises(ParamError, match="degree"):
+        make_field(3, 0)
+
+
 def test_make_field_rejects_reducible_modulus():
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(ParamError, match="reducible"):
         make_field(3, 2, [0, 0, 1])  # y^2
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(ParamError, match="monic of degree"):
         make_field(2, 2, [1, 1])  # wrong degree
 
 

@@ -49,6 +49,9 @@ def test_build_code_binary():
 def test_build_code_dimension_rule():
     with pytest.raises(ParamError):
         build_code(3, 3, 9, 27, rng=SplitMix64(2))
+    # maximal length: the bound on the 9 usable elements is GoppaCode's to check
+    with pytest.raises(ParamError, match=r"dimension bound violated: n - m\*t = -1"):
+        build_code(3, 2, 5, rng=SplitMix64(2))
 
 
 def test_build_code_oversized_support():

@@ -166,6 +166,8 @@ def test_random_irreducible_linear_always():
     for _ in range(20):
         g = random_irreducible(1, f, rng)
         assert g.degree == 1 and g.lc() == 1
+    with pytest.raises(ParamError, match="degree"):
+        random_irreducible(0, f, rng)
 
 
 def test_random_irreducible_no_roots_small_degree():
@@ -463,6 +465,8 @@ def test_pth_root_mod_no_root():
     # x is no cube mod x^2: F is singular exactly when g is not square-free
     with pytest.raises(ParamError, match="square-free"):
         pth_root_mod(Poly.x(F3), Poly(F3, [0, 0, 1]))
+    with pytest.raises(ParamError, match="degree"):
+        pth_root_mod(Poly.x(F3), Poly.one(F3))
     for f in (F3, make_field(2, 2)):  # every monic g of degree 1..3
         for t in (1, 2, 3):
             for low in itertools.product(range(f.q), repeat=t):
