@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Weak Popov form step by step: pivot indices, simple transformations,
-and the shortest-vector guarantee."""
+and the shortest-vector guarantee.  A matrix is a list of rows of Poly
+entries."""
 
-from pgoppa import PolyMatrix, Poly, make_field, min_pivot_row, pivot_index, weak_popov_reduce
-from pgoppa.popov import det_fraction_free
+from pgoppa import Poly, make_field, min_pivot_row, pivot_index, weak_popov_reduce
+from pgoppa.popov import degree_tableau, det_fraction_free
 from pgoppa.rng import SplitMix64
 
 F = make_field(3, 2)
@@ -21,17 +22,18 @@ g = Poly(F, [rng.randrange(9) for _ in range(t)] + [1])
 v1 = Poly(F, [rng.randrange(9) for _ in range(t)])
 v2 = Poly(F, [rng.randrange(9) for _ in range(t)])
 zero = Poly.zero(F)
-basis = PolyMatrix(F, [[g, zero, zero], [-v1, one, zero], [-v2, zero, one]])
+basis = [[g, zero, zero], [-v1, one, zero], [-v2, zero, one]]
 print("\ninput degree tableau (pivots bracketed):")
-print(basis.degree_tableau())
+print(degree_tableau(basis))
 
 reduced, transform = weak_popov_reduce(basis, accumulate=True)
 print("\nreduced degree tableau:")
-print(reduced.degree_tableau())
-print("pivot indices now pairwise distinct:", reduced.pivots)
+print(degree_tableau(reduced))
+print("pivot indices now pairwise distinct:", [pivot_index(row) for row in reduced])
 
 # The transform is a product of elementary row operations: unimodular.
-print("\nU @ A == A':", (transform @ basis) == reduced)
+product = [[sum((u * row[j] for u, row in zip(urow, basis)), zero) for j in range(3)] for urow in transform]
+print("\nU @ A == A':", product == reduced)
 print("det(U):", det_fraction_free(transform))
 
 # Every vector of the row lattice has degree at least the minimal pivot
@@ -44,5 +46,5 @@ for _ in range(3):
     comb = [zero, zero, zero]
     for i, u in enumerate(mult):
         for j in range(3):
-            comb[j] = comb[j] + u * reduced.rows[i][j]
+            comb[j] = comb[j] + u * reduced[i][j]
     print("random lattice vector degree:", max(c.degree for c in comb), ">=", short_deg)

@@ -12,7 +12,7 @@ from pgoppa import (
     sample_error,
 )
 from pgoppa.errors import DegreeBoundError
-from pgoppa.popov import weak_popov_reduce
+from pgoppa.popov import degree_tableau, weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
 rng = SplitMix64(99)
@@ -36,8 +36,8 @@ print("\nsyndrome degree:", s.degree)
 for phi, basis in enumerate(key_lattices(code, s), start=1):
     reduced, _ = weak_popov_reduce(basis)
     print(f"\nphi = {phi}: reduced degree tableau")
-    print(reduced.degree_tableau())
-    for row in reduced.rows:
+    print(degree_tableau(reduced))
+    for row in reduced:
         try:
             sigma = assemble_locator(row, code.t)
         except DegreeBoundError:

@@ -26,7 +26,7 @@ s = alternant_syndrome(code, e)
 basis = try_build_alternant_lattice(code, s, phi=1)
 print("radicand is a square mod x^r:", basis is not None)
 reduced, _ = weak_popov_reduce(basis)
-for row in reduced.rows:
+for row in reduced:
     try:
         sigma = assemble_locator(row, code.r)
     except DegreeBoundError:

@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotInvertibleError, ParamError
+from .errors import NotInvertibleError, ParamError, check_integers
 from .fields import Field, make_field
 from .polyring import Poly, _root_multiplicities, inv_mod
-from .popov import PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,8 @@ class AlternantCode:
             raise ParamError("L and xi must have equal length")
         if len(set(self.L)) != len(self.L):
             raise ParamError("support elements must be distinct")
-        if any(not 1 <= l < f.q for l in self.L):
-            raise ParamError(f"support elements must lie in [1, {f.q})")
-        if any(not 1 <= x < f.p for x in self.xi):
-            raise ParamError(f"ratios D_j / L_j must lie in [1, {f.p})")
+        check_integers(self.L, 1, f.q, "support elements")
+        check_integers(self.xi, 1, f.p, "ratios D_j / L_j")
 
     @property
     def n(self) -> int:
@@ -69,22 +66,20 @@ def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
 
 def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:
     """Power-sum syndrome: coefficient i is sum_j e_j * D_j * L_j**i, i < r,
-    with D_j = xi_j * L_j.  ParamError unless e has length n and entries in
-    [0, p)."""
+    with D_j = xi_j * L_j.  ParamError unless e has length n and integer
+    entries in [0, p)."""
     f = code.field
     p = f.p
     if len(e) != code.n:
         raise ParamError(f"error has length {len(e)}, code length is {code.n}")
-    if any(not 0 <= ej < p for ej in e):
-        raise ParamError(f"error entries must lie in [0, {p})")
+    check_integers(e, 0, p, "error entries")
     s = [0] * code.r
     for ej, xj, lj in zip(e, code.xi, code.L):
         if ej:
-            c = f.mul(ej * xj % p, lj)  # e_j * xi_j is a prime-subfield rank
-            power = 1
+            c = ej * xj % p  # e_j * xi_j is a prime-subfield rank
             for i in range(code.r):
-                s[i] = f.add(s[i], f.mul(c, power))
-                power = f.mul(power, lj)
+                c = f.mul(c, lj)  # e_j * D_j * L_j**i
+                s[i] = f.add(s[i], c)
     return Poly(f, s)
 
 
@@ -103,9 +98,9 @@ def pth_root_mod_xr(u: Poly, r: int) -> Poly | None:
     return Poly(f, [f.pth_root(cs[i]) if i < len(cs) else 0 for i in range(0, r, p)])
 
 
-def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> PolyMatrix | None:
-    """Basis for the phi-th key equation mod x**r, if the radicands admit
-    p-th roots; None otherwise.
+def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[list[Poly]] | None:
+    """Basis rows for the phi-th key equation mod x**r, if the radicands
+    admit p-th roots; None otherwise.
 
     The key equation here is -phi*sigma' == sigma*s (mod x**r), so the
     radicands carry the opposite sign from the Goppa case:
@@ -129,7 +124,7 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> PolyM
         if v is None:
             return None
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
-    return PolyMatrix(f, rows)
+    return rows
 
 
 def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int, int]:

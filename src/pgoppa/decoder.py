@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
-from .errors import DegreeBoundError, NotInvertibleError, ParamError
+from .errors import DegreeBoundError, NotInvertibleError, check_integers
 from .goppa import ErrorPattern, GoppaCode
 from .polyring import Poly, _root_multiplicities, inv_mod, pth_power_decompose, pth_root_mod
-from .popov import PolyMatrix, weak_popov_reduce
+from .popov import weak_popov_reduce
 
 
 @dataclass
@@ -41,8 +41,9 @@ class DecodeOutcome:
         return [c.codeword for c in self.candidates]
 
 
-def key_lattices(code: GoppaCode, s: Poly) -> list[PolyMatrix]:
-    """Bases whose short vectors solve the key equations for phi = 1..p-1.
+def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
+    """Bases, as row lists that share no row, whose short vectors solve the
+    key equations for phi = 1..p-1.
 
     Row 0 of each is (g, 0, ..., 0); row k is (-v_k, 0, .., 1, .., 0) with
     v_k**p == x**k - phi*k*x**(k-1)/s (mod g).  The p-th root mod a
@@ -57,10 +58,9 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[PolyMatrix]:
     zero, one = Poly.zero(f), Poly.one(f)
     a = [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, p)]
     b = [pth_root_mod(s_inv.shift(k - 1), g).scale(k) for k in range(1, p)]
-    head = [g] + [zero] * (p - 1)
     units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
     return [
-        PolyMatrix(f, [head] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)])
+        [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]
         for phi in range(1, p)
     ]
 
@@ -105,14 +105,15 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     each scale guess in `phis` (default 1..p-1) is tried even after a success
     (distinct phi can yield distinct valid codewords), every degree-valid row
     of each reduced basis is assembled and syndrome-checked, and candidates
-    are deduplicated in (phi ascending, row) discovery order.
+    are deduplicated in (phi ascending, row) discovery order.  ParamError
+    unless every scale guess is an integer in [1, p).
     """
     f = code.field
     p = f.p
     n = code.n
-    tried = range(1, p) if phis is None else sorted(set(phis))
-    if any(not 1 <= phi < p for phi in tried):
-        raise ParamError(f"scale guesses must lie in [1, {p})")
+    tried = range(1, p) if phis is None else list(phis)
+    check_integers(tried, 1, p, "scale guesses")  # before sorting: "1" and 1 do not compare
+    tried = sorted(set(tried))
     s_vec = code.syndrome_from_word(received)  # ParamError on a bad length or entry
     s_poly = Poly(f, s_vec)
     if s_poly.is_zero():
@@ -132,7 +133,7 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     seen: set[tuple[int, ...]] = set()
     for phi in tried:
         reduced, _ = weak_popov_reduce(bases[phi - 1])
-        for row in reduced.rows:
+        for row in reduced:
             try:
                 sigma = assemble_locator(row, code.t)
             except DegreeBoundError:
@@ -171,12 +172,12 @@ def verify_sign_convention() -> int:
     f = code.field
     a = pth_power_decompose(Poly(f, (f.neg(code.L[error.support[0]]), 1)))
 
-    def contains(basis: PolyMatrix) -> bool:
+    def contains(basis: list[list[Poly]]) -> bool:
         # (a_0, .., a_{p-1}) = sum_k a_k row_k + lambda*row_0 iff g divides
         # a_0 - sum_k a_k row_k[0]
         residue = a[0]
         for k in range(1, f.p):
-            residue = residue - a[k] * basis.rows[k][0]
+            residue = residue - a[k] * basis[k][0]
         return (residue % code.g).is_zero()
 
     bases = key_lattices(code, code.syndrome_poly(error.values))

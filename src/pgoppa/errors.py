@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-range check
+that raises ParamError at the public boundaries."""
+
+from numbers import Integral
+from typing import Sequence
 
 
 class PgoppaError(Exception):
@@ -16,3 +20,12 @@ class NotInvertibleError(PgoppaError, ArithmeticError):
 
 class DegreeBoundError(PgoppaError, ValueError):
     """A candidate solution row violates the locator degree bounds."""
+
+
+def check_integers(values: Sequence, lo: int, hi: int, what: str) -> None:
+    """ParamError unless every value is an integer (not a bool) in [lo, hi).
+    Types are screened once per distinct type, before any comparison."""
+    types = set(map(type, values))
+    ints = types <= {int} or all(t is not bool and issubclass(t, Integral) for t in types)
+    if not ints or min(values, default=lo) < lo or max(values, default=lo) >= hi:
+        raise ParamError(f"{what} must be integers in [{lo}, {hi})")

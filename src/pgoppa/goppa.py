@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import modp
-from .errors import ParamError
+from .errors import ParamError, check_integers
 from .fields import Field, ints_from_text, make_field
 from .polyring import (
     Poly,
@@ -104,10 +104,8 @@ class GoppaCode:
         if n - field.m * t <= 0:
             raise ParamError(f"dimension bound violated: n - m*t = {n - field.m * t}")
         # before any table lookup: an out-of-range rank would index past the tables
-        if any(not 0 <= a < field.q for a in support):
-            raise ParamError(f"support elements must lie in [0, {field.q})")
-        if any(not 0 <= c < field.q for c in g.coeffs):
-            raise ParamError(f"generator coefficients must lie in [0, {field.q})")
+        check_integers(support, 0, field.q, "support elements")
+        check_integers(g.coeffs, 0, field.q, "generator coefficients")
         if not is_square_free(g):
             raise ParamError("generator must be square-free")
         self.field = field

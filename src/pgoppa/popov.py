@@ -1,5 +1,5 @@
 """Polynomial-matrix machinery: pivot indices, simple transformations, and
-reduction to weak Popov form.
+reduction to weak Popov form.  A matrix is a list of rows of Poly entries.
 
 A matrix over GF(q)[x] is in weak Popov form when its nonzero pivot
 indices are pairwise distinct; the row whose pivot degree is minimal is
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .fields import Field
 from .polyring import Poly, _row_addmul
 
 
@@ -22,67 +21,17 @@ def pivot_index(row: Sequence[Poly]) -> int:
     return _pivot([entry.coeffs for entry in row])
 
 
-class PolyMatrix:
-    """Rectangular matrix of Poly entries over one field."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: Field, rows: Sequence[Sequence[Poly]]):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "PolyMatrix":
-        one, zero = Poly.one(field), Poly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def pivots(self) -> list[int]:
-        return [pivot_index(r) for r in self.rows]
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        zero = Poly.zero(self.field)
-        out = []
-        for row in self.rows:
-            new = []
-            for j in range(other.ncols):
-                acc = zero
-                for k, a in enumerate(row):
-                    if a:
-                        acc = acc + a * other.rows[k][j]
-                new.append(acc)
-            out.append(new)
-        return PolyMatrix(self.field, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.nrows}x{self.ncols})"
-
-    def degree_tableau(self) -> str:
-        """Entry degrees as text, '.' for zero entries; pivots bracketed."""
-        lines = []
-        for row in self.rows:
-            piv = pivot_index(row)
-            cells = []
-            for j, entry in enumerate(row, start=1):
-                d = "." if entry.is_zero() else str(entry.degree)
-                cells.append(f"[{d}]" if j == piv else f" {d} ")
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
+def degree_tableau(rows: Sequence[Sequence[Poly]]) -> str:
+    """Entry degrees as text, '.' for zero entries; pivots bracketed."""
+    lines = []
+    for row in rows:
+        piv = pivot_index(row)
+        cells = []
+        for j, entry in enumerate(row, start=1):
+            d = "." if entry.is_zero() else str(entry.degree)
+            cells.append(f"[{d}]" if j == piv else f" {d} ")
+        lines.append(" ".join(cells))
+    return "\n".join(lines)
 
 
 def _pivot(row: Sequence[Sequence[int]]) -> int:
@@ -97,19 +46,21 @@ def _pivot(row: Sequence[Sequence[int]]) -> int:
 
 
 def weak_popov_reduce(
-    a: PolyMatrix, accumulate: bool = False
-) -> tuple[PolyMatrix, PolyMatrix | None]:
-    """Reduce to weak Popov form by sweeps of simple transformations.
+    rows: Sequence[Sequence[Poly]], accumulate: bool = False
+) -> tuple[list[list[Poly]], list[list[Poly]] | None]:
+    """Reduce a nonempty basis, given as rows, to weak Popov form by sweeps
+    of simple transformations.
 
     Sweep order is deterministic: source row k ascending, target row l
-    ascending, repeated until no positive pivot index repeats.  Returns the
-    reduced matrix and, when accumulate is set, the unimodular U with
-    U @ a == reduced (U is a product of elementary row operations, so its
-    determinant is a nonzero constant).  The sweeps run on bare coefficient
-    lists; Poly entries are built only on entry and on return.
+    ascending, repeated until no positive pivot index repeats.  Returns new
+    reduced rows and, when accumulate is set, the rows of the unimodular U
+    with U * rows == reduced (U is a product of elementary row operations,
+    so its determinant is a nonzero constant).  The sweeps run on bare
+    coefficient lists; Poly entries are built only on return, and the
+    argument is left unchanged.
     """
-    field = a.field
-    rows = [[list(entry.coeffs) for entry in r] for r in a.rows]
+    field = rows[0][0].field
+    rows = [[list(entry.coeffs) for entry in r] for r in rows]
     n = len(rows)
     u = [[[1] if i == j else [] for j in range(n)] for i in range(n)] if accumulate else None
     piv = [_pivot(r) for r in rows]
@@ -138,13 +89,13 @@ def weak_popov_reduce(
                         _row_addmul(u[ell], u[k], nc, e, field)
                 piv[ell] = _pivot(dst)
 
-    def to_matrix(m: list[list[list[int]]]) -> PolyMatrix:
-        return PolyMatrix(field, [[Poly(field, entry) for entry in r] for r in m])
+    def to_polys(m: list[list[list[int]]]) -> list[list[Poly]]:
+        return [[Poly(field, entry) for entry in r] for r in m]
 
-    return to_matrix(rows), (to_matrix(u) if u is not None else None)
+    return to_polys(rows), (to_polys(u) if u is not None else None)
 
 
-def min_pivot_row(a: PolyMatrix) -> list[Poly]:
+def min_pivot_row(rows: Sequence[Sequence[Poly]]) -> list[Poly]:
     """A row of minimal pivot degree (ties: lowest row index).
 
     For a matrix in weak Popov form this is a shortest nonzero lattice
@@ -153,7 +104,7 @@ def min_pivot_row(a: PolyMatrix) -> list[Poly]:
     """
     best_row = None
     best_deg = None
-    for row in a.rows:
+    for row in rows:
         p = pivot_index(row)
         if p == 0:
             continue
@@ -166,17 +117,17 @@ def min_pivot_row(a: PolyMatrix) -> list[Poly]:
     return list(best_row)
 
 
-def det_fraction_free(a: PolyMatrix) -> Poly:
+def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant by Bareiss one-step fraction-free elimination.
 
     Divisions are exact in GF(q)[x]; intended for the small audit matrices
     produced alongside reductions, not for production linear algebra.
     """
-    n = a.nrows
-    if n != a.ncols:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    field = a.field
-    m = [list(r) for r in a.rows]
+    field = rows[0][0].field
+    m = [list(r) for r in rows]
     sign = 1
     prev = Poly.one(field)
     for k in range(n - 1):

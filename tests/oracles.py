@@ -10,8 +10,31 @@ from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
-from pgoppa.popov import PolyMatrix
 from pgoppa.rng import trial_stream
+
+
+# -- polynomial matrices as lists of rows: the U * A == A' audits
+
+
+def identity_matrix(field, n: int) -> list[list[Poly]]:
+    one, zero = Poly.one(field), Poly.zero(field)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def matmul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    """The product a * b of two row lists."""
+    zero = Poly.zero(a[0][0].field)
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = zero
+            for k, x in enumerate(row):
+                if x:
+                    acc = acc + x * b[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
 
 
 # -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
@@ -182,7 +205,7 @@ def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Poly:
     return sigma
 
 
-def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> PolyMatrix:
+def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> list[list[Poly]]:
     """The phi-th key lattice one radicand at a time: u_k = x**k -
     phi*k*x**(k-1)*s_inv mod g, then v_k = pth_root_mod(u_k, g) and row k =
     (-v_k, 0, .., 1, .., 0) under (g, 0, ..., 0)."""
@@ -195,7 +218,7 @@ def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> PolyMatrix:
         u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale((-phi * k) % p)) % g
         v = pth_root_mod(u, g)
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
-    return PolyMatrix(f, rows)
+    return rows
 
 
 def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int) -> Poly:

@@ -2,6 +2,7 @@
 the key-equation identity, end-to-end recovery on feasible instances, and
 the structural infeasibility in odd characteristic."""
 
+import numpy as np
 import pytest
 
 from pgoppa.alternant import (
@@ -56,19 +57,26 @@ def test_code_validation():
 
 
 def test_code_rejects_ranks_outside_the_field():
-    # support ranks lie in [1, q) and ratios in [1, p), checked before any
-    # table lookup: 500 would index past GF(9)'s tables, -1 from their end
+    # support ranks are integers in [1, q) and ratios integers in [1, p),
+    # checked before any table lookup: 500 would index past GF(9)'s tables,
+    # -1 from their end, and 1.5 is no index at all
     f = make_field(3, 2)
     for support, xi in [((1, 500), (1, 1)), ((1, -1), (1, 1)), ((1, 9), (1, 1)),
-                        ((1, 2), (1, 3)), ((1, 2), (0, 1)), ((1, 2), (1, -2))]:
-        with pytest.raises(ParamError):
+                        ((1, 2), (1, 3)), ((1, 2), (0, 1)), ((1, 2), (1, -2)),
+                        ((1.5, 2), (1, 1)), ((1.0, 2), (1, 1)), (("1", 2), (1, 1)), ((True, 2), (1, 1)),
+                        ((1, 2), (1.0, 1)), ((1, 2), (0.5, 1)), ((1, 2), ("1", 1))]:
+        with pytest.raises(ParamError, match="must be integers in"):
             AlternantCode(f, support, xi, 1)
+    # NumPy integers are integers
+    assert AlternantCode(f, tuple(np.arange(1, 3)), (np.int64(2), 1), 1).n == 2
 
 
 def test_syndrome_rejects_a_wrong_length_or_entry():
     code = random_restricted_alternant(3, 2, 2, SplitMix64(3011))
     for e in ([1], [0] * (code.n - 1), [0] * (code.n + 1),
-              [5] + [0] * (code.n - 1), [3] + [0] * (code.n - 1), [-1] + [0] * (code.n - 1)):
+              [5] + [0] * (code.n - 1), [3] + [0] * (code.n - 1), [-1] + [0] * (code.n - 1),
+              [1.0] + [0] * (code.n - 1), [0.5] + [0] * (code.n - 1), ["1"] + [0] * (code.n - 1),
+              [None] + [0] * (code.n - 1)):
         with pytest.raises(ParamError):
             alternant_syndrome(code, e)
 
@@ -157,14 +165,14 @@ def test_end_to_end_feasible_binary_instances():
             basis = try_build_alternant_lattice(code, s, 1)
             assert basis is not None
             xr = Poly.monomial(code.field, r)
-            assert basis.rows[0][0] == xr
+            assert basis[0][0] == xr
             s_inv = inv_mod(s, xr)
             for k in range(1, p):
                 u = (Poly.monomial(code.field, k) + s_inv.shift(k - 1).scale(k % p)) % xr
-                assert poly_pth_power(-basis.rows[k][0]) % xr == u
+                assert poly_pth_power(-basis[k][0]) % xr == u
             reduced, _ = weak_popov_reduce(basis)
             hit = False
-            for row in reduced.rows:
+            for row in reduced:
                 try:
                     sigma = assemble_locator(row, r)
                 except DegreeBoundError:

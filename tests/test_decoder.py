@@ -136,7 +136,7 @@ def test_key_lattice_defining_property():
         s_inv = inv_mod(s, code.g)
         for k in range(1, p):
             u = (Poly.monomial(code.field, k) - s_inv.shift(k - 1).scale(phi * k % p)) % code.g
-            v = -basis.rows[k][0]
+            v = -basis[k][0]
             assert v.pow_mod(p, code.g) == u
             assert v.degree < code.t
 
@@ -149,12 +149,12 @@ def test_key_lattice_binary_shape():
     bases = key_lattices(code, s)
     assert len(bases) == 1
     basis = bases[0]
-    assert basis.nrows == 2
-    assert basis.rows[0][0] == code.g
+    assert len(basis) == 2
+    assert basis[0][0] == code.g
     # -v with v**2 == x - 1/s == x + 1/s (mod g)
     u = (Poly.x(code.field) + inv_mod(s, code.g)) % code.g
-    assert basis.rows[1][0].pow_mod(2, code.g) == u
-    assert basis.rows[1][1] == Poly.one(code.field)
+    assert basis[1][0].pow_mod(2, code.g) == u
+    assert basis[1][1] == Poly.one(code.field)
 
 
 def test_true_solution_lies_in_lattice():
@@ -182,7 +182,7 @@ def test_true_solution_lies_in_lattice():
         a = pth_power_decompose(sigma)
         residue = a[0]
         for k in range(1, p):
-            residue = residue - a[k] * basis.rows[k][0]
+            residue = residue - a[k] * basis[k][0]
         assert (residue % code.g).is_zero()
         # reconstruct the multiplier vector and check the product row by row
         lam = residue // code.g
@@ -190,7 +190,7 @@ def test_true_solution_lies_in_lattice():
         product = [Poly.zero(code.field) for _ in range(p)]
         for i, ci in enumerate(combo):
             for j in range(p):
-                product[j] = product[j] + ci * basis.rows[i][j]
+                product[j] = product[j] + ci * basis[i][j]
         assert product == a
         hits += 1
 
@@ -214,7 +214,11 @@ def test_key_lattices_equal_per_phi_reference(block, irreducible, seed):
             key_lattices(code, s)
         return
     want = [reference_key_lattice(code, s_inv, phi) for phi in range(1, p)]
-    assert key_lattices(code, s) == want
+    bases = key_lattices(code, s)
+    assert bases == want
+    # plain row lists: a row shared between bases would let one reduction edit another
+    rows = [id(row) for basis in bases for row in basis]
+    assert len(rows) == len(set(rows))
 
 
 def test_decode_takes_two_roots_per_radicand_index(monkeypatch):
@@ -449,7 +453,7 @@ def test_decode_scale_guess_boundaries():
     code = build_code(5, 2, 3, rng=rng)
     e = sample_error(code.n, 3, "uniform", 5, rng)
     rx = corrupt(code.random_codeword(rng), e, 5)
-    for bad in ([0], [5], [1, 5], [-1]):
+    for bad in ([0], [5], [1, 5], [-1], [1.5], [1.0], ["1"], [1, "1"], [True], "1"):
         with pytest.raises(ParamError):
             decode(code, rx, bad)
     full = decode(code, rx)

@@ -267,6 +267,15 @@ def test_code_file_roundtrip(tmp_path, code338):
     assert loaded.to_text() == code338.to_text()
 
 
+def test_code_rejects_non_integer_support_and_generator(code338):
+    f, L, g = code338.field, code338.L, code338.g
+    for bad in (1.5, "1", None):
+        with pytest.raises(ParamError, match="support elements must be integers"):
+            GoppaCode(f, (bad,) + L[1:], g)
+    with pytest.raises(ParamError, match="generator coefficients must be integers"):
+        GoppaCode(f, L, Poly(f, (0.5,) + g.coeffs[1:]))
+
+
 def test_code_record_rejects_ranks_outside_field(code338):
     # GF(27): ranks lie in [0, 27)
     header, modulus, gen, support = code338.to_text().splitlines()
