@@ -40,6 +40,6 @@ print("recomposed equals original:", recomposed == h)
 rng = SplitMix64(7)
 gg = random_irreducible(5, F9, rng)
 z = Poly(F9, [rng.randrange(9) for _ in range(5)])
-v = pth_root_mod(z.pow_mod(3, gg), gg)
+v = pth_root_mod((z * z * z) % gg, gg)
 print("\nrandom irreducible g:", gg)
 print("pth_root_mod(z^3 mod g, g) == z:", v == z)

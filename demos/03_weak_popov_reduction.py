@@ -3,8 +3,8 @@
 and the shortest-vector guarantee.  A matrix is a list of rows of Poly
 entries."""
 
-from pgoppa import Poly, make_field, min_pivot_row, pivot_index, weak_popov_reduce
-from pgoppa.popov import degree_tableau, det_fraction_free
+from pgoppa import Poly, make_field, pivot_index, weak_popov_reduce
+from pgoppa.popov import degree_tableau
 from pgoppa.rng import SplitMix64
 
 F = make_field(3, 2)
@@ -26,19 +26,22 @@ basis = [[g, zero, zero], [-v1, one, zero], [-v2, zero, one]]
 print("\ninput degree tableau (pivots bracketed):")
 print(degree_tableau(basis))
 
-reduced, transform = weak_popov_reduce(basis, accumulate=True)
+reduced = weak_popov_reduce(basis)
 print("\nreduced degree tableau:")
 print(degree_tableau(reduced))
-print("pivot indices now pairwise distinct:", [pivot_index(row) for row in reduced])
+pivots = [pivot_index(row) for row in reduced]
+print("pivot indices now pairwise distinct:", pivots)
 
-# The transform is a product of elementary row operations: unimodular.
-product = [[sum((u * row[j] for u, row in zip(urow, basis)), zero) for j in range(3)] for urow in transform]
-print("\nU @ A == A':", product == reduced)
-print("det(U):", det_fraction_free(transform))
+# The reduction keeps the lattice.  Each reduced row (a0, a1, a2) lies in
+# it, i.e. g divides a0 + a1*v1 + a2*v2; and the pivot degrees sum to
+# deg det = deg g, which no proper sublattice of full rank reaches.
+print("\nrows in the lattice:", [((a0 + a1 * v1 + a2 * v2) % g).is_zero() for a0, a1, a2 in reduced])
+degrees = [row[j - 1].degree for row, j in zip(reduced, pivots)]
+print("pivot degrees:", degrees, " sum:", sum(degrees), " deg g:", g.degree)
 
 # Every vector of the row lattice has degree at least the minimal pivot
 # degree, so the minimal pivot row is a shortest nonzero vector.
-short = min_pivot_row(reduced)
+short = min(reduced, key=lambda row: row[pivot_index(row) - 1].degree)
 short_deg = max(e.degree for e in short)
 print("\nshortest row:", short, " degree:", short_deg)
 for _ in range(3):

@@ -34,7 +34,7 @@ print("\nsyndrome degree:", s.degree)
 # root(x^k) - phi*k*root(x^(k-1)/s), so 2(p-1) roots give the key lattice of
 # every scale guess phi.  Reduce each and read locators off its rows.
 for phi, basis in enumerate(key_lattices(code, s), start=1):
-    reduced, _ = weak_popov_reduce(basis)
+    reduced = weak_popov_reduce(basis)
     print(f"\nphi = {phi}: reduced degree tableau")
     print(degree_tableau(reduced))
     for row in reduced:

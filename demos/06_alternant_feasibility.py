@@ -25,7 +25,7 @@ truth = {1: 1}
 s = alternant_syndrome(code, e)
 basis = try_build_alternant_lattice(code, s, phi=1)
 print("radicand is a square mod x^r:", basis is not None)
-reduced, _ = weak_popov_reduce(basis)
+reduced = weak_popov_reduce(basis)
 for row in reduced:
     try:
         sigma = assemble_locator(row, code.r)

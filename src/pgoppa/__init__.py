@@ -17,4 +17,4 @@ from .experiments import TrialConfig, run_trials, success_prob_model, sweep_weig
 from .fields import make_field
 from .goppa import GoppaCode, build_code, sample_error
 from .polyring import Poly, pth_power_decompose, pth_root_mod, random_irreducible
-from .popov import min_pivot_row, pivot_index, weak_popov_reduce
+from .popov import pivot_index, weak_popov_reduce

@@ -40,8 +40,7 @@ class AlternantCode:
 
     def __post_init__(self):
         f = self.field
-        if self.r < 1:
-            raise ParamError("syndrome length r must be >= 1")
+        check_integers((self.r,), 1, math.inf, "syndrome length r")
         if len(self.L) != len(self.xi):
             raise ParamError("L and xi must have equal length")
         if len(set(self.L)) != len(self.L):

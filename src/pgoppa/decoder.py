@@ -132,7 +132,7 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
     for phi in tried:
-        reduced, _ = weak_popov_reduce(bases[phi - 1])
+        reduced = weak_popov_reduce(bases[phi - 1])
         for row in reduced:
             try:
                 sigma = assemble_locator(row, code.t)

@@ -10,13 +10,14 @@ regardless of how trials are scheduled across worker processes.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .decoder import decode, locator_degree
-from .errors import ParamError
+from .errors import ParamError, check_integers
 from .goppa import build_code, sample_error
 from .rng import trial_stream
 
@@ -45,6 +46,8 @@ class TrialConfig:
     n: int | None = None
 
     def validate(self) -> None:
+        sizes = (self.p, self.m, self.t, self.w, self.trials) + ((self.n,) if self.n is not None else ())
+        check_integers(sizes, 0, math.inf, "p, m, t, w, trials and n")
         q = self.p**self.m
         if q - self.m * self.t <= 0:
             raise ParamError(f"p^m - m*t = {q - self.m * self.t}, need > 0")

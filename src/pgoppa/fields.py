@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import ParamError, check_integers
 
 _TABLE_LIMIT = 512
 
@@ -127,9 +127,6 @@ class Field:
             return self._add[a * self.q + b]
         return self._add_raw(a, b)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def neg(self, a: int) -> int:
         if self._neg is not None:
             return self._neg[a]
@@ -147,9 +144,6 @@ class Field:
         if self._inv is not None:
             return self._inv[a]
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -247,10 +241,9 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     field could be built anyway: its m*t-dimensional residue space is at
     least as large.
     """
+    check_integers((p, m), 1, math.inf, "characteristic and extension degree")
     if not is_prime(p):
         raise ParamError(f"characteristic must be prime, got {p}")
-    if m < 1:
-        raise ParamError(f"extension degree must be >= 1, got {m}")
     if modulus is not None:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:

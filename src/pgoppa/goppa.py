@@ -9,6 +9,7 @@ identity and of the serialized form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -212,10 +213,6 @@ class GoppaCode:
             raise ParamError("code record header disagrees with body")
         return cls(field, support, g)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def load(cls, path) -> "GoppaCode":
         with open(path) as fh:
@@ -269,8 +266,7 @@ def build_code(
     n defaults to the maximum possible length (all of GF(q) when the
     generator is irreducible of degree >= 2).
     """
-    if t < 1:
-        raise ParamError("t must be >= 1")
+    check_integers((t,) if n is None else (t, n), 1, math.inf, "t and n")
     field = make_field(p, m)
     if n is not None:
         if n > field.q:

@@ -8,13 +8,14 @@ polynomial has degree NEG_INF, a sentinel ordered below every integer
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import modp
-from .errors import NotInvertibleError, ParamError
+from .errors import NotInvertibleError, ParamError, check_integers
 from .fields import Field, is_prime
 
 NEG_INF = float("-inf")
@@ -131,17 +132,6 @@ class Poly:
         if self.is_zero() or self.lc() == 1:
             return self
         return self.scale(self.field.inv(self.lc()))
-
-    def pow_mod(self, e: int, g: "Poly") -> "Poly":
-        f = self.field
-        result = Poly.one(f)
-        acc = self % g
-        while e:
-            if e & 1:
-                result = (result * acc) % g
-            acc = (acc * acc) % g
-            e >>= 1
-        return result
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -485,8 +475,7 @@ def random_irreducible(t: int, field: Field, rng) -> Poly:
     Each candidate takes t randrange(q) draws of rng, low coefficient first;
     blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
     just after the accepted candidate's draws."""
-    if t < 1:
-        raise ParamError("degree must be >= 1")
+    check_integers((t,), 1, math.inf, "degree t")
     k, q = _BLOCK_ROWS, field.q
     while True:
         draws = rng.next_u64_block(k * t)

@@ -65,10 +65,6 @@ class SplitMix64:
         self.advance(len(bounds))
         return draws.tolist()
 
-    def randint(self, a: int, b: int) -> int:
-        """Integer in [a, b], both ends included."""
-        return a + self.randrange(b - a + 1)
-
     def sample(self, seq, k: int) -> list:
         """k distinct items, uniform without replacement (partial Fisher-Yates)."""
         pool = list(seq)

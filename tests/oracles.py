@@ -10,10 +10,12 @@ from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
+from pgoppa.popov import pivot_index
 from pgoppa.rng import trial_stream
 
 
-# -- polynomial matrices as lists of rows: the U * A == A' audits
+# -- polynomial matrices as lists of rows: the U * A == A' audits and the
+# reference reduction
 
 
 def identity_matrix(field, n: int) -> list[list[Poly]]:
@@ -35,6 +37,91 @@ def matmul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> list[lis
             new.append(acc)
         out.append(new)
     return out
+
+
+def _row_submul(dst: list[Poly], src: Sequence[Poly], c: int, e: int) -> None:
+    """dst -= c * x**e * src, entrywise."""
+    for j, s in enumerate(src):
+        if s:
+            dst[j] = dst[j] - s.scale(c).shift(e)
+
+
+def reference_weak_popov_reduce(a: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], list[list[Poly]]]:
+    """The reduction on Poly entries, in the same sweep order as
+    weak_popov_reduce (source k ascending, target l ascending, repeated
+    until no positive pivot index repeats); returns the reduced rows and
+    the rows of the U with U * a == reduced, built from the same row
+    operations applied to the identity."""
+    field = a[0][0].field
+    rows = [list(r) for r in a]
+    n = len(rows)
+    u = identity_matrix(field, n)
+    piv = [pivot_index(r) for r in rows]
+
+    def has_repeat():
+        seen = set()
+        for p in piv:
+            if p:
+                if p in seen:
+                    return True
+                seen.add(p)
+        return False
+
+    while has_repeat():
+        for k in range(n):
+            if piv[k] == 0:
+                continue
+            col = piv[k] - 1
+            for ell in range(n):
+                if ell == k:
+                    continue
+                src = rows[k][col]
+                while rows[ell][col].degree >= src.degree:
+                    c = field.mul(rows[ell][col].lc(), field.inv(src.lc()))
+                    e = rows[ell][col].degree - src.degree
+                    _row_submul(rows[ell], rows[k], c, e)
+                    _row_submul(u[ell], u[k], c, e)
+                piv[ell] = pivot_index(rows[ell])
+    return rows, u
+
+
+def min_pivot_row(rows: Sequence[Sequence[Poly]]) -> Sequence[Poly]:
+    """A row of minimal pivot degree, ties to the lowest row index.  For a
+    matrix in weak Popov form this is a shortest nonzero lattice vector:
+    every vector in the row span has degree at least the minimal pivot
+    degree."""
+    return min((r for r in rows if pivot_index(r)), key=lambda r: r[pivot_index(r) - 1].degree)
+
+
+def det_fraction_free(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix by Bareiss one-step fraction-free
+    elimination; the divisions are exact in GF(q)[x]."""
+    n = len(rows)
+    field = rows[0][0].field
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = Poly.one(field)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Poly.zero(field)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                q, r = divmod(num, prev)
+                assert r.is_zero(), "fraction-free elimination division not exact"
+                m[i][j] = q
+            m[i][k] = Poly.zero(field)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    if sign < 0:
+        det = -det
+    return det
 
 
 # -- schoolbook GF(q)[x] arithmetic: one Field method call per coefficient
@@ -86,7 +173,7 @@ def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         c = f.mul(r[k + db], inv_lb)
         q[k] = c
         for i, bi in enumerate(b.coeffs):
-            r[k + i] = f.sub(r[k + i], f.mul(c, bi))
+            r[k + i] = f.add(r[k + i], f.neg(f.mul(c, bi)))
     return Poly(f, q), Poly(f, r[:db])
 
 
@@ -95,6 +182,18 @@ def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
     while b.coeffs:
         a, b = b, schoolbook_divmod(a, b)[1]
     return schoolbook_scale(a, a.field.inv(a.lc())) if a.coeffs else a
+
+
+def pow_mod(a: Poly, e: int, g: Poly) -> Poly:
+    """a**e mod g by square and multiply."""
+    result = Poly.one(a.field)
+    acc = a % g
+    while e:
+        if e & 1:
+            result = (result * acc) % g
+        acc = (acc * acc) % g
+        e >>= 1
+    return result
 
 
 def rabin_irreducible(g: Poly) -> bool:
@@ -107,10 +206,10 @@ def rabin_irreducible(g: Poly) -> bool:
     x = Poly.x(f)
     h = x % g  # x**(q**i) mod g
     for _ in range(1, t):
-        h = h.pow_mod(f.q, g)
+        h = pow_mod(h, f.q, g)
         if poly_gcd(h - x, g).degree > 0:
             return False
-    return h.pow_mod(f.q, g) == x % g
+    return pow_mod(h, f.q, g) == x % g
 
 
 def poly_pth_power(a: Poly) -> Poly:

@@ -53,6 +53,9 @@ def test_code_validation():
         AlternantCode(f, (y, 1), (y, 1), 2)  # xi = y not in GF(p)
     with pytest.raises(ParamError):
         AlternantCode(f, (1, 2), (1,), 2)  # one ratio per support element
+    for r in (0, 1.5, 2.0, True):  # syndrome length: an integer >= 1
+        with pytest.raises(ParamError, match="syndrome length"):
+            AlternantCode(f, (1, 2), (2, 1), r)
     assert AlternantCode(f, (1, 2), (2, 1), 2).n == 2
 
 
@@ -170,7 +173,7 @@ def test_end_to_end_feasible_binary_instances():
             for k in range(1, p):
                 u = (Poly.monomial(code.field, k) + s_inv.shift(k - 1).scale(k % p)) % xr
                 assert poly_pth_power(-basis[k][0]) % xr == u
-            reduced, _ = weak_popov_reduce(basis)
+            reduced = weak_popov_reduce(basis)
             hit = False
             for row in reduced:
                 try:

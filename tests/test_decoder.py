@@ -20,7 +20,7 @@ from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, random_irreducible
 from pgoppa.rng import SplitMix64
 
-from oracles import assemble_locator_reference, locator_from_error, magnitude_profile, reference_key_lattice
+from oracles import assemble_locator_reference, locator_from_error, magnitude_profile, pow_mod, reference_key_lattice
 from test_popov import PROPERTY_FIELDS, polys
 
 
@@ -30,12 +30,12 @@ def corrupt(codeword, error, p):
 
 def random_small_code(rng):
     p = (2, 3, 5)[rng.randrange(3)]
-    m = rng.randint(1, 3 if p == 2 else 2)
+    m = 1 + rng.randrange(3 if p == 2 else 2)
     q = p**m
     tmax = min((q - 2) // m, 6)
     if tmax < 1:
         return None
-    t = rng.randint(1, tmax)
+    t = 1 + rng.randrange(tmax)
     return build_code(p, m, t, rng=rng)
 
 
@@ -137,7 +137,7 @@ def test_key_lattice_defining_property():
         for k in range(1, p):
             u = (Poly.monomial(code.field, k) - s_inv.shift(k - 1).scale(phi * k % p)) % code.g
             v = -basis[k][0]
-            assert v.pow_mod(p, code.g) == u
+            assert pow_mod(v, p, code.g) == u
             assert v.degree < code.t
 
 
@@ -153,7 +153,7 @@ def test_key_lattice_binary_shape():
     assert basis[0][0] == code.g
     # -v with v**2 == x - 1/s == x + 1/s (mod g)
     u = (Poly.x(code.field) + inv_mod(s, code.g)) % code.g
-    assert basis[1][0].pow_mod(2, code.g) == u
+    assert pow_mod(basis[1][0], 2, code.g) == u
     assert basis[1][1] == Poly.one(code.field)
 
 
@@ -168,7 +168,7 @@ def test_true_solution_lies_in_lattice():
         else:
             code = build_code(5, 2, 4, rng=rng)
         phi = 1 + rng.randrange(p - 1)
-        w = rng.randint(1, code.t)
+        w = 1 + rng.randrange(code.t)
         e = sample_error(code.n, w, ("equal", phi), p, rng)
         sigma = locator_from_error(code, e, phi)
         assert sigma.degree == w
@@ -417,6 +417,27 @@ def test_two_over_p_bound_on_locator_degrees():
         e = sample_error(code.n, w, "uniform", 5, rng)
         best = min(locator_from_error(code, e, phi).degree for phi in range(1, 5))
         assert best <= code.t
+
+
+# (p, m, t, largest w): w <= floor(2t/p), and the worst tail
+# q**-(t+1-floor(w p/2)) is 49**-4 at (7,2,24) and 81**-5 at (3,4,20)
+TWO_OVER_P_BLOCKS = [(7, 2, 24, 6), (3, 4, 20, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TWO_OVER_P_BLOCKS), st.data())
+def test_two_over_p_weight_decodes_with_any_magnitudes(block, data):
+    # some phi has locator degree at most floor(w p / 2) <= t, so only the
+    # tail above can lose the zero word, whatever the magnitudes are
+    p, m, t, wmax = block
+    assert wmax <= 2 * t // p and (p**m) ** -(t + 1 - wmax * p // 2) <= 1e-6
+    rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+    code = build_code(p, m, t, rng=rng)
+    w = data.draw(st.integers(1, wmax))
+    e = [0] * code.n
+    for pos in rng.sample(range(code.n), w):
+        e[pos] = data.draw(st.integers(1, p - 1))
+    assert (0,) * code.n in decode(code, e).codewords()
 
 
 def test_locator_degree_examples():

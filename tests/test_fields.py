@@ -127,11 +127,15 @@ def test_modulus_check_beyond_exact_float64_range():
 def test_make_field_rejects_composite_characteristic():
     with pytest.raises(ParamError, match="prime"):
         make_field(4, 1)
+    for p in (5.0, "5", True):  # types too, before the field cache is consulted
+        with pytest.raises(ParamError, match="characteristic"):
+            make_field(p, 2)
 
 
 def test_make_field_rejects_a_degree_below_one():
-    with pytest.raises(ParamError, match="degree"):
-        make_field(3, 0)
+    for m in (0, 2.0, "2", True):
+        with pytest.raises(ParamError, match="degree"):
+            make_field(3, m)
 
 
 def test_make_field_rejects_reducible_modulus():

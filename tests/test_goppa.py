@@ -66,7 +66,7 @@ def test_t1_parity_check_specialization():
     g = Poly(f, (f.neg(a), 1))
     support = [e for e in f.elements() if e != a][:7]
     code = GoppaCode(f, support, g)
-    assert parity_check(code)[0] == [f.inv(f.sub(a, lj)) for lj in support]
+    assert parity_check(code)[0] == [f.inv(f.add(a, f.neg(lj))) for lj in support]
 
 
 def toeplitz_vandermonde_diag(code):
@@ -259,7 +259,7 @@ def test_square_free_composite_generator():
 
 def test_code_file_roundtrip(tmp_path, code338):
     path = tmp_path / "code.txt"
-    code338.save(path)
+    path.write_text(code338.to_text())
     loaded = GoppaCode.load(path)
     assert loaded.L == code338.L
     assert loaded.g == code338.g
@@ -274,6 +274,9 @@ def test_code_rejects_non_integer_support_and_generator(code338):
             GoppaCode(f, (bad,) + L[1:], g)
     with pytest.raises(ParamError, match="generator coefficients must be integers"):
         GoppaCode(f, L, Poly(f, (0.5,) + g.coeffs[1:]))
+    for t, n in [(2.0, None), (True, None), (2, 9.0)]:
+        with pytest.raises(ParamError, match="t and n must be integers"):
+            build_code(3, 2, t, n, rng=SplitMix64(3))
 
 
 def test_code_record_rejects_ranks_outside_field(code338):
@@ -306,7 +309,7 @@ def test_records_round_trip(block, data):
     f = make_field(p, m, random_irreducible(m, make_field(p, 1), rng).coeffs)
     g = random_irreducible(data.draw(st.integers(1, tmax)), f, rng)
     usable = [a for a in f.elements() if g(a) != 0]
-    code = GoppaCode(f, rng.sample(usable, rng.randint(m * g.degree + 1, len(usable))), g)
+    code = GoppaCode(f, rng.sample(usable, m * g.degree + 1 + rng.randrange(len(usable) - m * g.degree)), g)
     back = GoppaCode.from_text(code.to_text())
     assert (back.field, back.g, back.L) == (f, g, code.L)
     assert back.to_text() == code.to_text()

@@ -1,7 +1,7 @@
 """Layering guards: only `fields` and `polyring` read a Field's private
 lookup tables, every other module going through the polyring kernels or
-the public Field methods; and every name the benchmark traces still
-exists."""
+the public Field methods; every name the benchmark traces still exists;
+and every public name the package defines is used outside the tests."""
 
 import ast
 import importlib.util
@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pgoppa
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(pgoppa.__file__).parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 PRIVATE_TABLES = {"_add", "_mul", "_neg", "_inv", "_proot"}
 TABLE_OWNERS = {"fields.py", "polyring.py"}
@@ -17,7 +19,7 @@ TABLE_OWNERS = {"fields.py", "polyring.py"}
 
 def test_only_fields_and_polyring_read_field_tables():
     readers = []
-    for path in sorted(Path(pgoppa.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         if path.name in TABLE_OWNERS:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -36,3 +38,33 @@ def test_every_traced_name_still_resolves():
     assert len(sites) == len(tracing.SPAN_SITES) + len(tracing.COUNT_SITES)
     lost = [name for name, where in sites.items() if not any(tracing._resolve(m, a) for m, a in where)]
     assert lost == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # test-only helpers belong in tests/oracles.py.  A function or class
+    # counts as used when its name is read, or given as a string (the
+    # benchmark's lookup sites); a method only when read as an attribute,
+    # so a local variable of the same name does not hide it
+    names, attrs = set(), set()
+    for folder in (PACKAGE, ROOT / "demos", ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name not in names | attrs:
+                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        if item.name not in attrs:
+                            unused.append(f"{path.name}:{node.name}.{item.name}")
+    assert unused == []
