@@ -171,8 +171,7 @@ def feasibility_probe(p: int, m: int, r: int, trials: int, rng) -> ProbeReport:
     infeasible.  A 3-sigma binomial interval around the observed rate is
     reported alongside the closed-form estimate.
     """
-    if trials < 1:
-        raise ParamError("trials must be >= 1")
+    check_integers((trials,), 1, math.inf, "trials")
     feasible = 0
     for i in range(trials):
         code = random_restricted_alternant(p, m, r, rng)

@@ -48,7 +48,8 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     Row 0 of each is (g, 0, ..., 0); row k is (-v_k, 0, .., 1, .., 0) with
     v_k**p == x**k - phi*k*x**(k-1)/s (mod g).  The p-th root mod a
     square-free g is additive and fixes GF(p), so -v_k = phi*b_k - a_k with
-    a_k = root(x**k) and b_k = k*root(x**(k-1)/s): 2(p-1) roots in all.
+    a_k = root(x**k) and b_k = k*root(x**(k-1)/s): 2(p-1) roots, of which
+    the code keeps the a_k from its first decode on.
     Raises NotInvertibleError when s is not invertible mod g.
     """
     f = code.field
@@ -56,8 +57,8 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     g = code.g
     s_inv = inv_mod(s, g)
     zero, one = Poly.zero(f), Poly.one(f)
-    a = [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, p)]
-    b = [pth_root_mod(s_inv.shift(k - 1), g).scale(k) for k in range(1, p)]
+    inverse, a = code.pth_roots(pth_root_mod)
+    b = [pth_root_mod(s_inv.shift(k - 1), g, inverse=inverse).scale(k) for k in range(1, p)]
     units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
     return [
         [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]

@@ -46,16 +46,16 @@ class TrialConfig:
     n: int | None = None
 
     def validate(self) -> None:
-        sizes = (self.p, self.m, self.t, self.w, self.trials) + ((self.n,) if self.n is not None else ())
-        check_integers(sizes, 0, math.inf, "p, m, t, w, trials and n")
+        sizes = (self.p, self.m, self.t, self.w) + ((self.n,) if self.n is not None else ())
+        check_integers(sizes, 0, math.inf, "p, m, t, w and n")
+        check_integers((self.trials,), 1, math.inf, "trials")
+        check_integers((self.seed,), -math.inf, math.inf, "seed")
         q = self.p**self.m
         if q - self.m * self.t <= 0:
             raise ParamError(f"p^m - m*t = {q - self.m * self.t}, need > 0")
         n = self.n if self.n is not None else q
         if not 0 <= self.w <= n:
             raise ParamError(f"weight {self.w} out of range for length {n}")
-        if self.trials < 1:
-            raise ParamError("trials must be >= 1")
 
     @property
     def q(self) -> int:

@@ -68,7 +68,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         ranks, rows = np.arange(start, start + size), np.ones((size, m + 1), dtype=np.int64)
         for i in range(m):
             ranks, rows[:, i] = np.divmod(ranks, p)
-        hit = _first_irreducible(make_field(p, 1), rows)
+        hit = _first_irreducible(make_field(p, 1), rows)[0]
         if hit is not None:
             return tuple(rows[hit].tolist())
         start, size = start + size, min(2 * size, 1024)

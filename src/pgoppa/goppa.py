@@ -3,8 +3,8 @@
 A code is determined by a support L of distinct field elements and a
 monic square-free generator g with g(L_i) != 0.  The trace expansion over
 GF(p) of the parity-check matrix is cached eagerly; the codeword kernel
-basis is computed on first use.  Support order is part of the code
-identity and of the serialized form.
+basis and the p-th-root data (`pth_roots`) are made on first use.  Support
+order is part of the code identity and of the serialized form.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .polyring import (
     Poly,
     _digit_split,
     _elementwise,
+    _frobenius_inverse,
     _synthetic_division,
     inv_mod,
     is_square_free,
@@ -53,19 +54,18 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
       "uniform"        independent uniform magnitudes in 1..p-1
       {v: count, ...}  explicit magnitude profile (counts sum to w)
     """
+    check_integers((n, w), 0, math.inf, "n and w")
     if not 0 <= w <= n:
         raise ParamError(f"weight {w} out of range for length {n}")
     values = [0] * n
     positions = rng.sample(range(n), w)
     if isinstance(dist, dict):
-        if any(cnt < 0 for cnt in dist.values()):
-            raise ParamError("magnitude profile counts must be >= 0")
+        check_integers(list(dist.values()), 0, math.inf, "magnitude profile counts")
         if sum(dist.values()) != w:
             raise ParamError("magnitude profile counts do not sum to the weight")
+        check_integers(list(dist), 1, p, "magnitudes")
         bag: list[int] = []
         for v, cnt in sorted(dist.items()):
-            if not 1 <= v <= p - 1:
-                raise ParamError(f"magnitude {v} outside 1..{p - 1}")
             bag.extend([v] * cnt)
         rng.shuffle(bag)
         mags = bag
@@ -76,8 +76,7 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
         mags = [v] * w
     elif isinstance(dist, tuple) and len(dist) == 2 and dist[0] == "equal":
         v = dist[1]
-        if not 1 <= v <= p - 1:
-            raise ParamError(f"magnitude {v} outside 1..{p - 1}")
+        check_integers((v,), 1, p, "magnitudes")
         mags = [v] * w
     else:
         raise ParamError(f"unknown magnitude distribution {dist!r}")
@@ -89,7 +88,7 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
 class GoppaCode:
     """Immutable Goppa code with a cached GF(p) parity-check matrix."""
 
-    __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel")
+    __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel", "_frobenius", "_roots")
 
     def __init__(self, field: Field, support: Sequence[int], g: Poly):
         n = len(support)
@@ -115,7 +114,8 @@ class GoppaCode:
         self.n = n
         self.t = t
         self.Hbar = self._expand_trace(self._build_parity_check())
-        self._kernel = None
+        self._kernel = self._roots = None
+        self._frobenius = None  # g's p-Frobenius matrix, when build_code has it
 
     # -- parity checks -------------------------------------------------------
 
@@ -172,6 +172,17 @@ class GoppaCode:
         if self._kernel is None:
             self._kernel = modp.kernel_mod_p(self.Hbar, self.field.p)
         return self._kernel
+
+    def pth_roots(self, root) -> tuple[np.ndarray, list[Poly]]:
+        """(F**-1, [a_1, ..., a_{p-1}]): the inverse p-Frobenius matrix mod g
+        and the roots a_k = root(x**k, g, inverse=F**-1), made on first use by
+        `root`, a function like `pth_root_mod`.  F is the screen's matrix when
+        build_code had one, and is built from g otherwise."""
+        if self._roots is None:
+            f, g = self.field, self.g
+            inverse = _frobenius_inverse(g, self._frobenius)
+            self._roots = inverse, [root(Poly.monomial(f, k), g, inverse=inverse) for k in range(1, f.p)]
+        return self._roots
 
     @property
     def dimension(self) -> int:
@@ -274,9 +285,9 @@ def build_code(
         if n - m * t <= 0:
             raise ParamError(f"dimension bound violated: n - m*t = {n - m * t}")
     if irreducible_only:
-        g = random_irreducible(t, field, rng)
+        g, frob = random_irreducible(t, field, rng, with_frobenius=True)
     else:
-        g = _random_square_free(t, field, rng)
+        g, frob = _random_square_free(t, field, rng), None
     if irreducible_only and t >= 2:  # an irreducible g of degree >= 2 has no roots
         candidates = list(field.elements())
     else:
@@ -287,7 +298,9 @@ def build_code(
             f"support of size {target} impossible: only {len(candidates)} usable elements"
         )
     support = rng.sample(candidates, target)
-    return GoppaCode(field, support, g)
+    code = GoppaCode(field, support, g)
+    code._frobenius = frob
+    return code
 
 
 def word_to_text(word: Sequence[int]) -> str:

@@ -228,19 +228,22 @@ def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Po
 
 
 def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Monic gcd d and the u with u*a == d (mod b), from one Euclid loop
-    that carries only that Bezout cofactor."""
+    """Monic gcd d and the u with u*a == d (mod b), from one Euclid loop on
+    coefficient lists that carries only that Bezout cofactor."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    c = f.inv(r0.lc())
-    return r0.scale(c), s0.scale(c)
+    r0, r1 = a.coeffs, b.coeffs
+    s0, s1 = [1], []
+    while r1:
+        q, r = _divmod(r0, r1, f)
+        s = list(s0)  # s0 - q * s1
+        for i, c in enumerate(q):
+            if c:
+                _row_addmul([s], [s1], f.neg(c), i, f)
+        r0, r1, s0, s1 = r1, r, s1, s
+    c = f.inv(r0[-1])
+    return Poly(f, r0).scale(c), Poly(f, s0).scale(c)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -417,7 +420,7 @@ def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
     return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
 
 
-def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
     """Rabin's test on a block, all but its gcds.  Row k of gc holds the
     coefficients, low to high, of a monic g of degree t >= 1.
 
@@ -426,8 +429,9 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
     of t <= 3.  x**(q**i) mod g comes from the rows' stacked q-Frobenius
     matrices.
-    Returns the rows, in order, that pass, and for each level i = t/r whose
-    gcd is still open the coefficient ranks of x**(q**i) - x at those rows.
+    Returns the rows, in order, that pass, for each level i = t/r whose gcd
+    is still open the coefficient ranks of x**(q**i) - x at those rows, and
+    their stacked p-Frobenius matrices (None where the screen built none).
     """
     t = gc.shape[1] - 1
     live = np.arange(len(gc))
@@ -435,10 +439,11 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     if screened and t > 1:
         live = live[_rootless(field, gc)]
     if t == 1 or (screened and t < 4) or not len(live):
-        return live.tolist(), []
+        return live.tolist(), [], None
     p, m = field.p, field.m
     levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r) and not (screened and r == t)]
-    frob_q = _power_mod(_frobenius_matrix(field, gc[live]), m, p)  # y -> y**q
+    frob = _frobenius_matrix(field, gc[live])
+    frob_q = _power_mod(frob, m, p)  # y -> y**q
     x = (np.arange(m * t) == m).astype(frob_q.dtype)
     h, powers = np.tile(x, (len(live), 1)), []
     for i in range(1, t + 1):
@@ -447,7 +452,8 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
             powers.append(h)
     passed = (h == x).all(axis=1)
     weights = p ** np.arange(m)
-    return live[passed].tolist(), [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
+    gaps = [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
+    return live[passed].tolist(), gaps, frob[passed]
 
 
 def is_irreducible(g: Poly, gaps: Sequence[Sequence[int]] | None = None) -> bool:
@@ -455,36 +461,40 @@ def is_irreducible(g: Poly, gaps: Sequence[Sequence[int]] | None = None) -> bool
     `_rabin_screen` and gaps are its rows there (x**(q**i) - x at each open
     level), so one gcd per level decides; without, g is screened alone."""
     if gaps is None:
-        return g.degree >= 1 and _first_irreducible(g.field, np.array([g.monic().coeffs])) == 0
+        return g.degree >= 1 and _first_irreducible(g.field, np.array([g.monic().coeffs]))[0] == 0
     return all(poly_gcd(g, Poly(g.field, r)).degree == 0 for r in gaps)
 
 
-def _first_irreducible(field: Field, gc: np.ndarray) -> int | None:
-    """Index of the first irreducible row of gc (rows as in `_rabin_screen`):
-    one screen of the block, then is_irreducible decides its survivors in
-    order from the screen's own levels."""
-    passed, gaps = _rabin_screen(field, gc)
-    return next(
-        (k for j, k in enumerate(passed) if is_irreducible(Poly(field, gc[k].tolist()), [v[j].tolist() for v in gaps])),
-        None,
-    )
+def _first_irreducible(field: Field, gc: np.ndarray) -> tuple[int | None, np.ndarray | None]:
+    """Index of the first irreducible row of gc (rows as in `_rabin_screen`)
+    and its p-Frobenius matrix from the screen, or None: one screen of the
+    block, then is_irreducible decides its survivors in order from the
+    screen's own levels."""
+    passed, gaps, frob = _rabin_screen(field, gc)
+    for j, k in enumerate(passed):
+        if is_irreducible(Poly(field, gc[k].tolist()), [v[j].tolist() for v in gaps]):
+            return k, None if frob is None else frob[j]
+    return None, None
 
 
-def random_irreducible(t: int, field: Field, rng) -> Poly:
-    """Uniform monic irreducible of degree exactly t (rejection sampling).
+def random_irreducible(t: int, field: Field, rng, *, with_frobenius: bool = False):
+    """Uniform monic irreducible g of degree exactly t (rejection sampling).
     Each candidate takes t randrange(q) draws of rng, low coefficient first;
     blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
-    just after the accepted candidate's draws."""
+    just after the accepted candidate's draws.  `with_frobenius` returns
+    (g, F), F being g's p-Frobenius matrix from the screen, or None where
+    it built none (t = 1, or t <= 3 over a table-backed field)."""
     check_integers((t,), 1, math.inf, "degree t")
     k, q = _BLOCK_ROWS, field.q
     while True:
         draws = rng.next_u64_block(k * t)
         gc = np.ones((k, t + 1), dtype=np.int64)
         gc[:, :t] = (draws % np.uint64(q)).reshape(k, t)
-        hit = _first_irreducible(field, gc)
+        hit, frob = _first_irreducible(field, gc)
         rng.advance(t * (k if hit is None else hit + 1))
         if hit is not None:
-            return Poly(field, gc[hit].tolist())
+            g = Poly(field, gc[hit].tolist())
+            return (g, frob) if with_frobenius else g
 
 
 def pth_power_decompose(f: Poly) -> list[Poly]:
@@ -503,38 +513,40 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     return [Poly(fld, cs) for cs in parts]
 
 
-@lru_cache(maxsize=128)
-def _frobenius_inverse(field: Field, g_coeffs: tuple[int, ...]) -> np.ndarray:
+def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:
     """Matrix of the inverse of y -> y**p on GF(q)[x]/g, for a monic g of
-    degree t >= 1, in the least unsigned dtype that holds p - 1.
+    degree t >= 1, in the float dtype of its matrix F, which `pth_root_mod`'s
+    product uses.
 
     The residue ring is an m*t-dimensional GF(p)-space and the Frobenius is
-    GF(p)-linear, so its matrix F comes from `_frobenius_matrix`.  y -> y**p
-    has order m*t on GF(q**t), and order dividing m*t on GF(q)[x]/g for
-    square-free g whose factor degrees all divide t; there F**-1 is
-    F**(m*t - 1), taken by `_power_mod` in the float dtype F has.  It is kept
-    if F times it is the identity; otherwise elimination inverts F, as a
-    composite square-free g needs.  F is singular exactly when g is not
-    square-free, and ParamError is raised.
+    GF(p)-linear: F is `frob`, or `_frobenius_matrix`'s when that is None.
+    y -> y**p has order m*t on GF(q**t), and order dividing m*t on
+    GF(q)[x]/g for square-free g whose factor degrees all divide t; there
+    F**-1 is F**(m*t - 1), taken by `_power_mod`.  It is kept if F times it
+    is the identity; otherwise elimination inverts F, as a composite
+    square-free g needs.  F is singular exactly when g is not square-free,
+    and ParamError is raised.
     """
-    p = field.p
-    frob = _frobenius_matrix(field, np.array([g_coeffs]))[0]
+    p = g.field.p
+    if frob is None:
+        frob = _frobenius_matrix(g.field, np.array([g.coeffs]))[0]
     inverse = _power_mod(frob, len(frob) - 1, p)
     if not np.array_equal(_fmod(frob @ inverse, p), np.eye(len(frob))):
         inverse = modp.inv_mod_p(frob, p)
         if inverse is None:
             raise ParamError("p-th roots need a square-free modulus")
-    return inverse.astype(np.min_scalar_type(p - 1))
+    return inverse.astype(frob.dtype)
 
 
-def pth_root_mod(z: Poly, g: Poly) -> Poly:
+def pth_root_mod(z: Poly, g: Poly, *, inverse: np.ndarray | None = None) -> Poly:
     """The v with v**p == z (mod g) for a square-free g of degree >= 1;
-    ParamError for any other g."""
+    ParamError for any other g.  `inverse` is g's `_frobenius_inverse`."""
     if g.degree < 1:
         raise ParamError("modulus must have degree >= 1")
     f, t = g.field, g.degree
-    inverse = _frobenius_inverse(f, g.monic().coeffs)
+    if inverse is None:
+        inverse = _frobenius_inverse(g.monic())
     cs = (z % g).coeffs
     v = _digit_split(np.array(cs + (0,) * (t - len(cs)), dtype=np.int64), f).ravel()
-    digits = (inverse @ v % f.p).reshape(t, f.m)
+    digits = _fmod(inverse @ v.astype(inverse.dtype), f.p).astype(np.int64).reshape(t, f.m)
     return Poly(f, (digits @ f.p ** np.arange(f.m)).tolist())

@@ -228,6 +228,9 @@ def test_feasibility_probe_reporting():
     fields = report.line().split()
     assert len(fields) == 9
     assert fields[:5] == ["2", "2", "4", "600", str(report.feasible)]
+    for trials in (0, 2.0, True):
+        with pytest.raises(ParamError, match="trials must be integers"):
+            feasibility_probe(2, 2, 4, trials, SplitMix64(3008))
 
 
 def test_feasibility_probe_interval_shrinks():

@@ -17,7 +17,7 @@ from pgoppa.decoder import (
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, random_irreducible
+from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
 from oracles import assemble_locator_reference, locator_from_error, magnitude_profile, pow_mod, reference_key_lattice
@@ -221,17 +221,46 @@ def test_key_lattices_equal_per_phi_reference(block, irreducible, seed):
     assert len(rows) == len(set(rows))
 
 
+def test_decoder_roots_equal_roots_built_from_g():
+    # the roots the decoder takes with a code's matrix equal pth_root_mod(z, g)
+    # wherever the matrix comes from: the screen, a code file, a composite g,
+    # t <= 3 (the root screen alone decides, so no matrix), GF(3**6)
+    rng = SplitMix64(2204)
+    built = build_code(3, 3, 8, rng=rng)
+    codes = [built, GoppaCode.from_text(built.to_text()), build_code(3, 3, 4, rng=rng, irreducible_only=False),
+             build_code(5, 2, 3, rng=rng), build_code(3, 6, 4, rng=rng)]
+    assert [c._frobenius is None for c in codes] == [False, True, True, True, False]
+    for code in codes:
+        f, g = code.field, code.g
+        inverse, a = code.pth_roots(pth_root_mod)
+        assert a == [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, f.p)]
+        for _ in range(5):
+            z = Poly(f, [rng.randrange(f.q) for _ in range(2 * code.t)])
+            assert pth_root_mod(z, g, inverse=inverse) == pth_root_mod(z, g)
+        while True:
+            s = Poly(f, [rng.randrange(f.q) for _ in range(code.t)])
+            try:
+                s_inv = inv_mod(s, g)
+                break
+            except NotInvertibleError:
+                pass
+        assert key_lattices(code, s) == [reference_key_lattice(code, s_inv, phi) for phi in range(1, f.p)]
+
+
 def test_decode_takes_two_roots_per_radicand_index(monkeypatch):
-    # a_k and b_k for k = 1..p-1, shared by every phi: 2(p-1) roots, not (p-1)**2
+    # a_k and b_k for k = 1..p-1, shared by every phi: 2(p-1) roots, not
+    # (p-1)**2; the code keeps its a_k, so a second decode takes only the b_k
     calls = []
     real = decoder.pth_root_mod
-    monkeypatch.setattr(decoder, "pth_root_mod", lambda z, g: calls.append(z) or real(z, g))
+    monkeypatch.setattr(decoder, "pth_root_mod", lambda z, g, **kw: calls.append(z) or real(z, g, **kw))
     rng = SplitMix64(2021)
     code = build_code(5, 2, 4, rng=rng)
-    e = sample_error(code.n, 2, "uniform", 5, rng)
-    cw = code.random_codeword(rng)
-    assert cw in decode(code, corrupt(cw, e, 5)).codewords()
-    assert len(calls) == 2 * (5 - 1)
+    for roots in (2 * (5 - 1), 5 - 1):
+        e = sample_error(code.n, 2, "uniform", 5, rng)
+        cw = code.random_codeword(rng)
+        calls.clear()
+        assert cw in decode(code, corrupt(cw, e, 5)).codewords()
+        assert len(calls) == roots
 
 
 def test_assemble_locator_examples():

@@ -148,9 +148,12 @@ def test_config_validation():
     with pytest.raises(ParamError):
         TrialConfig(3, 3, 8, 8, trials=0).validate()
     for bad in (TrialConfig(3.0, 2, 2, 1), TrialConfig(3, 2.0, 2, 1), TrialConfig(3, 2, 2.0, 1),
-                TrialConfig(3, 2, 2, 1.0), TrialConfig(3, 2, 2, 1, trials=2.0), TrialConfig(3, 2, 2, 1, n=9.0)):
+                TrialConfig(3, 2, 2, 1.0), TrialConfig(3, 2, 2, 1, trials=2.0), TrialConfig(3, 2, 2, 1, n=9.0),
+                TrialConfig(3, 2, 2, 1, trials=2, seed=1.5)):
         with pytest.raises(ParamError, match="must be integers"):
             run_trials(bad)
+    for seed in (-1, 0, 2**64):  # a seed of either sign stays valid
+        TrialConfig(3, 2, 2, 1, trials=2, seed=seed).validate()
 
 
 def test_run_trials_zero_weight_always_succeeds():

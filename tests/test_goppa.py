@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pgoppa import polyring
 from pgoppa.decoder import decode
 from pgoppa.errors import ParamError
 from pgoppa.fields import make_field
@@ -19,7 +20,7 @@ from pgoppa.goppa import (
     word_from_text,
     word_to_text,
 )
-from pgoppa.polyring import Poly, is_irreducible, is_square_free, random_irreducible
+from pgoppa.polyring import Poly, _frobenius_matrix, is_irreducible, is_square_free, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
 from oracles import magnitude_profile, parity_check
@@ -242,10 +243,15 @@ def test_sample_error_param_errors():
         sample_error(5, 2, ("equal", 0), 3, rng)
     with pytest.raises(ParamError):
         sample_error(5, 2, {1: 3}, 3, rng)
-    with pytest.raises(ParamError, match=">= 0"):  # counts sum to w, one is negative
+    with pytest.raises(ParamError, match="counts must be integers"):  # counts sum to w, one is negative
         sample_error(10, 4, {1: 5, 2: -1}, 3, SplitMix64(1))
     with pytest.raises(ParamError):
         sample_error(5, 2, "weird", 3, rng)
+    # types as well as ranges: n, w, magnitudes and counts are integers
+    for n, w, dist in [(8, 1.0, "equal"), (8.0, 1, "equal"), (9, 2, {1.5: 2}), (9, 2, ("equal", True)),
+                       (9, 2, {1: 1.0, 2: 1.0})]:
+        with pytest.raises(ParamError, match="must be integers"):
+            sample_error(n, w, dist, 3, rng)
 
 
 def test_square_free_composite_generator():
@@ -255,6 +261,25 @@ def test_square_free_composite_generator():
         assert is_square_free(code.g)
         assert code.g.degree == 4
         assert all(code.g(a) != 0 for a in code.L)
+
+
+@pytest.mark.parametrize("p, m, t", [(3, 4, 20), (7, 2, 24), (5, 3, 41), (3, 3, 8)])
+def test_built_code_keeps_the_screens_frobenius_matrix(monkeypatch, p, m, t):
+    code = build_code(p, m, t, rng=SplitMix64(2200 + p))
+    frob = _frobenius_matrix(code.field, np.array([code.g.coeffs]))[0]
+    assert code._frobenius.dtype == frob.dtype and np.array_equal(code._frobenius, frob)
+    # the code's roots use that matrix; a code read from text builds its own
+    built = []
+    real = polyring._frobenius_matrix
+    monkeypatch.setattr(polyring, "_frobenius_matrix", lambda field, gc: built.append(len(gc)) or real(field, gc))
+    inverse, a = code.pth_roots(pth_root_mod)
+    assert not built
+    assert inverse.dtype == frob.dtype
+    assert code.pth_roots(pth_root_mod)[1] is a  # made once
+    loaded = GoppaCode.from_text(code.to_text())
+    assert loaded._frobenius is None
+    built.clear()
+    assert np.array_equal(loaded.pth_roots(pth_root_mod)[0], inverse) and built == [1]
 
 
 def test_code_file_roundtrip(tmp_path, code338):
