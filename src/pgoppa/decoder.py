@@ -68,17 +68,17 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
     """sigma = sum x**j a_j**p, made monic; rejects rows breaking the
-    degree bounds deg(a_j) <= (t - j) // p.  Coefficient i of a_j, raised
-    to the p-th power, is coefficient p*i + j of sigma: j < p, so no two
-    terms share a slot."""
+    degree bounds deg(a_j) <= (t - j) // p, all checked before any power is
+    taken.  Coefficient i of a_j, raised to the p-th power, is coefficient
+    p*i + j of sigma: j < p, so no two terms share a slot."""
     f = a[0].field
     p = f.p
-    out = [0] * (t + 1)
     for j, aj in enumerate(a):
         if aj.degree > (t - j) // p:
             raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
-        for i, c in enumerate(aj.coeffs):
-            out[p * i + j] = f.pow(c, p)
+    out = [0] * (t + 1)
+    for j, aj in enumerate(a):
+        out[j : j + p * len(aj.coeffs) : p] = [f.pow(c, p) for c in aj.coeffs]
     sigma = Poly(f, out)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")

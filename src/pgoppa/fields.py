@@ -124,7 +124,7 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
-            return self._add[a * self.q + b]
+            return self._add[a][b]
         return self._add_raw(a, b)
 
     def neg(self, a: int) -> int:
@@ -135,7 +135,7 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
-            return self._mul[a * self.q + b]
+            return self._mul[a][b]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -191,7 +191,7 @@ class Field:
         return self.from_coeffs(c % p for c in conv[:m])
 
     def _build_tables(self) -> None:
-        """Tables from digit arithmetic: digit k of a*b is sum_j b_j (a y**j)_k."""
+        """Row tables (_mul[a][b] == a*b) from digit arithmetic: digit k of a*b is sum_j b_j (a y**j)_k."""
         p, m, q = self.p, self.m, self.q
         weights = p ** np.arange(m)
         digits = np.arange(q)[:, None] // weights % p
@@ -199,7 +199,7 @@ class Field:
         lifted = np.stack([digits @ powers[j : j + m] for j in range(m)], axis=1)
         add = sum((digits[:, None, k] + digits[:, k]) % p * weights[k] for k in range(m))
         mul = sum(digits @ lifted[:, :, k].T % p * weights[k] for k in range(m))
-        self._add, self._mul = add.ravel().tolist(), mul.ravel().tolist()
+        self._add, self._mul = add.tolist(), mul.tolist()
         self._neg = (-digits % p @ weights).tolist()
         self._inv = np.argmax(mul == 1, axis=1).tolist()
         proot = [0] * q

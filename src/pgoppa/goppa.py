@@ -101,6 +101,8 @@ class GoppaCode:
             raise ParamError("support elements must be distinct")
         if n > field.q:
             raise ParamError(f"support length {n} exceeds field size {field.q}")
+        if n * (field.p - 1) ** 2 + field.p >= 1 << 63:  # the bound on Hbar @ word in int64
+            raise ParamError(f"syndromes of length-{n} words mod {field.p} would overflow int64")
         if n - field.m * t <= 0:
             raise ParamError(f"dimension bound violated: n - m*t = {n - field.m * t}")
         # before any table lookup: an out-of-range rank would index past the tables

@@ -3,12 +3,14 @@
 p is assumed prime (inverses via Fermat).  Results are reduced to [0, p).
 Elimination defers its reductions mod p, so its intermediate entries stay
 below min(rows, cols) * (p-1)**2 + p in absolute value; `rref_mod_p` raises
-`ValueError` when that bound reaches 2**63, where int64 would overflow.
+`ParamError` when that bound reaches 2**63, where int64 would overflow.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ParamError
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -19,7 +21,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     if min(rows, cols) * (p - 1) ** 2 + p >= 1 << 63:
-        raise ValueError(f"a {rows} x {cols} elimination mod {p} would overflow int64")
+        raise ParamError(f"a {rows} x {cols} elimination mod {p} would overflow int64")
     pivots: list[int] = []
     r = 0
     for c in range(cols):

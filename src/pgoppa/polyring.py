@@ -156,28 +156,29 @@ class Poly:
 # -- coefficient-list kernels ----------------------------------------------
 #
 # Every GF(q)[x] operation reduces to these two loops on bare coefficient
-# lists (low to high, trimmed).  Table-backed fields run them fused over the
-# flat add/mul tables; others make the same updates through Field.add and
-# Field.mul.
+# lists (low to high, trimmed).  Table-backed fields run them over the row
+# tables (a loop takes its multiplier's row once, so an update is three
+# subscripts); others make the same updates through Field.add and Field.mul.
 
 
 def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: int, field: Field) -> None:
     """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists."""
-    add, mul, q = field._add, field._mul, field.q
-    ncq = nc * q
-    for j, s in enumerate(src):
+    add, mul = field._add, field._mul
+    times = None if mul is None else mul[nc]
+    for d, s in zip(dst, src):
         if not s:
             continue
-        d = dst[j]
         short = e + len(s) - len(d)
         if short > 0:
             d.extend([0] * short)
-        if mul is not None:
-            for i, si in enumerate(s, e):
-                d[i] = add[d[i] * q + mul[ncq + si]]
-        else:
+        if times is None:
             for i, si in enumerate(s, e):
                 d[i] = field.add(d[i], field.mul(nc, si))
+        else:
+            i = e  # stepped by hand: cheaper than enumerate's tuple per update
+            for si in s:
+                d[i] = add[d[i]][times[si]]
+                i += 1
         while d and d[-1] == 0:
             d.pop()
 
@@ -192,19 +193,21 @@ def _divmod(a: Sequence[int], b: Sequence[int], field: Field) -> tuple[list[int]
     r = list(a)
     if len(r) <= db:
         return [], r
-    add, mul, neg, q = field._add, field._mul, field._neg, field.q
+    add, mul, neg = field._add, field._mul, field._neg
     inv_lb = field.inv(b[-1])
     quo = [0] * (len(r) - db)
     steps = range(len(quo) - 1, -1, -1)
     if mul is not None:
         for k in steps:
-            c = mul[r[k + db] * q + inv_lb]
+            c = mul[r[k + db]][inv_lb]
             if c:
                 quo[k] = c
-                ncq = neg[c] * q
-                for i, bi in enumerate(b, k):
+                times = mul[neg[c]]
+                i = k  # stepped by hand, as in _row_addmul
+                for bi in b:
                     if bi:
-                        r[i] = add[r[i] * q + mul[ncq + bi]]
+                        r[i] = add[r[i]][times[bi]]
+                    i += 1
     else:
         for k in steps:
             c = field.mul(r[k + db], inv_lb)
@@ -278,9 +281,7 @@ def _elementwise(field: Field):
     others apply their scalar ops elementwise, on Python ints."""
     if field._mul is None:
         return np.frompyfunc(field.add, 2, 1), np.frompyfunc(field.mul, 2, 1), object
-    q = field.q
-    add = np.array(field._add).reshape(q, q)
-    mul = np.array(field._mul).reshape(q, q)
+    add, mul = np.array(field._add), np.array(field._mul)
     return (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
 
 

@@ -57,7 +57,6 @@ def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     """
     field = rows[0][0].field
     rows = [[list(entry.coeffs) for entry in r] for r in rows]
-    n = len(rows)
     piv = [_pivot(r) for r in rows]
 
     def has_repeat() -> bool:
@@ -65,19 +64,17 @@ def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
         return len(nonzero) != len(set(nonzero))
 
     while has_repeat():
-        for k in range(n):
+        for k, src in enumerate(rows):
             if piv[k] == 0:
                 continue
             col = piv[k] - 1
-            src = rows[k]
             size = len(src[col])
-            inv_lc = field.inv(src[col][-1])
-            for ell in range(n):
-                if ell == k:
-                    continue
-                dst = rows[ell]
-                while len(dst[col]) >= size:
-                    nc = field.neg(field.mul(dst[col][-1], inv_lc))
-                    _row_addmul(dst, src, nc, len(dst[col]) - size, field)
+            neg_inv_lc = field.neg(field.inv(src[col][-1]))
+            for ell, dst in enumerate(rows):
+                lead = dst[col]
+                if len(lead) < size or dst is src:
+                    continue  # nothing to cancel: the row and its pivot stay
+                while len(lead) >= size:
+                    _row_addmul(dst, src, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
                 piv[ell] = _pivot(dst)
     return [[Poly(field, entry) for entry in r] for r in rows]

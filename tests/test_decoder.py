@@ -285,6 +285,26 @@ def test_assemble_locator_degree_filter():
         assemble_locator([big, Poly.zero(f3), Poly.zero(f3)], 4)
 
 
+def test_assemble_locator_checks_every_bound_before_any_power(monkeypatch):
+    # a row rejected at a_2 takes no p-th power of a_0 or a_1 first, and
+    # still names the first entry that breaks its bound
+    f3 = make_field(3, 1)
+    powers = []
+    field_pow = type(f3).pow
+
+    def counting(self, a, e):
+        powers.append(a)
+        return field_pow(self, a, e)
+
+    monkeypatch.setattr(type(f3), "pow", counting)
+    row = [Poly(f3, (1, 2)), Poly(f3, (2,)), Poly(f3, (1, 1, 1))]
+    with pytest.raises(DegreeBoundError, match=r"^deg\(a_2\) = 2 exceeds 1$"):
+        assemble_locator(row, 5)
+    assert powers == []
+    assert assemble_locator(row[:2] + [Poly(f3, (1, 1))], 5) == Poly(f3, (1, 2, 1, 2, 0, 1))
+    assert powers == [1, 2, 2, 1, 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_assemble_locator_matches_poly_sum(data):

@@ -255,6 +255,7 @@ def test_prime_field_tables_match_digit_arithmetic(p, m):
     f = make_field(p, m)
     q = f.q
     assert type(f._add) is list and type(f._mul) is list
+    assert [len(row) for row in f._add] == [len(row) for row in f._mul] == [q] * q
     if m == 1:
         rng = random.Random(p)
         pairs = [(a, b) for a in (0, 1, p - 1) for b in (0, 1, p - 1)]
@@ -262,8 +263,8 @@ def test_prime_field_tables_match_digit_arithmetic(p, m):
     else:
         pairs = [(a, b) for a in range(q) for b in range(q)]
     for a, b in pairs:
-        assert f._add[a * q + b] == f._add_raw(a, b)
-        assert f._mul[a * q + b] == f._mul_raw(a, b) == brute_mul(a, b, p, m, f.modulus)
+        assert f._add[a][b] == f._add_raw(a, b)
+        assert f._mul[a][b] == f._mul_raw(a, b) == brute_mul(a, b, p, m, f.modulus)
     for a in range(q):
         assert f._add_raw(a, f._neg[a]) == 0
         assert a == 0 or f._mul_raw(a, f._inv[a]) == 1

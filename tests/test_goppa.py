@@ -189,6 +189,24 @@ def test_word_of_wrong_length_or_entry_is_rejected():
     assert code.contains((0,) * 9)
 
 
+def test_syndromes_that_would_overflow_int64_are_rejected():
+    # over GF(2**31 - 1) four products of entries below p sum past 2**63, so
+    # Hbar @ word would wrap: the word (p-1, p-2, p-3, p-4) read 142496150
+    # where the exact syndrome is 142496154
+    p = 2**31 - 1
+    f = make_field(p, 1)
+    g = Poly(f, (5, 1))
+    support = (123456789, 987654321, 55555555, 777777)
+    with pytest.raises(ParamError, match="would overflow int64"):
+        GoppaCode(f, support, g)
+    # two products stay below the bound, and the syndrome is exact: the sum
+    # of w_j / (x - L_j) mod x + 5, that is of -w_j / (L_j + 5)
+    code = GoppaCode(f, support[:2], g)
+    word = (p - 1, p - 2)
+    exact = sum(-w * pow(a + 5, -1, p) for w, a in zip(word, support)) % p
+    assert code.syndrome_from_word(word) == [exact]
+
+
 def test_trace_degenerate_extension():
     # m = 1: the GF(p) matrix is the GF(q) one, column j the syndrome of e_j
     code = build_code(5, 1, 1, n=4, rng=SplitMix64(54))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pgoppa.errors import ParamError
 from pgoppa.modp import inv_mod_p, kernel_mod_p, rref_mod_p
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -95,9 +96,12 @@ def test_inverse_exactly_when_nonsingular(case):
 
 
 def test_int64_bound_is_enforced():
+    # a bad modulus is a bad parameter, like every other one
     a = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ParamError, match="overflow"):
         rref_mod_p(a, 2**31 - 1)
+    with pytest.raises(ParamError, match="overflow"):
+        inv_mod_p(a, 2**31 - 1)
     # two rows stay just below the bound, where an unreduced pivot row would overflow
     wide = np.array([[3, 2**31 - 5, 2**30 + 7], [2**31 - 2, 11, 2**31 - 9]])
     got, pivots = rref_mod_p(wide, 2**31 - 1)

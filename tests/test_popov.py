@@ -1,16 +1,21 @@
 """Weak Popov reduction tests: pivot semantics, the worked 2x2 example,
 lattice membership and unimodularity, the shortest-vector property, the
-Euclid equivalence in characteristic 2, and agreement with a Poly-entry
-reference reduction."""
+Euclid equivalence in characteristic 2, agreement with a Poly-entry
+reference reduction, the pinned reduced rows of decoder key lattices, and
+agreement of the kernel's table and table-free branches."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgoppa import popov
-from pgoppa.fields import make_field
-from pgoppa.polyring import Poly, random_irreducible
+from pgoppa.decoder import key_lattices
+from pgoppa.fields import Field, make_field
+from pgoppa.goppa import build_code, sample_error
+from pgoppa.polyring import Poly, inv_mod, random_irreducible
 from pgoppa.popov import degree_tableau, pivot_index, weak_popov_reduce
-from pgoppa.rng import SplitMix64
+from pgoppa.rng import SplitMix64, trial_stream
 
 from oracles import det_fraction_free, identity_matrix, matmul, min_pivot_row, reference_weak_popov_reduce
 
@@ -248,3 +253,69 @@ def test_reduction_matches_poly_reference(a):
     want, u = reference_weak_popov_reduce(a)
     assert got == want
     assert matmul(u, a) == want
+
+
+# (block, magnitude distribution of each word) for the pinned reductions
+PINNED_WORDS = [
+    ((7, 2, 24), ("equal", "uniform", "equal")),
+    ((3, 4, 20), ("equal", "uniform", "equal")),
+    ((11, 2, 60), ("equal",)),
+]
+
+
+def test_key_lattice_reductions_are_pinned(monkeypatch):
+    """The reduced rows of every key lattice of a fixed set of words, and
+    the number of simple transformations that made them.  A faster sweep
+    or kernel must make exactly the same transformations, which the
+    digests and golden CSVs rely on."""
+    calls = []
+    kernel = popov._row_addmul
+
+    def counting(dst, src, nc, e, field):
+        calls.append(1)
+        kernel(dst, src, nc, e, field)
+
+    monkeypatch.setattr(popov, "_row_addmul", counting)
+    digest = hashlib.sha256()
+    for (p, m, t), dists in PINNED_WORDS:
+        rng = trial_stream(2026, p)
+        code = build_code(p, m, t, rng=rng)
+        for dist in dists:
+            e = sample_error(code.n, t, dist, p, rng)
+            s = Poly(code.field, code.syndrome_from_word(e.values))
+            for basis in key_lattices(code, s):
+                for row in weak_popov_reduce(basis):
+                    digest.update(repr([list(x.coeffs) for x in row]).encode())
+    assert len(calls) == 8822
+    assert digest.hexdigest() == "32e32276e0809356b76ef0ac0b1c229d8cf49aa3106bf544baa20691e71656aa"
+
+
+def without_tables(f: Field) -> Field:
+    """A twin of a table-backed field whose operations take the generic
+    digit arithmetic, so the kernels take their table-free branches."""
+    twin = Field(f.p, f.m, f.modulus)
+    twin._add = twin._mul = twin._neg = twin._inv = twin._proot = None
+    return twin
+
+
+@pytest.mark.parametrize("p,m,t", [(7, 2, 8), (3, 4, 10), (2, 3, 6)])
+def test_kernel_branches_agree(p, m, t):
+    # the reduction, products and inverses on a table-backed field equal
+    # those on its table-free twin, coefficient for coefficient
+    f = make_field(p, m)
+    twin = without_tables(f)
+    assert f._mul is not None
+
+    def on_twin(a):
+        return Poly(twin, a.coeffs)
+
+    rng = SplitMix64(31 * p + m)
+    g = random_irreducible(t, f, rng)
+    for _ in range(6):
+        rows = random_lattice_basis(p, m, t, rng)
+        got = weak_popov_reduce([[on_twin(x) for x in r] for r in rows])
+        assert [[x.coeffs for x in r] for r in got] == [[x.coeffs for x in r] for r in weak_popov_reduce(rows)]
+        a, b = (Poly(f, [rng.randrange(f.q) for _ in range(t + 3)]) for _ in range(2))
+        assert (on_twin(a) * on_twin(b)).coeffs == (a * b).coeffs
+        if not (a % g).is_zero():
+            assert inv_mod(on_twin(a), on_twin(g)).coeffs == inv_mod(a, g).coeffs
