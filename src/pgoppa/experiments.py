@@ -95,6 +95,8 @@ def csv_report(reports: list[TrialReport], seed: int) -> str:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: the request (or cpu count), capped by PGOPPA_MAX_WORKERS."""
+    if requested is not None:
+        check_integers((requested,), -math.inf, math.inf, "worker count")
     base = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get(WORKERS_ENV)
     if cap:

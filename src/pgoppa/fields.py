@@ -5,10 +5,10 @@ coefficient vector in the polynomial basis, rank = sum(c_i * p**i).
 Ranks below p are exactly the prime subfield, and rank arithmetic is
 what the on-disk formats use, so no wrapper type is needed.
 
-Small fields (q <= 512) eagerly build add/mul/inverse/p-th-root lookup
-tables from the generic digit arithmetic; larger fields stay on the
-generic path.  No discrete-log or Zech tables anywhere, so q is bounded
-only by patience.
+Every field has the same lookups (_add[a][b], _mul[a][b], _neg[a], _inv[a],
+_proot[a]) and numpy array ops: tables built from the digit arithmetic when
+q <= 512, entries computed from it when read beyond.  No discrete-log or
+Zech tables anywhere, so q is bounded only by patience.
 
 Field operations do not check their arguments: a rank outside [0, q)
 gives an IndexError or a wrong answer.  Ranks are checked where they
@@ -74,10 +74,23 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         start, size = start + size, min(2 * size, 1024)
 
 
+class _Computed:
+    """Stand-in for a lookup table too large to build: entry [a] is
+    op(*args, a), computed when it is read."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
+
+    def __getitem__(self, a):
+        return self.op(*self.args, a)
+
+
 class Field:
     """Immutable GF(p^m) context; all element operations are pure."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_proot")
+    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_proot", "_arrays")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -87,12 +100,11 @@ class Field:
         # digit rows for y^j mod modulus, j = m .. 2m-2
         self._red = [[(-c) % p for c in self.modulus[:m]]]
         for _ in range(m - 2):
-            row = self._red[-1]
-            nxt = [0] + row[:-1] if row[-1] == 0 else self._shift_reduce(row)
-            self._red.append(nxt)
-        self._add = self._mul = self._neg = self._inv = self._proot = None
+            self._red.append(self._shift_reduce(self._red[-1]))
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
+        else:
+            self._computed_lookups()
 
     def _shift_reduce(self, row: list[int]) -> list[int]:
         p, m = self.p, self.m
@@ -123,27 +135,18 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        p = self.p
-        return self.from_coeffs((-c) % p for c in self.coeffs(a))
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -160,9 +163,7 @@ class Field:
     def pth_root(self, a: int) -> int:
         """Unique b with b**p == a; the Frobenius x -> x**p has order m,
         so its inverse is x -> x**(p**(m-1))."""
-        if self._proot is not None:
-            return self._proot[a]
-        return self.pow(a, self.p ** (self.m - 1))
+        return self._proot[a]
 
     def _add_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -191,7 +192,8 @@ class Field:
         return self.from_coeffs(c % p for c in conv[:m])
 
     def _build_tables(self) -> None:
-        """Row tables (_mul[a][b] == a*b) from digit arithmetic: digit k of a*b is sum_j b_j (a y**j)_k."""
+        """Row tables (_mul[a][b] == a*b) from digit arithmetic: digit k of a*b
+        is sum_j b_j (a y**j)_k.  The array ops index the numpy tables."""
         p, m, q = self.p, self.m, self.q
         weights = p ** np.arange(m)
         digits = np.arange(q)[:, None] // weights % p
@@ -200,12 +202,23 @@ class Field:
         add = sum((digits[:, None, k] + digits[:, k]) % p * weights[k] for k in range(m))
         mul = sum(digits @ lifted[:, :, k].T % p * weights[k] for k in range(m))
         self._add, self._mul = add.tolist(), mul.tolist()
+        self._arrays = (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
         self._neg = (-digits % p @ weights).tolist()
         self._inv = np.argmax(mul == 1, axis=1).tolist()
         proot = [0] * q
         for a in range(q):
             proot[self.pow(a, p)] = a
         self._proot = proot
+
+    def _computed_lookups(self) -> None:
+        """Lookups computed by the digit arithmetic when read, and array ops
+        that apply add and mul elementwise on Python ints."""
+        self._add = _Computed(_Computed, self._add_raw)  # _add[a] is the row of a
+        self._mul = _Computed(_Computed, self._mul_raw)
+        self._neg = _Computed(lambda a: self.from_coeffs(-c for c in self.coeffs(a)))
+        self._inv = _Computed(lambda a: self.pow(a, self.q - 2))
+        self._proot = _Computed(lambda a: self.pow(a, self.p ** (self.m - 1)))
+        self._arrays = np.frompyfunc(self._add_raw, 2, 1), np.frompyfunc(self._mul_raw, 2, 1), object
 
     # -- misc ----------------------------------------------------------------
 
@@ -220,6 +233,9 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        return Field, (self.p, self.m, self.modulus)  # lookups hold closures; rebuild them
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"

@@ -55,6 +55,7 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
       {v: count, ...}  explicit magnitude profile (counts sum to w)
     """
     check_integers((n, w), 0, math.inf, "n and w")
+    check_integers((p,), 2, math.inf, "characteristic p")
     if not 0 <= w <= n:
         raise ParamError(f"weight {w} out of range for length {n}")
     values = [0] * n

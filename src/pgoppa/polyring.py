@@ -16,7 +16,7 @@ import numpy as np
 
 from . import modp
 from .errors import NotInvertibleError, ParamError, check_integers
-from .fields import Field, is_prime
+from .fields import _TABLE_LIMIT, Field, is_prime
 
 NEG_INF = float("-inf")
 
@@ -156,29 +156,24 @@ class Poly:
 # -- coefficient-list kernels ----------------------------------------------
 #
 # Every GF(q)[x] operation reduces to these two loops on bare coefficient
-# lists (low to high, trimmed).  Table-backed fields run them over the row
-# tables (a loop takes its multiplier's row once, so an update is three
-# subscripts); others make the same updates through Field.add and Field.mul.
+# lists (low to high, trimmed).  They run over the field's lookups, tables
+# or computed alike: a loop takes its multiplier's row once, so an update
+# is three subscripts.
 
 
 def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: int, field: Field) -> None:
     """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists."""
-    add, mul = field._add, field._mul
-    times = None if mul is None else mul[nc]
+    add, times = field._add, field._mul[nc]
     for d, s in zip(dst, src):
         if not s:
             continue
         short = e + len(s) - len(d)
         if short > 0:
             d.extend([0] * short)
-        if times is None:
-            for i, si in enumerate(s, e):
-                d[i] = field.add(d[i], field.mul(nc, si))
-        else:
-            i = e  # stepped by hand: cheaper than enumerate's tuple per update
-            for si in s:
-                d[i] = add[d[i]][times[si]]
-                i += 1
+        i = e  # stepped by hand: cheaper than enumerate's tuple per update
+        for si in s:
+            d[i] = add[d[i]][times[si]]
+            i += 1
         while d and d[-1] == 0:
             d.pop()
 
@@ -196,27 +191,16 @@ def _divmod(a: Sequence[int], b: Sequence[int], field: Field) -> tuple[list[int]
     add, mul, neg = field._add, field._mul, field._neg
     inv_lb = field.inv(b[-1])
     quo = [0] * (len(r) - db)
-    steps = range(len(quo) - 1, -1, -1)
-    if mul is not None:
-        for k in steps:
-            c = mul[r[k + db]][inv_lb]
-            if c:
-                quo[k] = c
-                times = mul[neg[c]]
-                i = k  # stepped by hand, as in _row_addmul
-                for bi in b:
-                    if bi:
-                        r[i] = add[r[i]][times[bi]]
-                    i += 1
-    else:
-        for k in steps:
-            c = field.mul(r[k + db], inv_lb)
-            if c:
-                quo[k] = c
-                nc = field.neg(c)
-                for i, bi in enumerate(b, k):
-                    if bi:
-                        r[i] = field.add(r[i], field.mul(nc, bi))
+    for k in range(len(quo) - 1, -1, -1):
+        c = mul[r[k + db]][inv_lb]
+        if c:
+            quo[k] = c
+            times = mul[neg[c]]
+            i = k  # stepped by hand, as in _row_addmul
+            for bi in b:
+                if bi:
+                    r[i] = add[r[i]][times[bi]]
+                i += 1
     del r[db:]
     while r and r[-1] == 0:
         r.pop()
@@ -274,15 +258,10 @@ def is_square_free(g: Poly) -> bool:
     return poly_gcd(g, d).degree == 0
 
 
-@lru_cache(maxsize=32)
 def _elementwise(field: Field):
-    """(add, mul, dtype): add and mul on arrays of ranks, and the dtype the
-    arrays take.  Table-backed fields index q x q copies of their tables;
-    others apply their scalar ops elementwise, on Python ints."""
-    if field._mul is None:
-        return np.frompyfunc(field.add, 2, 1), np.frompyfunc(field.mul, 2, 1), object
-    add, mul = np.array(field._add), np.array(field._mul)
-    return (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
+    """(add, mul, dtype): the field's add and mul on arrays of ranks, and
+    the dtype the arrays take."""
+    return field._arrays
 
 
 def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
@@ -394,7 +373,7 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _evaluation_matrix(field: Field, t: int) -> np.ndarray:
     """GF(p) matrix of g -> (g(a) for every a in GF(q)) on polynomials of
-    degree <= t over a table-backed field, as a float ((t+1)*m, q*m) array.
+    degree <= t over a field with q <= 512, as a float ((t+1)*m, q*m) array.
 
     Row i*m + k is digit k of coefficient i, column a*m + j digit j of g(a):
     block (i, a) is the matrix of multiplication by a**i, its column k the
@@ -414,8 +393,8 @@ def _evaluation_matrix(field: Field, t: int) -> np.ndarray:
 
 
 def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
-    """Mask of the rows of gc (as in `_rabin_screen`, over a table-backed
-    field) with no root in GF(q): every row at every element in one product."""
+    """Mask of the rows of gc (as in `_rabin_screen`, over a field with
+    q <= 512) with no root in GF(q): every row at every element in one product."""
     evaluate = _evaluation_matrix(field, gc.shape[1] - 1)
     values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
     return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
@@ -426,7 +405,7 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     coefficients, low to high, of a monic g of degree t >= 1.
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
-    = 1 for each prime r | t.  Over a table-backed field a root screen
+    = 1 for each prime r | t.  Over a field with q <= 512 a root screen
     (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
     of t <= 3.  x**(q**i) mod g comes from the rows' stacked q-Frobenius
     matrices.
@@ -436,7 +415,7 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
     """
     t = gc.shape[1] - 1
     live = np.arange(len(gc))
-    screened = field._mul is not None
+    screened = field.q <= _TABLE_LIMIT
     if screened and t > 1:
         live = live[_rootless(field, gc)]
     if t == 1 or (screened and t < 4) or not len(live):
@@ -484,7 +463,7 @@ def random_irreducible(t: int, field: Field, rng, *, with_frobenius: bool = Fals
     blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
     just after the accepted candidate's draws.  `with_frobenius` returns
     (g, F), F being g's p-Frobenius matrix from the screen, or None where
-    it built none (t = 1, or t <= 3 over a table-backed field)."""
+    it built none (t = 1, or t <= 3 over a field with q <= 512)."""
     check_integers((t,), 1, math.inf, "degree t")
     k, q = _BLOCK_ROWS, field.q
     while True:

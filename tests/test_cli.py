@@ -15,40 +15,41 @@ def run_cli(capsys, *argv):
 
 
 def test_gen_encode_corrupt_decode_pipeline(tmp_path, capsys):
-    code_path = tmp_path / "code.txt"
-    word_path = tmp_path / "word.txt"
-    rx_path = tmp_path / "rx.txt"
-    err_path = tmp_path / "err.txt"
+    # GF(27) has lookup tables; GF(3^6), q = 729, computes its lookups
+    for field_args, n, t in [(("--m", "3", "--t", "8"), 27, 8), (("--m", "6", "--t", "3", "--n", "40"), 40, 3)]:
+        code_path = tmp_path / "code.txt"
+        word_path = tmp_path / "word.txt"
+        rx_path = tmp_path / "rx.txt"
+        err_path = tmp_path / "err.txt"
 
-    rc, _, _ = run_cli(capsys, "gen", "--p", "3", "--m", "3", "--t", "8",
-                       "--seed", "11", "-o", str(code_path))
-    assert rc == 0
-    code = GoppaCode.load(code_path)
-    assert code.n == 27 and code.t == 8
+        rc, _, _ = run_cli(capsys, "gen", "--p", "3", *field_args, "--seed", "11", "-o", str(code_path))
+        assert rc == 0
+        code = GoppaCode.load(code_path)
+        assert code.n == n and code.t == t
 
-    rc, _, _ = run_cli(capsys, "encode", "--code", str(code_path), "--seed", "5",
-                       "-o", str(word_path))
-    assert rc == 0
-    word = word_from_text(word_path.read_text())
-    assert code.contains(word)
+        rc, _, _ = run_cli(capsys, "encode", "--code", str(code_path), "--seed", "5",
+                           "-o", str(word_path))
+        assert rc == 0
+        word = word_from_text(word_path.read_text())
+        assert code.contains(word)
 
-    rc, _, _ = run_cli(capsys, "corrupt", "--code", str(code_path), "--word", str(word_path),
-                       "--weight", "8", "--dist", "equal=2", "--seed", "7",
-                       "-o", str(rx_path), "--error-out", str(err_path))
-    assert rc == 0
-    rx = word_from_text(rx_path.read_text())
-    err = word_from_text(err_path.read_text())
-    assert all((w + e) % 3 == r for w, e, r in zip(word, err, rx))
-    assert sum(1 for e in err if e) == 8
+        rc, _, _ = run_cli(capsys, "corrupt", "--code", str(code_path), "--word", str(word_path),
+                           "--weight", str(t), "--dist", "equal=2", "--seed", "7",
+                           "-o", str(rx_path), "--error-out", str(err_path))
+        assert rc == 0
+        rx = word_from_text(rx_path.read_text())
+        err = word_from_text(err_path.read_text())
+        assert all((w + e) % 3 == r for w, e, r in zip(word, err, rx))
+        assert sum(1 for e in err if e) == t
 
-    rc, out, _ = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(rx_path))
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "status ok"
-    assert lines[1].startswith("candidates ")
-    codeword_lines = [ln for ln in lines if ln.startswith("  codeword ")]
-    decoded = [word_from_text(ln.split("codeword ")[1]) for ln in codeword_lines]
-    assert word in decoded
+        rc, out, _ = run_cli(capsys, "decode", "--code", str(code_path), "--word", str(rx_path))
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "status ok"
+        assert lines[1].startswith("candidates ")
+        codeword_lines = [ln for ln in lines if ln.startswith("  codeword ")]
+        decoded = [word_from_text(ln.split("codeword ")[1]) for ln in codeword_lines]
+        assert word in decoded
 
 
 def test_decode_uncorrupted_single_candidate(tmp_path, capsys):

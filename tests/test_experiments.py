@@ -230,3 +230,11 @@ def test_resolve_workers_env_cap(monkeypatch):
         monkeypatch.setenv("PGOPPA_MAX_WORKERS", bad)
         with pytest.raises(ParamError, match="PGOPPA_MAX_WORKERS"):
             resolve_workers(3)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True])
+def test_non_integer_worker_counts_are_param_errors(bad):
+    with pytest.raises(ParamError, match="worker count"):
+        resolve_workers(bad)
+    with pytest.raises(ParamError, match="worker count"):
+        run_trials(TrialConfig(3, 2, 2, 1, 4, seed=1), workers=bad)

@@ -1,6 +1,7 @@
 """Field arithmetic tests, cross-validated against independent brute-force
 integer-polynomial arithmetic."""
 
+import pickle
 import random
 from itertools import count
 
@@ -215,7 +216,7 @@ def test_generic_path_matches_tables():
 
 def test_large_field_generic_path():
     f = make_field(3, 6)  # q = 729 > table limit
-    assert f._mul is None
+    assert not isinstance(f._mul, list)  # no tables: lookups are computed
     rng = random.Random(3)
     for _ in range(200):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
@@ -223,6 +224,15 @@ def test_large_field_generic_path():
             assert f.mul(a, f.inv(a)) == 1
         assert f.pth_root(f.pow(b, 3)) == b
         assert f.mul(a, b) == f.mul(b, a)
+
+
+def test_fields_pickle_with_or_without_tables():
+    # a code or polynomial sent to another process carries its field
+    for f in (make_field(3, 3), make_field(3, 6)):
+        twin = pickle.loads(pickle.dumps(f))
+        assert twin == f and type(twin._mul) is type(f._mul)
+        assert [twin.mul(a, 19) for a in range(f.q)] == [f.mul(a, 19) for a in range(f.q)]
+        assert [twin.pth_root(a) for a in range(f.q)] == [f.pth_root(a) for a in range(f.q)]
 
 
 def test_coeffs_roundtrip():

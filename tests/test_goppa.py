@@ -253,6 +253,13 @@ def test_sample_error_uniform_multinomial():
         assert abs(magnitude_profile(e).get(v, 0) - w / 4) <= 3 * sigma
 
 
+@pytest.mark.parametrize("p", [2.5, 1, 0, -3, "3"])
+def test_sample_error_rejects_a_characteristic_below_two_or_not_an_integer(p):
+    for dist in ("equal", "uniform"):
+        with pytest.raises(ParamError, match="characteristic"):
+            sample_error(10, 3, dist, p, SplitMix64(60))
+
+
 def test_sample_error_param_errors():
     rng = SplitMix64(59)
     with pytest.raises(ParamError):

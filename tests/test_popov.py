@@ -2,7 +2,7 @@
 lattice membership and unimodularity, the shortest-vector property, the
 Euclid equivalence in characteristic 2, agreement with a Poly-entry
 reference reduction, the pinned reduced rows of decoder key lattices, and
-agreement of the kernel's table and table-free branches."""
+agreement of the kernels over tabulated and computed lookups."""
 
 import hashlib
 
@@ -291,10 +291,10 @@ def test_key_lattice_reductions_are_pinned(monkeypatch):
 
 
 def without_tables(f: Field) -> Field:
-    """A twin of a table-backed field whose operations take the generic
-    digit arithmetic, so the kernels take their table-free branches."""
+    """A twin of a table-backed field whose lookups are computed by the
+    digit arithmetic, as for a field too large to tabulate."""
     twin = Field(f.p, f.m, f.modulus)
-    twin._add = twin._mul = twin._neg = twin._inv = twin._proot = None
+    twin._computed_lookups()
     return twin
 
 
