@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import NotInvertibleError, ParamError, check_integers
 from .fields import Field, make_field
-from .polyring import Poly, _root_multiplicities, inv_mod
+from .polyring import Poly, _root_multiplicities, inv_mod, pth_power_decompose
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,6 @@ def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:
     return Poly(f, s)
 
 
-def pth_root_mod_xr(u: Poly, r: int) -> Poly | None:
-    """p-th root modulo x**r, or None when u is not a p-th power there.
-
-    h**p = sum h_i**p x**(p*i) exactly in characteristic p, so u has a root
-    iff its coefficients at indices not divisible by p vanish below r.
-    """
-    f = u.field
-    p = f.p
-    cs = u.coeffs
-    for idx, c in enumerate(cs):
-        if c and idx % p:
-            return None
-    return Poly(f, [f.pth_root(cs[i]) if i < len(cs) else 0 for i in range(0, r, p)])
-
-
 def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[list[Poly]] | None:
     """Basis rows for the phi-th key equation mod x**r, if the radicands
     admit p-th roots; None otherwise.
@@ -119,8 +104,8 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     for k in range(1, p):
         c = (phi * k) % p
         u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)) % xr
-        v = pth_root_mod_xr(u, r)
-        if v is None:
+        v, *rest = pth_power_decompose(u)  # u has degree < r
+        if any(rest):
             return None
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
     return rows

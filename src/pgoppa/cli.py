@@ -231,10 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PgoppaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PgoppaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .decoder import decode, locator_degree
 from .errors import ParamError, check_integers
@@ -68,7 +69,6 @@ class TrialReport:
     successes: int
     observed: float
     predicted: float
-    predicted_count: int
     ci_low: float
     ci_high: float
     wallclock: float
@@ -119,11 +119,6 @@ def _single_trial(cfg: TrialConfig, index: int) -> bool:
     return bool(phis) and (0,) * code.n in decode(code, e, phis).codewords()
 
 
-def _count_chunk(args: tuple[TrialConfig, int, int]) -> int:
-    cfg, lo, hi = args
-    return sum(_single_trial(cfg, i) for i in range(lo, hi))
-
-
 def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     """Run the configured trials and report observed vs modeled success."""
     cfg.validate()
@@ -133,9 +128,8 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
         successes = sum(_single_trial(cfg, i) for i in range(cfg.trials))
     else:
         chunk = max(1, cfg.trials // (nworkers * 8))
-        jobs = [(cfg, lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            successes = sum(pool.map(_count_chunk, jobs))
+            successes = sum(pool.map(partial(_single_trial, cfg), range(cfg.trials), chunksize=chunk))
     wallclock = time.perf_counter() - started
     predicted = success_prob_model(cfg.q, cfg.t, cfg.w)
     sigma = binomial_sigma(predicted, cfg.trials)
@@ -144,7 +138,6 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
         successes=successes,
         observed=successes / cfg.trials,
         predicted=predicted,
-        predicted_count=round(cfg.trials * predicted),
         ci_low=max(0.0, predicted - 3.0 * sigma),
         ci_high=min(1.0, predicted + 3.0 * sigma),
         wallclock=wallclock,

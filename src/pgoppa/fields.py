@@ -261,6 +261,7 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     if not is_prime(p):
         raise ParamError(f"characteristic must be prime, got {p}")
     if modulus is not None:
+        check_integers(modulus, -math.inf, math.inf, "modulus coefficients")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ParamError(f"modulus must be monic of degree {m}, got {list(modulus)}")

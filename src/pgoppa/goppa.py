@@ -92,6 +92,8 @@ class GoppaCode:
     __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel", "_frobenius", "_roots")
 
     def __init__(self, field: Field, support: Sequence[int], g: Poly):
+        if g.field != field:
+            raise ParamError(f"generator is over {g.field}, code over {field}")
         n = len(support)
         t = g.degree
         if t < 1:
@@ -158,11 +160,11 @@ class GoppaCode:
     def syndrome_from_word(self, word: Sequence[int]) -> list[int]:
         """The syndrome coefficients, low to high, as GF(q) ranks: Hbar @ word
         mod p, each coefficient's m digits folded by powers of p.  ParamError
-        unless word has length n and integer entries in [0, p)."""
+        unless word has shape (n,) and integer entries in [0, p)."""
         p, m = self.field.p, self.field.m
         w = np.asarray(word)
         if w.shape != (self.n,):
-            raise ParamError(f"word has length {len(word)}, code length is {self.n}")
+            raise ParamError(f"word has shape {w.shape}, code needs ({self.n},)")
         if w.dtype.kind not in "iu" or w.min() < 0 or w.max() >= p:
             raise ParamError(f"word entries must be integers in [0, {p})")
         digits = self.Hbar @ w.astype(np.int64) % p

@@ -50,8 +50,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field: Field, deg: int, c: int = 1) -> "Poly":
-        return cls(field, (0,) * deg + (c,))
+    def monomial(cls, field: Field, deg: int) -> "Poly":
+        return cls(field, (0,) * deg + (1,))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -485,12 +485,7 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     roots of a stride-p slice.
     """
     fld = f.field
-    p = fld.p
-    root = fld.pth_root
-    parts: list[list[int]] = [[] for _ in range(p)]
-    for idx, c in enumerate(f.coeffs):
-        parts[idx % p].append(root(c))
-    return [Poly(fld, cs) for cs in parts]
+    return [Poly(fld, map(fld.pth_root, f.coeffs[k :: fld.p])) for k in range(fld.p)]
 
 
 def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:

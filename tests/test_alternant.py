@@ -10,7 +10,6 @@ from pgoppa.alternant import (
     alternant_syndrome,
     feasibility_probe,
     predicted_feasibility,
-    pth_root_mod_xr,
     random_restricted_alternant,
     recover_error_values,
     try_build_alternant_lattice,
@@ -18,7 +17,7 @@ from pgoppa.alternant import (
 from pgoppa.decoder import assemble_locator
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
-from pgoppa.polyring import Poly, inv_mod
+from pgoppa.polyring import Poly, inv_mod, pth_power_decompose
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
@@ -51,12 +50,20 @@ def test_code_validation():
     y = f.from_coeffs((0, 1))
     with pytest.raises(ParamError):
         AlternantCode(f, (y, 1), (y, 1), 2)  # xi = y not in GF(p)
-    with pytest.raises(ParamError):
-        AlternantCode(f, (1, 2), (1,), 2)  # one ratio per support element
     for r in (0, 1.5, 2.0, True):  # syndrome length: an integer >= 1
         with pytest.raises(ParamError, match="syndrome length"):
             AlternantCode(f, (1, 2), (2, 1), r)
     assert AlternantCode(f, (1, 2), (2, 1), 2).n == 2
+
+
+@pytest.mark.parametrize(
+    "support, xi, message",
+    [((1, 2), (1,), "must have equal length"),  # one ratio per support element
+     ((1, 1), (2, 1), "support elements must be distinct")],
+)
+def test_code_rejects_a_malformed_support(support, xi, message):
+    with pytest.raises(ParamError, match=message):
+        AlternantCode(make_field(3, 2), support, xi, 2)
 
 
 def test_code_rejects_ranks_outside_the_field():
@@ -114,18 +121,20 @@ def test_syndrome_two_paths_agree():
             assert alternant_syndrome(code, e) == alternant_syndrome_series(code, e)
 
 
-def test_pth_root_mod_xr_detection():
+def test_pth_power_decompose_detects_pth_powers_mod_xr():
+    # the probe's test: u of degree < r is a p-th power mod x**r iff parts
+    # 1..p-1 of its split vanish, and part 0 is then its root
     f = make_field(3, 2)
     rng = SplitMix64(3003)
     for _ in range(100):
         h = Poly(f, [rng.randrange(9) for _ in range(3)])
         power = poly_pth_power(h) % Poly.monomial(f, 7)
-        root = pth_root_mod_xr(power, 7)
-        assert root is not None
+        root, *rest = pth_power_decompose(power)
+        assert not any(rest)
         assert poly_pth_power(root) % Poly.monomial(f, 7) == power
     # a nonzero coefficient at a non-multiple-of-p index has no root
-    assert pth_root_mod_xr(Poly.x(f), 4) is None
-    assert pth_root_mod_xr(Poly(f, (1, 0, 0, 2, 1)), 5) is None  # index 3 term
+    assert pth_power_decompose(Poly.x(f))[1]
+    assert any(pth_power_decompose(Poly(f, (1, 0, 0, 2, 1)))[1:])  # index 4 term
 
 
 def test_key_equation_identity_mod_xr():

@@ -200,7 +200,6 @@ def test_run_trials_report_fields():
     cfg = TrialConfig(3, 2, 2, 1, trials=40, seed=7)
     rep = run_trials(cfg, workers=1)
     assert rep.predicted == pytest.approx(success_prob_model(9, 2, 1))
-    assert rep.predicted_count == round(40 * rep.predicted)
     sigma = binomial_sigma(rep.predicted, 40)
     assert rep.ci_low == pytest.approx(max(0.0, rep.predicted - 3 * sigma))
     assert rep.ci_high == pytest.approx(min(1.0, rep.predicted + 3 * sigma))

@@ -146,6 +146,15 @@ def test_make_field_rejects_reducible_modulus():
         make_field(2, 2, [1, 1])  # wrong degree
 
 
+def test_make_field_rejects_modulus_entries_that_are_not_integers():
+    # checked before the cache is read: 1.0 % 3 and True % 3 would hit the
+    # cached GF(9) of modulus y^2 + 1
+    assert make_field(3, 2, [4, 0, -2]) is make_field(3, 2, [1, 0, 1])  # integers reduce mod p
+    for bad in (1.0, "1", True):
+        with pytest.raises(ParamError, match="modulus coefficients must be integers"):
+            make_field(3, 2, [bad, 0, 1])
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

@@ -186,6 +186,12 @@ def test_word_of_wrong_length_or_entry_is_rejected():
         for check in (code.contains, lambda w: decode(code, w)):
             with pytest.raises(ParamError):
                 check(bad)
+    # any shape but (n,), named in the message: a scalar has no len(), and
+    # a 2-D word's len() is its row count
+    for bad in (5, [[0] * 9], np.zeros((9, 1), dtype=int)):
+        for check in (code.contains, lambda w: decode(code, w)):
+            with pytest.raises(ParamError, match=r"word has shape \("):
+                check(bad)
     assert code.contains((0,) * 9)
 
 
@@ -339,6 +345,31 @@ def test_code_record_rejects_ranks_outside_field(code338):
         bad_gen = " ".join(map(str, (bad,) + code338.g.coeffs[1:]))
         with pytest.raises(ParamError, match="generator"):
             GoppaCode.from_text("\n".join([header, modulus, bad_gen, support]))
+
+
+F9 = make_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GoppaCode(F9, range(9), Poly.one(F9)), "degree >= 1"),
+        (lambda: GoppaCode(F9, range(9), Poly(F9, (1, 1, 2))), "must be monic"),
+        (lambda: GoppaCode(F9, (0, 0, 1, 2, 3, 4), Poly.x(F9)), "support elements must be distinct"),
+        (lambda: GoppaCode(F9, range(10), Poly.x(F9)), "exceeds field size 9"),
+        (lambda: GoppaCode(F9, range(2, 9), Poly(F9, (1, 1, 1))), "square-free"),  # (x - 1)^2
+        (lambda: GoppaCode(F9, range(9), Poly.x(F9)), "avoid the roots"),  # 0 is a root of x
+        (lambda: GoppaCode.from_text("3 2 1 8\n1 0 1\n0 1\n"), "expected 4 lines"),
+        (lambda: GoppaCode.from_text("3 2 1\n1 0 1\n0 1\n1 2 3 4 5 6 7 8\n"), "header needs 4 fields"),
+        (lambda: GoppaCode.from_text("3 2 1 7\n1 0 1\n0 1\n1 2 3 4 5 6 7 8\n"), "header disagrees"),
+        (lambda: build_code(3, 2, 1, 9, rng=SplitMix64(5)), "support of size 9 impossible"),
+        (lambda: GoppaCode(F9, range(9), Poly(make_field(3, 1), [1, 2, 0, 1])), "generator is over"),
+    ],
+    ids=["degree", "monic", "distinct", "length", "square-free", "root", "lines", "header", "body", "usable", "field"],
+)
+def test_code_parameters_are_rejected_with_their_message(build, message):
+    with pytest.raises(ParamError, match=message):
+        build()
 
 
 def test_word_text_roundtrip():

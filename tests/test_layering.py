@@ -1,7 +1,8 @@
 """Layering guards: only `fields` and `polyring` read a Field's private
 lookup tables, every other module going through the polyring kernels or
 the public Field methods; every name the benchmark traces still exists;
-and every public name the package defines is used outside the tests."""
+every public name the package defines is used outside the tests; and no
+module imports a name it does not use."""
 
 import ast
 import importlib.util
@@ -67,4 +68,24 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         if item.name not in attrs:
                             unused.append(f"{path.name}:{node.name}.{item.name}")
+    assert unused == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a deletion should take its imports with it; __init__.py imports to
+    # re-export, and `from __future__` binds no name
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
