@@ -57,8 +57,7 @@ def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
     """Full-length code: L is a random ordering of all nonzero elements,
     ratios xi uniform in 1..p-1."""
     f = make_field(p, m)
-    nonzero = [a for a in f.elements() if a]
-    support = rng.sample(nonzero, len(nonzero))
+    support = rng.sample(range(1, f.q), f.q - 1)
     xi = [1 + v for v in rng.randranges([p - 1] * len(support))]
     return AlternantCode(f, tuple(support), tuple(xi), r)
 

@@ -162,7 +162,10 @@ class GoppaCode:
         mod p, each coefficient's m digits folded by powers of p.  ParamError
         unless word has shape (n,) and integer entries in [0, p)."""
         p, m = self.field.p, self.field.m
-        w = np.asarray(word)
+        try:
+            w = np.asarray(word)
+        except ValueError:  # a ragged nesting has no shape
+            raise ParamError(f"word is ragged, code needs shape ({self.n},)") from None
         if w.shape != (self.n,):
             raise ParamError(f"word has shape {w.shape}, code needs ({self.n},)")
         if w.dtype.kind not in "iu" or w.min() < 0 or w.max() >= p:
@@ -294,7 +297,7 @@ def build_code(
     else:
         g, frob = _random_square_free(t, field, rng), None
     if irreducible_only and t >= 2:  # an irreducible g of degree >= 2 has no roots
-        candidates = list(field.elements())
+        candidates = field.elements()
     else:
         candidates = [a for a in field.elements() if g(a) != 0]
     target = len(candidates) if n is None else n

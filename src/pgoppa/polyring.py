@@ -214,39 +214,34 @@ def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Po
     return Poly(field, out)
 
 
-def _gcd_cofactor(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Monic gcd d and the u with u*a == d (mod b), from one Euclid loop on
-    coefficient lists that carries only that Bezout cofactor."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    f = a.field
-    r0, r1 = a.coeffs, b.coeffs
-    s0, s1 = [1], []
-    while r1:
-        q, r = _divmod(r0, r1, f)
-        s = list(s0)  # s0 - q * s1
-        for i, c in enumerate(q):
-            if c:
-                _row_addmul([s], [s1], f.neg(c), i, f)
-        r0, r1, s0, s1 = r1, r, s1, s
-    c = f.inv(r0[-1])
-    return Poly(f, r0).scale(c), Poly(f, s0).scale(c)
+def _euclid(a: list[list[int]], b: list[list[int]], field: Field) -> list[list[int]]:
+    """Euclid as row elimination, in place.  Rows are coefficient lists,
+    entry 0 the remainder; any other entries ride along as cofactors.  b's
+    leading term cancels a's by the simple transformation of
+    `popov.weak_popov_reduce` (a += c * x**e * b, one `_row_addmul`), then
+    the rows swap, until b's remainder is zero.  Returns the last row with
+    a nonzero remainder, scaled to make it monic (a when both are zero)."""
+    while b[0]:
+        size, lead = len(b[0]), a[0]
+        neg_inv_lc = field.neg(field.inv(b[0][-1]))
+        while len(lead) >= size:
+            _row_addmul(a, b, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
+        a, b = b, a
+    times = field._mul[field.inv(a[0][-1]) if a[0] else 1]
+    return [[times[c] for c in entry] for entry in a]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check(b)
-    x, y = a.coeffs, b.coeffs
-    while y:
-        x, y = y, _divmod(x, y, a.field)[1]
-    return Poly(a.field, x).monic()
+    return Poly(a.field, _euclid([list(a.coeffs)], [list(b.coeffs)], a.field)[0])
 
 
 def inv_mod(f: Poly, g: Poly) -> Poly:
     """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1."""
-    d, u = _gcd_cofactor(f % g, g)
-    if d.degree != 0:
-        raise NotInvertibleError(f"not invertible, gcd has degree {d.degree}")
-    return u % g
+    d, u = _euclid([list((f % g).coeffs), [1]], [list(g.coeffs), []], g.field)
+    if len(d) != 1:
+        raise NotInvertibleError(f"not invertible, gcd has degree {len(d) - 1}")
+    return Poly(g.field, u)
 
 
 def is_square_free(g: Poly) -> bool:

@@ -9,7 +9,7 @@ from pgoppa.decoder import decode
 from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _gcd_cofactor, poly_gcd, pth_root_mod
+from pgoppa.polyring import Poly, _euclid, poly_gcd, pth_root_mod
 from pgoppa.popov import pivot_index
 from pgoppa.rng import trial_stream
 
@@ -338,12 +338,14 @@ def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Monic gcd d plus Bezout coefficients with u*a + v*b = d.
 
-    d and u come from `_gcd_cofactor`, the Euclid loop `inv_mod` runs, so
-    Bezout checks on this exercise that loop; v is derived from them.
+    All three come from `_euclid`, the row elimination `inv_mod` runs, on
+    the rows (a, 1, 0) and (b, 0, 1), so Bezout checks on this exercise
+    that loop with its cofactors.
     """
-    d, u = _gcd_cofactor(a, b)
-    v = Poly.zero(a.field) if b.is_zero() else (d - u * a) // b
-    return d, u, v
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    f = a.field
+    return tuple(Poly(f, e) for e in _euclid([list(a.coeffs), [1], []], [list(b.coeffs), [], [1]], f))
 
 
 def magnitude_profile(e: ErrorPattern) -> dict[int, int]:

@@ -192,6 +192,11 @@ def test_word_of_wrong_length_or_entry_is_rejected():
         for check in (code.contains, lambda w: decode(code, w)):
             with pytest.raises(ParamError, match=r"word has shape \("):
                 check(bad)
+    # a ragged nesting has no shape: np.asarray raised numpy's own ValueError
+    for bad in ([[0], [0, 0]] + [0] * 7, [[0, 1], [2]] + [0] * 7):
+        for check in (code.syndrome_from_word, code.contains, lambda w: decode(code, w)):
+            with pytest.raises(ParamError, match=r"word is ragged, code needs shape \(9,\)"):
+                check(bad)
     assert code.contains((0,) * 9)
 
 

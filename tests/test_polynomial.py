@@ -149,8 +149,10 @@ def test_inv_mod_examples():
     inv_x = inv_mod(Poly.x(F3), g)
     assert inv_x == Poly(F3, [0, 2])
     assert (Poly.x(F3) * inv_x) % g == Poly.one(F3)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=r"^not invertible, gcd has degree 1$"):
         inv_mod(Poly.x(F3), Poly(F3, [0, 0, 1]))  # gcd x
+    with pytest.raises(NotInvertibleError, match=r"^not invertible, gcd has degree 2$"):
+        inv_mod(Poly(F3, [1, 0, 1]) * Poly(F3, [2, 1]), g * Poly(F3, [1, 1]))  # gcd g
 
 
 def test_is_square_free():
@@ -541,3 +543,37 @@ def test_kernels_match_schoolbook(data):
     else:
         assert u.degree < b.degree
         assert schoolbook_divmod(schoolbook_mul(u, a), b)[1] == schoolbook_divmod(Poly.one(f), b)[1]
+
+
+LONG_FIELDS = [(3, 1), (7, 1), (11, 1), (3, 6)]
+
+
+@st.composite
+def long_polys(draw, f, min_deg, max_deg):
+    cs = draw(st.lists(st.integers(0, f.q - 1), min_size=min_deg, max_size=max_deg))
+    return Poly(f, cs + [draw(st.integers(1, f.q - 1))])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_kernels_match_schoolbook_on_long_operands(data):
+    # many-step Euclid: degrees 20..60, with a common factor c so the gcd
+    # is often not 1; GF(3^6) reads computed lookups
+    p, m = data.draw(st.sampled_from(LONG_FIELDS))
+    f = make_field(p, m)
+    c = data.draw(long_polys(f, 0, 10))
+    x, y = data.draw(long_polys(f, 20, 50)), data.draw(long_polys(f, 20, 50))
+    a, b = x * c, y * c
+    assert divmod(a, b) == schoolbook_divmod(a, b)
+    d, u, v = ext_gcd(a, b)
+    assert poly_gcd(a, b) == d == schoolbook_gcd(a, b) and (d % c).is_zero()
+    assert u * a + v * b == d
+    for s, g in ((a, b), (x, y)):
+        degree = schoolbook_gcd(s, g).degree
+        try:
+            w = inv_mod(s, g)
+        except NotInvertibleError as exc:
+            assert degree > 0 and str(exc).endswith(f"gcd has degree {degree}")
+        else:
+            assert degree == 0 and w.degree < g.degree
+            assert schoolbook_divmod(schoolbook_mul(w, s), g)[1] == Poly.one(f)
