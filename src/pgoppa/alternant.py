@@ -93,6 +93,7 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     """
     f = code.field
     p = f.p
+    check_integers((phi,), 1, p, "scale guess")
     r = code.r
     xr = Poly.monomial(f, r)
     if s.is_zero() or s.coeffs[0] == 0:
@@ -115,6 +116,7 @@ def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int
     support points: e_j = phi * mu_j / xi_j."""
     f = code.field
     p = f.p
+    check_integers((phi,), 1, p, "scale guess")
     xi = code.xi
     mults = _root_multiplicities(sigma, [f.inv(lj) for lj in code.L])
     return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}

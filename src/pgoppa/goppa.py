@@ -9,7 +9,9 @@ order is part of the code identity and of the serialized form.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -246,28 +248,16 @@ def _random_square_free(t: int, field: Field, rng) -> Poly:
     """Product of distinct random irreducibles with total degree t."""
     while True:
         degrees = []
-        remaining = t
-        while remaining:
-            d = 1 + rng.randrange(remaining)
-            degrees.append(d)
-            remaining -= d
+        while sum(degrees) < t:
+            degrees.append(1 + rng.randrange(t - sum(degrees)))
         factors: list[Poly] = []
-        ok = True
         for d in degrees:
-            for _ in range(50):
-                cand = random_irreducible(d, field, rng)
-                if cand not in factors:
-                    factors.append(cand)
-                    break
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        g = Poly.one(field)
-        for fac in factors:
-            g = g * fac
-        return g
+            fresh = (random_irreducible(d, field, rng) for _ in range(50))
+            factors.append(next((c for c in fresh if c not in factors), None))
+            if factors[-1] is None:
+                break  # no new factor of degree d in 50 draws: start again
+        if factors[-1] is not None:
+            return functools.reduce(operator.mul, factors)
 
 
 def build_code(
@@ -299,7 +289,7 @@ def build_code(
     if irreducible_only and t >= 2:  # an irreducible g of degree >= 2 has no roots
         candidates = field.elements()
     else:
-        candidates = [a for a in field.elements() if g(a) != 0]
+        candidates = np.flatnonzero(_synthetic_division(g.coeffs, field.elements(), field)[-1]).tolist()
     target = len(candidates) if n is None else n
     if target > len(candidates):
         raise ParamError(

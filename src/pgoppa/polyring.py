@@ -104,22 +104,29 @@ class Poly:
         return Poly(self.field, (0,) * e + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divmod(self.coeffs, other.coeffs, self.field)
+        r, q = self._cancel_by(other, [list(self.coeffs), []], [self.field.neg(1)])
         return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return Poly(self.field, self._cancel_by(other, [list(self.coeffs)])[0])
+
+    def _cancel_by(self, other: "Poly", rows: list[list[int]], *cofactor: Sequence[int]) -> list[list[int]]:
+        """rows cancelled against (other, *cofactor) by `_cancel`, in place:
+        entry 0 ends as the remainder mod other, and the row (a, 0) against
+        (b, -1) collects the quotient in entry 1."""
+        self._check(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        f = self.field
+        _cancel(rows, [other.coeffs, *cofactor], 0, f.neg(f.inv(other.lc())), f)
+        return rows
 
     def __call__(self, a: int) -> int:
         """Evaluate at a field element a: the remainder mod x - a."""
-        r = _divmod(self.coeffs, (self.field.neg(a), 1), self.field)[1]
-        return r[0] if r else 0
+        return (self % Poly(self.field, (self.field.neg(a), 1))).lc()
 
     def deriv(self) -> "Poly":
         """Formal derivative; exponents act through the prime subfield."""
@@ -155,10 +162,11 @@ class Poly:
 
 # -- coefficient-list kernels ----------------------------------------------
 #
-# Every GF(q)[x] operation reduces to these two loops on bare coefficient
-# lists (low to high, trimmed).  They run over the field's lookups, tables
-# or computed alike: a loop takes its multiplier's row once, so an update
-# is three subscripts.
+# Every GF(q)[x] operation reduces to one loop over coefficients,
+# `_row_addmul`, and one loop over leading terms, `_cancel`, on rows of
+# bare coefficient lists (low to high, trimmed).  They run over the field's
+# lookups, tables or computed alike: `_row_addmul` takes its multiplier's
+# row once, so an update is three subscripts.
 
 
 def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: int, field: Field) -> None:
@@ -178,33 +186,13 @@ def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: 
             d.pop()
 
 
-def _divmod(a: Sequence[int], b: Sequence[int], field: Field) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b, as trimmed coefficient lists.
-
-    One fused loop: each elimination step subtracts c * x**k * b from the
-    running remainder in place, touching only b's nonzero coefficients.
-    """
-    db = len(b) - 1
-    r = list(a)
-    if len(r) <= db:
-        return [], r
-    add, mul, neg = field._add, field._mul, field._neg
-    inv_lb = field.inv(b[-1])
-    quo = [0] * (len(r) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        c = mul[r[k + db]][inv_lb]
-        if c:
-            quo[k] = c
-            times = mul[neg[c]]
-            i = k  # stepped by hand, as in _row_addmul
-            for bi in b:
-                if bi:
-                    r[i] = add[r[i]][times[bi]]
-                i += 1
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return quo, r
+def _cancel(dst: list[list[int]], src: Sequence[Sequence[int]], col: int, neg_inv_lc: int, field: Field) -> None:
+    """Cancel dst[col]'s leading term against src[col]'s until dst[col] is
+    shorter, in place: each step is one simple transformation, dst +=
+    c * x**e * src by `_row_addmul`.  neg_inv_lc is -1/lc(src[col])."""
+    size, lead = len(src[col]), dst[col]
+    while len(lead) >= size:
+        _row_addmul(dst, src, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
 
 
 def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Poly:
@@ -218,14 +206,11 @@ def _euclid(a: list[list[int]], b: list[list[int]], field: Field) -> list[list[i
     """Euclid as row elimination, in place.  Rows are coefficient lists,
     entry 0 the remainder; any other entries ride along as cofactors.  b's
     leading term cancels a's by the simple transformation of
-    `popov.weak_popov_reduce` (a += c * x**e * b, one `_row_addmul`), then
-    the rows swap, until b's remainder is zero.  Returns the last row with
-    a nonzero remainder, scaled to make it monic (a when both are zero)."""
+    `popov.weak_popov_reduce` (`_cancel`), then the rows swap, until b's
+    remainder is zero.  Returns the last row with a nonzero remainder,
+    scaled to make it monic (a when both are zero)."""
     while b[0]:
-        size, lead = len(b[0]), a[0]
-        neg_inv_lc = field.neg(field.inv(b[0][-1]))
-        while len(lead) >= size:
-            _row_addmul(a, b, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
+        _cancel(a, b, 0, field.neg(field.inv(b[0][-1])), field)
         a, b = b, a
     times = field._mul[field.inv(a[0][-1]) if a[0] else 1]
     return [[times[c] for c in entry] for entry in a]

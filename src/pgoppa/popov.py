@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polyring import Poly, _row_addmul
+from .polyring import Poly, _cancel
 
 
 def pivot_index(row: Sequence[Poly]) -> int:
@@ -71,10 +71,8 @@ def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
             size = len(src[col])
             neg_inv_lc = field.neg(field.inv(src[col][-1]))
             for ell, dst in enumerate(rows):
-                lead = dst[col]
-                if len(lead) < size or dst is src:
+                if len(dst[col]) < size or dst is src:
                     continue  # nothing to cancel: the row and its pivot stay
-                while len(lead) >= size:
-                    _row_addmul(dst, src, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
+                _cancel(dst, src, col, neg_inv_lc, field)
                 piv[ell] = _pivot(dst)
     return [[Poly(field, entry) for entry in r] for r in rows]

@@ -279,3 +279,19 @@ def test_recover_error_values_matches_per_point_oracle(p, m):
         assert recover_error_values(code, sigma, phi) == want
     with pytest.raises(ValueError):
         recover_error_values(code, Poly.zero(f), 1)
+
+
+@pytest.mark.parametrize("phi", [0, 3, -1, 1.5, "1", True, None])
+def test_scale_guess_outside_one_to_p_is_rejected(phi):
+    # phi is a magnitude in GF(p) \ {0}: 0 would report error positions of
+    # magnitude 0, and a float or a string would reach the field arithmetic
+    code = random_restricted_alternant(3, 2, 2, SplitMix64(3012))
+    rng = SplitMix64(3013)
+    s = Poly.zero(code.field)
+    while s.is_zero() or s.coeffs[0] == 0:
+        s = alternant_syndrome(code, random_error(code, 2, rng))
+    sigma = Poly(code.field, (code.field.neg(code.field.inv(code.L[0])), 1))
+    with pytest.raises(ParamError, match="scale guess"):
+        try_build_alternant_lattice(code, s, phi)
+    with pytest.raises(ParamError, match="scale guess"):
+        recover_error_values(code, sigma, phi)

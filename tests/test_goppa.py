@@ -1,6 +1,7 @@
 """Goppa code tests: parity-check consistency between the matrix product
 and the rational-sum syndrome, trace expansion, sampling, file formats."""
 
+import hashlib
 import math
 from functools import lru_cache
 
@@ -297,6 +298,28 @@ def test_square_free_composite_generator():
         assert is_square_free(code.g)
         assert code.g.degree == 4
         assert all(code.g(a) != 0 for a in code.L)
+
+
+# (block, irreducible_only, seed) -> sha256 of the code's text, and the
+# RNG's next draw after build_code: the composite stream's generator
+# factors and draw order, the root filter, and one t = 1 irreducible code
+PINNED_CODES = [
+    ((3, 3, 6), False, 1, "cb2ffbcd5500f9e07dc1dfdb3bf4652a5e45cd7298a7e79cdcfe27a820581610", 3264522013856772444),
+    ((3, 3, 6), False, 2, "d1c52492a77a340583d727f26b50479f876822f408cedc210dff09b2f3062fb0", 10138876236859337939),
+    ((3, 3, 6), False, 3, "c73f3dd7f02c6183ff6c9459fee4cfa375f1f5346f5267b786ca488013895878", 7886750572372291415),
+    ((5, 2, 4), False, 1, "eeef70298eb04c76ae09695db6594083ff64207af8b4691956c7f17e91217d65", 9772298966463872780),
+    ((5, 2, 4), False, 2, "45cc85223b08a2781e81610d45e3d29ca9cd345e2239818db193cc18b2e71141", 8046303945656381530),
+    ((5, 2, 4), False, 3, "656bc81aa22b3fb5a053d93f35b224b195c9081cd102f8119b07778e00fb685d", 13366586412811330209),
+    ((3, 3, 1), True, 1, "38088579f5cef9a8bd1e48ace7c691e1e9ad2484199f6dd805938f520db4ffdb", 13166747327335888811),
+]
+
+
+@pytest.mark.parametrize("block,irreducible,seed,digest,next_draw", PINNED_CODES)
+def test_composite_and_t1_codes_are_pinned(block, irreducible, seed, digest, next_draw):
+    rng = SplitMix64(seed)
+    code = build_code(*block, rng=rng, irreducible_only=irreducible)
+    assert hashlib.sha256(code.to_text().encode()).hexdigest() == digest
+    assert rng.next_u64() == next_draw
 
 
 @pytest.mark.parametrize("p, m, t", [(3, 4, 20), (7, 2, 24), (5, 3, 41), (3, 3, 8)])
