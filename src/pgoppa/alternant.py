@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import NotInvertibleError, ParamError, check_integers
 from .fields import Field, make_field
-from .polyring import Poly, _root_multiplicities, inv_mod, pth_power_decompose
+from .polyring import Poly, _root_multiplicities, inv_mod
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,10 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     rows: list[list[Poly]] = [[xr] + [zero] * (p - 1)]
     for k in range(1, p):
         c = (phi * k) % p
-        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)) % xr
-        v, *rest = pth_power_decompose(u)  # u has degree < r
-        if any(rest):
+        u = ((Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)) % xr).coeffs
+        if any(any(u[j::p]) for j in range(1, p)):  # off the stride-p slice: no p-th power
             return None
+        v = Poly(f, map(f.pth_root, u[::p]))  # part 0 of `pth_power_decompose`
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
     return rows
 
@@ -118,7 +118,7 @@ def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int
     p = f.p
     check_integers((phi,), 1, p, "scale guess")
     xi = code.xi
-    mults = _root_multiplicities(sigma, [f.inv(lj) for lj in code.L])
+    mults = _root_multiplicities(sigma, tuple(f.inv(lj) for lj in code.L))
     return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DegreeBoundError, NotInvertibleError, check_integers
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _root_multiplicities, inv_mod, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _digit_split, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import weak_popov_reduce
 
 
@@ -48,21 +50,27 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     Row 0 of each is (g, 0, ..., 0); row k is (-v_k, 0, .., 1, .., 0) with
     v_k**p == x**k - phi*k*x**(k-1)/s (mod g).  The p-th root mod a
     square-free g is additive and fixes GF(p), so -v_k = phi*b_k - a_k with
-    a_k = root(x**k) and b_k = k*root(x**(k-1)/s): 2(p-1) roots, of which
-    the code keeps the a_k from its first decode on.
+    a_k = root(x**k) and b_k = k*root(x**(k-1)/s).  The code keeps its a_k
+    from its first decode on; the x**(k-1)/s mod g are stacked and every
+    b_k comes from one product, and the (p-1)**2 entries phi*b_k - a_k are
+    one expression on GF(p) digits.
     Raises NotInvertibleError when s is not invertible mod g.
     """
     f = code.field
-    p = f.p
+    p, t = f.p, code.t
     g = code.g
-    s_inv = inv_mod(s, g)
-    zero, one = Poly.zero(f), Poly.one(f)
     inverse, a = code.pth_roots(pth_root_mod)
-    b = [pth_root_mod(s_inv.shift(k - 1), g, inverse=inverse).scale(k) for k in range(1, p)]
+    scales = np.arange(1, p)  # k, and phi, in 1..p-1
+    b = _pth_roots(_shifts_mod(inv_mod(s, g), g, p - 1), inverse, f) * scales[:, None, None]
+    a_ranks = np.zeros((p - 1, t), dtype=np.int64)
+    for row, ak in zip(a_ranks, a):
+        row[: len(ak.coeffs)] = ak.coeffs
+    entries = (scales[:, None, None, None] * b - _digit_split(a_ranks, f)) % p @ p ** np.arange(f.m)
+    zero, one = Poly.zero(f), Poly.one(f)
     units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
     return [
-        [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]
-        for phi in range(1, p)
+        [[g] + [zero] * (p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)]
+        for col in entries.tolist()
     ]
 
 
@@ -87,8 +95,9 @@ def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
 
 def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
     """Map support index -> multiplicity of L_j as a root of sigma, in
-    ascending support order."""
-    return _root_multiplicities(sigma, code.L)
+    ascending support order.  A locator has degree at most t, so every
+    sigma shares the evaluation matrix of the code's degree bound."""
+    return _root_multiplicities(sigma, code.L, code.t)
 
 
 def locator_degree(e: Sequence[int], phi: int, p: int) -> int:

@@ -1,5 +1,8 @@
-"""Dense univariate polynomials over GF(q), plus the characteristic-p
-decomposition and modular p-th root the decoder is built on.
+"""Dense univariate polynomials over GF(q), plus what the decoder is built
+on: the characteristic-p decomposition, p-th roots modulo a square-free g
+(a stack of residues in one product with the inverse Frobenius matrix),
+and the root finder (root multiplicities as the first non-vanishing Hasse
+derivative, every level a digit row against one evaluation matrix).
 
 Coefficients are stored low-to-high with no trailing zeros; the zero
 polynomial has degree NEG_INF, a sentinel ordered below every integer
@@ -124,10 +127,6 @@ class Poly:
         _cancel(rows, [other.coeffs, *cofactor], 0, f.neg(f.inv(other.lc())), f)
         return rows
 
-    def __call__(self, a: int) -> int:
-        """Evaluate at a field element a: the remainder mod x - a."""
-        return (self % Poly(self.field, (self.field.neg(a), 1))).lc()
-
     def deriv(self) -> "Poly":
         """Formal derivative; exponents act through the prime subfield."""
         f = self.field
@@ -182,17 +181,19 @@ def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: 
         for si in s:
             d[i] = add[d[i]][times[si]]
             i += 1
-        while d and d[-1] == 0:
-            d.pop()
+        if short >= 0:  # the update reached d's top; below it d stays trimmed
+            while d and d[-1] == 0:
+                d.pop()
 
 
 def _cancel(dst: list[list[int]], src: Sequence[Sequence[int]], col: int, neg_inv_lc: int, field: Field) -> None:
     """Cancel dst[col]'s leading term against src[col]'s until dst[col] is
     shorter, in place: each step is one simple transformation, dst +=
-    c * x**e * src by `_row_addmul`.  neg_inv_lc is -1/lc(src[col])."""
-    size, lead = len(src[col]), dst[col]
+    c * x**e * src by `_row_addmul`.  neg_inv_lc is -1/lc(src[col]), and
+    each c is read from its table row."""
+    size, lead, times = len(src[col]), dst[col], field._mul[neg_inv_lc]
     while len(lead) >= size:
-        _row_addmul(dst, src, field.mul(lead[-1], neg_inv_lc), len(lead) - size, field)
+        _row_addmul(dst, src, times[lead[-1]], len(lead) - size, field)
 
 
 def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Poly:
@@ -260,28 +261,48 @@ def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
     return rows
 
 
-def _root_multiplicities(sigma: Poly, points: Sequence[int]) -> dict[int, int]:
+def _root_multiplicities(sigma: Poly, points: Sequence[int], bound: int = 0) -> dict[int, int]:
     """Map point index -> multiplicity of points[i] as a root of sigma.
 
-    sigma is evaluated at every point at once by synthetic division.  At a
-    root a the quotient rows are exactly sigma/(x - a), so the points that
-    hit are divided again, each by its own quotient, until none hits.  Keys
-    come in ascending index order; points that are not roots are absent.
+    The multiplicity at a is the first i with D**(i) sigma (a) != 0, D**(i)
+    the i-th Hasse derivative (H. Hasse, J. reine angew. Math. 175, 1936):
+    sigma = sum_i D**(i) sigma (a) (x - a)**i in any characteristic, where
+    the ordinary derivatives of order p and above vanish.  Coefficient s of
+    D**(i) sigma is C(s + i, i) * c_(s+i), a prime-subfield scaling of
+    c_(s+i)'s digits, so the levels are digit rows: level 0 goes through
+    `_evaluation_matrix` at every point in one product, and every higher
+    level at the roots only in a second.  The matrix is built for degree
+    max(bound, deg sigma), so callers whose sigma stay under one bound
+    share it.  Keys come in ascending index order; points that are not
+    roots are absent.
     """
     if sigma.is_zero():
         raise ValueError("the zero polynomial has no root multiplicities")
-    index = np.arange(len(points))
-    points = np.array(points)
-    mults = np.zeros(len(points), dtype=np.int64)
-    rows = _synthetic_division(sigma.coeffs, points, sigma.field)
-    hit = rows[-1] == 0
-    while hit.any():
-        index, points = index[hit], points[hit]
-        mults[index] += 1
-        quotient = [r[hit] for r in reversed(rows[:-1])]
-        rows = _synthetic_division(quotient, points, sigma.field)
-        hit = rows[-1] == 0
-    return {int(j): int(mults[j]) for j in np.flatnonzero(mults)}
+    field = sigma.field
+    p, m, t = field.p, field.m, max(bound, sigma.degree)
+    evaluate = _evaluation_matrix(field, t, tuple(points))
+    digits = np.zeros((t + 1, m), dtype=np.int64)
+    digits[: len(sigma.coeffs)] = _digit_split(np.array(sigma.coeffs), field)
+    values = _fmod(digits.reshape(-1).astype(evaluate.dtype) @ evaluate, p)
+    roots = np.flatnonzero(~values.reshape(-1, m).any(axis=1))
+    if not len(roots):
+        return {}
+    scale, source = _hasse_scales(p, t)
+    levels = (scale[..., None] * digits[source] % p).reshape(t, -1).astype(evaluate.dtype)
+    values = _fmod(levels @ evaluate[:, (roots[:, None] * m + np.arange(m)).ravel()], p)
+    mults = values.reshape(t, len(roots), m).any(axis=2).argmax(axis=0) + 1
+    return dict(zip(roots.tolist(), mults.tolist()))
+
+
+@lru_cache(maxsize=8)
+def _hasse_scales(p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, source) for the Hasse derivatives of orders i = 1..t of a
+    polynomial of degree <= t: coefficient s of order i is scale[i-1, s]
+    times coefficient source[i-1, s], where scale is C(s + i, i) mod p and
+    zero past degree t, and source is min(s + i, t)."""
+    n = np.arange(1, t + 1)[:, None] + np.arange(t + 1)
+    scale = [[math.comb(k, i) % p if k <= t else 0 for k in row] for i, row in enumerate(n.tolist(), 1)]
+    return np.array(scale, dtype=np.int64).reshape(t, t + 1), np.minimum(n, t)
 
 
 def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
@@ -351,31 +372,33 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _evaluation_matrix(field: Field, t: int) -> np.ndarray:
-    """GF(p) matrix of g -> (g(a) for every a in GF(q)) on polynomials of
-    degree <= t over a field with q <= 512, as a float ((t+1)*m, q*m) array.
+def _evaluation_matrix(field: Field, t: int, points: Sequence[int]) -> np.ndarray:
+    """GF(p) matrix of g -> (g(a) for a in points) on polynomials of degree
+    <= t, as a float ((t+1)*m, len(points)*m) array; points is a tuple or
+    range of ranks, so the cache is keyed by it.
 
-    Row i*m + k is digit k of coefficient i, column a*m + j digit j of g(a):
-    block (i, a) is the matrix of multiplication by a**i, its column k the
-    digits of y**k * a**i.  Every dot product sums (t+1)*m terms below
-    (p-1)**2, so float32 is exact while (t+1)*m*(p-1)**2 < 2**24, and
-    float64 is used beyond.
+    Row i*m + k is digit k of coefficient i, so the rows of a lower degree
+    are a leading slice; column j*m + l is digit l of g(points[j]): block
+    (i, j) is the matrix of multiplication by a**i, its column k the digits
+    of y**k * a**i.  Every dot product sums (t+1)*m terms below (p-1)**2, so
+    float32 is exact while (t+1)*m*(p-1)**2 < 2**24, and float64 is used
+    beyond.
     """
-    p, m, q = field.p, field.m, field.q
-    mul = _elementwise(field)[1]
-    powers = np.ones((t + 1, q), dtype=np.int64)  # powers[i, a] = a**i
+    p, m = field.p, field.m
+    mul, pts = _elementwise(field)[1], np.array(points, dtype=np.int64)
+    powers = np.ones((t + 1, len(pts)), dtype=np.int64)  # powers[i, j] = points[j]**i
     for i in range(1, t + 1):
-        powers[i] = mul(powers[i - 1], np.arange(q))
-    # digits[k, i, a, j] is digit j of y**k * a**i, y**k having rank p**k
+        powers[i] = mul(powers[i - 1], pts)
+    # digits[k, i, j, l] is digit l of y**k * points[j]**i, y**k having rank p**k
     digits = _digit_split(mul(p ** np.arange(m)[:, None, None], powers), field)
     dtype = np.float32 if (t + 1) * m * (p - 1) ** 2 < 1 << 24 else np.float64
-    return digits.transpose(1, 0, 2, 3).reshape((t + 1) * m, q * m).astype(dtype)
+    return digits.transpose(1, 0, 2, 3).reshape((t + 1) * m, len(pts) * m).astype(dtype)
 
 
 def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
     """Mask of the rows of gc (as in `_rabin_screen`, over a field with
     q <= 512) with no root in GF(q): every row at every element in one product."""
-    evaluate = _evaluation_matrix(field, gc.shape[1] - 1)
+    evaluate = _evaluation_matrix(field, gc.shape[1] - 1, field.elements())
     values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
     return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
 
@@ -493,15 +516,37 @@ def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:
     return inverse.astype(frob.dtype)
 
 
+def _shifts_mod(z: Poly, g: Poly, count: int) -> np.ndarray:
+    """Coefficient ranks of x**k * z mod g for k < count, one row each,
+    low to high and padded to g's degree t >= 1: each row is the last
+    shifted by one and reduced by one `_cancel` step."""
+    f, neg_inv_lc = g.field, g.field.neg(g.field.inv(g.lc()))
+    out = np.zeros((count, g.degree), dtype=np.int64)
+    row = list((z % g).coeffs)
+    out[0, : len(row)] = row
+    for k in range(1, count):
+        row = [0, *row] if row else row
+        _cancel([row], [g.coeffs], 0, neg_inv_lc, f)
+        out[k, : len(row)] = row
+    return out
+
+
+def _pth_roots(rows: np.ndarray, inverse: np.ndarray, field: Field) -> np.ndarray:
+    """p-th roots mod g of the residues whose coefficient ranks, padded to
+    g's degree t, are the rows of a (k, t) array, as their GF(p) digits in
+    a (k, t, m) array: one product with g's `_frobenius_inverse`."""
+    v = _digit_split(rows, field).reshape(len(rows), -1).astype(inverse.dtype)
+    return _fmod(v @ inverse.T, field.p).astype(np.int64).reshape(len(rows), -1, field.m)
+
+
 def pth_root_mod(z: Poly, g: Poly, *, inverse: np.ndarray | None = None) -> Poly:
     """The v with v**p == z (mod g) for a square-free g of degree >= 1;
-    ParamError for any other g.  `inverse` is g's `_frobenius_inverse`."""
+    ParamError for any other g.  `inverse` is g's `_frobenius_inverse`;
+    the root is `_pth_roots` on one row."""
     if g.degree < 1:
         raise ParamError("modulus must have degree >= 1")
-    f, t = g.field, g.degree
+    f = g.field
     if inverse is None:
         inverse = _frobenius_inverse(g.monic())
-    cs = (z % g).coeffs
-    v = _digit_split(np.array(cs + (0,) * (t - len(cs)), dtype=np.int64), f).ravel()
-    digits = _fmod(inverse @ v.astype(inverse.dtype), f.p).astype(np.int64).reshape(t, f.m)
+    digits = _pth_roots(_shifts_mod(z, g, 1), inverse, f)[0]
     return Poly(f, (digits @ f.p ** np.arange(f.m)).tolist())

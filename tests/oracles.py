@@ -9,7 +9,7 @@ from pgoppa.decoder import decode
 from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _euclid, poly_gcd, pth_root_mod
+from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_root_mod
 from pgoppa.popov import pivot_index
 from pgoppa.rng import trial_stream
 
@@ -184,6 +184,15 @@ def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
     return schoolbook_scale(a, a.field.inv(a.lc())) if a.coeffs else a
 
 
+def evaluate(g: Poly, a: int) -> int:
+    """g at a field element a by Horner's rule, one Field call per step."""
+    f = g.field
+    acc = 0
+    for c in reversed(g.coeffs):
+        acc = f.add(f.mul(acc, a), c)
+    return acc
+
+
 def pow_mod(a: Poly, e: int, g: Poly) -> Poly:
     """a**e mod g by square and multiply."""
     result = Poly.one(a.field)
@@ -318,6 +327,23 @@ def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> list[list[P
         v = pth_root_mod(u, g)
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
     return rows
+
+
+def per_root_key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
+    """The key lattices for phi = 1..p-1 from 2(p-1) `pth_root_mod` calls:
+    a_k = root(x**k) and b_k = k*root(x**(k-1)/s), then row k of the phi-th
+    basis is (phi*b_k - a_k, 0, .., 1, .., 0) by Poly scale and subtract."""
+    f, g = code.field, code.g
+    p = f.p
+    s_inv = inv_mod(s, g)
+    zero, one = Poly.zero(f), Poly.one(f)
+    a = [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, p)]
+    b = [pth_root_mod(s_inv.shift(k - 1), g).scale(k) for k in range(1, p)]
+    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
+    return [
+        [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]
+        for phi in range(1, p)
+    ]
 
 
 def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int) -> Poly:

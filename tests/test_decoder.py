@@ -5,7 +5,7 @@ across characteristics."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgoppa import decoder
+from pgoppa import decoder, modp
 from pgoppa.decoder import (
     assemble_locator,
     decode,
@@ -20,7 +20,15 @@ from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
-from oracles import assemble_locator_reference, locator_from_error, magnitude_profile, pow_mod, reference_key_lattice
+from oracles import (
+    assemble_locator_reference,
+    evaluate,
+    locator_from_error,
+    magnitude_profile,
+    per_root_key_lattices,
+    pow_mod,
+    reference_key_lattice,
+)
 from test_popov import PROPERTY_FIELDS, polys
 
 
@@ -216,9 +224,40 @@ def test_key_lattices_equal_per_phi_reference(block, irreducible, seed):
     want = [reference_key_lattice(code, s_inv, phi) for phi in range(1, p)]
     bases = key_lattices(code, s)
     assert bases == want
+    # every b_k from one product and the entries phi*b_k - a_k as one digit
+    # expression, against 2(p-1) pth_root_mod calls and Poly scale/subtract
+    assert bases == per_root_key_lattices(code, s)
     # plain row lists: a row shared between bases would let one reduction edit another
     rows = [id(row) for basis in bases for row in basis]
     assert len(rows) == len(set(rows))
+
+
+def invertible_syndrome(code, rng):
+    while True:
+        s = Poly(code.field, [rng.randrange(code.field.q) for _ in range(code.t)])
+        try:
+            inv_mod(s, code.g)
+            return s
+        except NotInvertibleError:
+            pass
+
+
+def test_one_product_bases_with_an_eliminated_frobenius_inverse(monkeypatch):
+    # g = (x - a) * cubic over GF(27): the p-Frobenius has order 3 on GF(27)
+    # and 9 on GF(27**3), so F**(m*t - 1) = F**11 is not its inverse, and
+    # the code's F**-1 comes from modp.inv_mod_p
+    rng = SplitMix64(2812)
+    f = make_field(3, 3)
+    g = Poly(f, (f.neg(5), 1)) * random_irreducible(3, f, rng)
+    code = GoppaCode(f, [a for a in f.elements() if evaluate(g, a)], g)
+    eliminated = []
+    real = modp.inv_mod_p
+    monkeypatch.setattr(modp, "inv_mod_p", lambda *args: eliminated.append(1) or real(*args))
+    for _ in range(5):
+        s = invertible_syndrome(code, rng)
+        assert key_lattices(code, s) == per_root_key_lattices(code, s)
+    assert code._frobenius is None  # no screen matrix: the code inverts F itself
+    assert len(eliminated) == 1 + 5 * 2 * (f.p - 1)  # the code's inverse, then one per oracle root
 
 
 def test_decoder_roots_equal_roots_built_from_g():
@@ -249,18 +288,22 @@ def test_decoder_roots_equal_roots_built_from_g():
 
 def test_decode_takes_two_roots_per_radicand_index(monkeypatch):
     # a_k and b_k for k = 1..p-1, shared by every phi: 2(p-1) roots, not
-    # (p-1)**2; the code keeps its a_k, so a second decode takes only the b_k
-    calls = []
-    real = decoder.pth_root_mod
+    # (p-1)**2.  The code takes its a_k by pth_root_mod on its first decode
+    # and keeps them; every decode takes its b_k as one product of p-1 rows
+    calls, products = [], []
+    real, real_rows = decoder.pth_root_mod, decoder._pth_roots
     monkeypatch.setattr(decoder, "pth_root_mod", lambda z, g, **kw: calls.append(z) or real(z, g, **kw))
+    monkeypatch.setattr(decoder, "_pth_roots", lambda rows, *args: products.append(len(rows)) or real_rows(rows, *args))
     rng = SplitMix64(2021)
     code = build_code(5, 2, 4, rng=rng)
-    for roots in (2 * (5 - 1), 5 - 1):
+    for roots in (5 - 1, 0):
         e = sample_error(code.n, 2, "uniform", 5, rng)
         cw = code.random_codeword(rng)
         calls.clear()
+        products.clear()
         assert cw in decode(code, corrupt(cw, e, 5)).codewords()
         assert len(calls) == roots
+        assert products == [5 - 1]
 
 
 def test_assemble_locator_examples():
@@ -358,7 +401,7 @@ def scan_roots(sigma, code):
     for j, lj in enumerate(code.L):
         lin = Poly(f, (f.neg(lj), 1))
         h = sigma
-        while h(lj) == 0:
+        while evaluate(h, lj) == 0:
             h = h // lin
             out[j] = out.get(j, 0) + 1
     return out
@@ -575,7 +618,7 @@ def test_decode_non_invertible_syndrome_returns_empty():
         if g1 != g2:
             break
     g = g1 * g2
-    support = [a for a in f.elements() if g(a) != 0]
+    support = [a for a in f.elements() if evaluate(g, a) != 0]
     code = GoppaCode(f, support, g)
     sub = GoppaCode(f, support, g1)
     for _ in range(100):

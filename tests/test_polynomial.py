@@ -14,11 +14,14 @@ from pgoppa.fields import make_field
 from pgoppa.polyring import (
     NEG_INF,
     Poly,
+    _digit_split,
     _evaluation_matrix,
     _first_irreducible,
+    _fmod,
     _frobenius_inverse,
     _frobenius_matrix,
     _rabin_screen,
+    _root_multiplicities,
     _rootless,
     inv_mod,
     is_irreducible,
@@ -31,10 +34,12 @@ from pgoppa.polyring import (
 from pgoppa.rng import SplitMix64
 
 from oracles import (
+    evaluate,
     ext_gcd,
     poly_pth_power,
     pow_mod,
     rabin_irreducible,
+    root_multiplicity,
     random_irreducible_reference,
     schoolbook_add,
     schoolbook_divmod,
@@ -101,15 +106,22 @@ def test_derivative_worked_example():
 
 
 def test_eval_matches_power_sum():
+    # the evaluation matrix's product, and the oracle's Horner, at every point
     rng = random.Random(7)
     f = make_field(3, 2)
+    evaluate_all = _evaluation_matrix(f, 6, f.elements())
     for _ in range(100):
         a = rand_poly(f, 6, rng)
-        x = rng.randrange(f.q)
-        direct = 0
-        for i, c in enumerate(a.coeffs):
-            direct = f.add(direct, f.mul(c, f.pow(x, i)))
-        assert a(x) == direct
+        direct = []
+        for x in f.elements():
+            value = 0
+            for i, c in enumerate(a.coeffs):
+                value = f.add(value, f.mul(c, f.pow(x, i)))
+            direct.append(value)
+        digits = _digit_split(np.array(a.coeffs + (0,) * (7 - len(a.coeffs))), f).reshape(-1)
+        values = _fmod(digits.astype(evaluate_all.dtype) @ evaluate_all, 3).reshape(f.q, f.m) @ [1, 3]
+        assert values.tolist() == direct
+        assert [evaluate(a, x) for x in f.elements()] == direct
 
 
 def test_ext_gcd_base_case():
@@ -180,7 +192,7 @@ def test_random_irreducible_no_roots_small_degree():
     for t in (2, 3):
         for _ in range(25):
             g = random_irreducible(t, f, rng)
-            assert all(g(a) != 0 for a in f.elements())
+            assert all(evaluate(g, a) != 0 for a in f.elements())
 
 
 def test_random_irreducible_square_free():
@@ -279,7 +291,7 @@ def test_block_search_matches_one_at_a_time_reference(field, t, seed):
 
 
 def has_no_root(g):
-    return all(g(a) for a in g.field.elements())
+    return all(evaluate(g, a) for a in g.field.elements())
 
 
 ROOT_SCREEN_FIELDS = [(2, 3), (7, 1), (3, 2), (3, 4)]
@@ -302,12 +314,38 @@ def test_root_screen_keeps_exactly_the_rootless_rows(field, t, seed):
         assert set(passed) <= set(rootless)
 
 
+HASSE_FIELDS = [(2, 4), (3, 2), (7, 2), (3, 6)]  # GF(3**6) has no lookup tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HASSE_FIELDS), st.integers(0, 8), st.integers(0, 2**64 - 1))
+def test_root_multiplicities_equal_scan_from_multiplicity_p_on(field, extra, seed):
+    # roots of multiplicity p, p + 1 and 2p planted on a random cofactor:
+    # there sigma's ordinary derivatives all vanish (those of order p and
+    # above vanish everywhere), so only the Hasse derivatives tell them apart
+    f = make_field(*field)
+    p = f.p
+    rng = SplitMix64(seed)
+    points = rng.sample(range(f.q), min(f.q, 20))
+    sigma = Poly(f, [rng.randrange(f.q) for _ in range(rng.randrange(4))] + [1])
+    for a, mu in zip(points, (p, p + 1, 2 * p)):
+        for _ in range(mu):
+            sigma = sigma * Poly(f, (f.neg(a), 1))
+    derivatives = [sigma]
+    while derivatives[-1]:
+        derivatives.append(derivatives[-1].deriv())
+    assert all(evaluate(d, a) == 0 for d in derivatives[1:] for a in points[:3])
+    want = {j: mu for j, a in enumerate(points) if (mu := root_multiplicity(sigma, a))}
+    assert all(want[j] >= mu for j, mu in enumerate((p, p + 1, 2 * p)))
+    assert _root_multiplicities(sigma, points, sigma.degree + extra) == want
+
+
 @pytest.mark.parametrize("t, dtype", [(64, np.float32), (65, np.float64)])
 def test_root_screen_at_the_float32_bound(t, dtype):
     # 65 * 508**2 < 2**24 <= 66 * 508**2: t = 65 is the first degree over
     # GF(509) whose evaluation sums float32 cannot hold exactly
     f = make_field(509, 1)
-    assert _evaluation_matrix(f, t).dtype == dtype
+    assert _evaluation_matrix(f, t, f.elements()).dtype == dtype
     rng = SplitMix64(t)
     rows = [Poly(f, [rng.randrange(509) for _ in range(t)] + [1]) for _ in range(4)]
     for a in (0, 508):  # rows with a root at a
