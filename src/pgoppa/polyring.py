@@ -270,26 +270,31 @@ def _root_multiplicities(sigma: Poly, points: Sequence[int], bound: int = 0) -> 
     the ordinary derivatives of order p and above vanish.  Coefficient s of
     D**(i) sigma is C(s + i, i) * c_(s+i), a prime-subfield scaling of
     c_(s+i)'s digits, so the levels are digit rows: level 0 goes through
-    `_evaluation_matrix` at every point in one product, and every higher
-    level at the roots only in a second.  The matrix is built for degree
-    max(bound, deg sigma), so callers whose sigma stay under one bound
-    share it.  Keys come in ascending index order; points that are not
-    roots are absent.
+    `_evaluation_matrix` in one product, and every higher level at the
+    roots only in a second.  The matrix is built for degree max(bound,
+    deg sigma), so callers whose sigma stay under one bound share it; over
+    a field with q <= 512 it covers GF(q), the one the root screen uses,
+    so a new support builds none, and beyond it covers the points alone.
+    Keys come in ascending index order; points that are not roots are
+    absent.
     """
     if sigma.is_zero():
         raise ValueError("the zero polynomial has no root multiplicities")
     field = sigma.field
     p, m, t = field.p, field.m, max(bound, sigma.degree)
-    evaluate = _evaluation_matrix(field, t, tuple(points))
+    if field.q <= _TABLE_LIMIT:
+        evaluate, at = _evaluation_matrix(field, t, field.elements()), np.array(points, dtype=np.int64)
+    else:
+        evaluate, at = _evaluation_matrix(field, t, tuple(points)), np.arange(len(points))
     digits = np.zeros((t + 1, m), dtype=np.int64)
     digits[: len(sigma.coeffs)] = _digit_split(np.array(sigma.coeffs), field)
-    values = _fmod(digits.reshape(-1).astype(evaluate.dtype) @ evaluate, p)
-    roots = np.flatnonzero(~values.reshape(-1, m).any(axis=1))
+    values = _fmod(digits.reshape(-1).astype(evaluate.dtype) @ evaluate, p).reshape(-1, m)
+    roots = np.flatnonzero(~values[at].any(axis=1))
     if not len(roots):
         return {}
     scale, source = _hasse_scales(p, t)
     levels = (scale[..., None] * digits[source] % p).reshape(t, -1).astype(evaluate.dtype)
-    values = _fmod(levels @ evaluate[:, (roots[:, None] * m + np.arange(m)).ravel()], p)
+    values = _fmod(levels @ evaluate[:, (at[roots, None] * m + np.arange(m)).ravel()], p)
     mults = values.reshape(t, len(roots), m).any(axis=2).argmax(axis=0) + 1
     return dict(zip(roots.tolist(), mults.tolist()))
 
