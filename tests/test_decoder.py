@@ -276,13 +276,8 @@ def test_decoder_roots_equal_roots_built_from_g():
         for _ in range(5):
             z = Poly(f, [rng.randrange(f.q) for _ in range(2 * code.t)])
             assert pth_root_mod(z, g, inverse=inverse) == pth_root_mod(z, g)
-        while True:
-            s = Poly(f, [rng.randrange(f.q) for _ in range(code.t)])
-            try:
-                s_inv = inv_mod(s, g)
-                break
-            except NotInvertibleError:
-                pass
+        s = invertible_syndrome(code, rng)
+        s_inv = inv_mod(s, g)
         assert key_lattices(code, s) == [reference_key_lattice(code, s_inv, phi) for phi in range(1, f.p)]
 
 
