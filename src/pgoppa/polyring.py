@@ -23,7 +23,8 @@ from .fields import _TABLE_LIMIT, Field, is_prime
 
 NEG_INF = float("-inf")
 
-_BLOCK_ROWS = 8  # candidates per block of the generator search
+_BLOCK_ROWS = 24  # candidates per block of the generator search, root-screened at once
+_STAGE_ROWS = 4  # root-free candidates per Frobenius stage
 
 
 class Poly:
@@ -232,7 +233,9 @@ def inv_mod(f: Poly, g: Poly) -> Poly:
 
 def is_square_free(g: Poly) -> bool:
     """True iff g has no repeated factor.  A vanishing derivative means g
-    is a p-th power, hence not square-free."""
+    is a p-th power, hence not square-free.  g's coefficients must be
+    ranks in [0, q)."""
+    check_integers(g.coeffs, 0, g.field.q, "polynomial coefficients")
     d = g.deriv()
     if d.is_zero():
         return False
@@ -323,6 +326,21 @@ def _fmod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _exact_products(p: int, dim: int) -> tuple[type, int]:
+    """(dtype, k): a reduced GF(p) value takes k products in a row by
+    reduced matrices of side dim before it needs `_fmod`, its entries then
+    at most (p-1) * (dim*(p-1))**k, exact below 2**24 in float32 (taken
+    where it holds one product) and 2**53 in float64; k = 0 where neither
+    holds one."""
+    for dtype, bits in ((np.float32, 24), (np.float64, 53)):
+        k, bound = 0, p - 1
+        while k < bits and bound * dim * (p - 1) < 1 << bits:
+            k, bound = k + 1, bound * dim * (p - 1)
+        if k:
+            return dtype, k
+    return np.float64, 0
+
+
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a**e mod p by repeated squaring in a's float dtype, exact under the
     bound `_frobenius_matrix` enforces."""
@@ -343,17 +361,18 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     Coordinate j*m + k is digit k of the coefficient of x**j.  With C the
     matrix of multiplication by x (its last block, -y**k * (g - x**t), takes
     m*t field products), block j of the result is (C**p)**j applied to the
-    digits of (y**k)**p, k < m.  Every dot product sums m*t terms below
-    (p-1)**2: float32 is exact while m*t*(p-1)**2 < 2**24, as everywhere
-    on the experiment grid (below 12,000), float64 while it is < 2**53, and
-    ParamError is raised beyond.
+    digits of (y**k)**p, k < m.  `_exact_products` picks the dtype (float32
+    while one product, m*t*(p-1)**2, stays below 2**24, as everywhere on
+    the experiment grid, where it is below 12,000) and how many blocks the
+    recurrence takes between reductions mod p; all of F is reduced at the
+    end, and ParamError is raised where not even float64 holds one product.
     """
     p, m = field.p, field.m
     rows, t = gc.shape[0], gc.shape[1] - 1
     dim = m * t
-    if dim * (p - 1) ** 2 >= 1 << 53:
+    dtype, every = _exact_products(p, dim)
+    if not every:
         raise ParamError(f"GF({p}) residue space of dimension {dim} exceeds exact float64 range")
-    dtype = np.float32 if dim * (p - 1) ** 2 < 1 << 24 else np.float64
     ys = [p**k for k in range(m)]  # the ranks of y**k
     top = _elementwise(field)[1](np.array([field.neg(y) for y in ys])[:, None], gc[:, None, :t])
     eye = np.eye(dim, dtype=dtype)
@@ -371,9 +390,13 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
         mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
     out = np.zeros((rows, dim, dim), dtype=dtype)
     out[:, :m, :m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
+    block = out[:, :, :m]
     for j in range(1, t):
-        out[:, :, j * m : (j + 1) * m] = _fmod(mul_xp @ out[:, :, (j - 1) * m : j * m], p)
-    return out
+        block = mul_xp @ block
+        if j % every == 0:
+            block = _fmod(block, p)
+        out[:, :, j * m : (j + 1) * m] = block
+    return _fmod(out, p)
 
 
 @lru_cache(maxsize=8)
@@ -385,9 +408,9 @@ def _evaluation_matrix(field: Field, t: int, points: Sequence[int]) -> np.ndarra
     Row i*m + k is digit k of coefficient i, so the rows of a lower degree
     are a leading slice; column j*m + l is digit l of g(points[j]): block
     (i, j) is the matrix of multiplication by a**i, its column k the digits
-    of y**k * a**i.  Every dot product sums (t+1)*m terms below (p-1)**2, so
-    float32 is exact while (t+1)*m*(p-1)**2 < 2**24, and float64 is used
-    beyond.
+    of y**k * a**i.  Every dot product sums (t+1)*m terms below (p-1)**2:
+    the dtype is `_exact_products`' for side (t+1)*m, float32 while
+    (t+1)*m*(p-1)**2 < 2**24 and float64 beyond.
     """
     p, m = field.p, field.m
     mul, pts = _elementwise(field)[1], np.array(points, dtype=np.int64)
@@ -396,7 +419,7 @@ def _evaluation_matrix(field: Field, t: int, points: Sequence[int]) -> np.ndarra
         powers[i] = mul(powers[i - 1], pts)
     # digits[k, i, j, l] is digit l of y**k * points[j]**i, y**k having rank p**k
     digits = _digit_split(mul(p ** np.arange(m)[:, None, None], powers), field)
-    dtype = np.float32 if (t + 1) * m * (p - 1) ** 2 < 1 << 24 else np.float64
+    dtype = _exact_products(p, (t + 1) * m)[0]
     return digits.transpose(1, 0, 2, 3).reshape((t + 1) * m, len(pts) * m).astype(dtype)
 
 
@@ -408,34 +431,50 @@ def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
     return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
 
 
-def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
-    """Rabin's test on a block, all but its gcds.  Row k of gc holds the
-    coefficients, low to high, of a monic g of degree t >= 1.
+def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(rows, screened): the indices of gc's rows that pass the root screen
+    (`_rootless`), which runs over a field with q <= 512 for t >= 2, and
+    whether it ran; every row where it does not."""
+    live = np.arange(len(gc))
+    screened = field.q <= _TABLE_LIMIT and gc.shape[1] > 2
+    return (live[_rootless(field, gc)] if screened else live), screened
+
+
+def _rabin_screen(
+    field: Field, gc: np.ndarray, live: np.ndarray | None = None
+) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
+    """Rabin's test on rows of a block, all but its gcds.  Row k of gc holds
+    the coefficients, low to high, of a monic g of degree t >= 1.
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
     = 1 for each prime r | t.  Over a field with q <= 512 a root screen
     (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
-    of t <= 3.  x**(q**i) mod g comes from the rows' stacked q-Frobenius
-    matrices.
+    of t <= 3; `live` lists the rows of gc that passed it (`_root_free`'s,
+    taken here when None).  The live rows go through one Frobenius stage:
+    x**(q**i) mod g from their stacked q-Frobenius matrices, the chain
+    reduced mod p as often as `_exact_products` requires and wherever it is
+    read (at a level and at i = t).
     Returns the rows, in order, that pass, for each level i = t/r whose gcd
     is still open the coefficient ranks of x**(q**i) - x at those rows, and
     their stacked p-Frobenius matrices (None where the screen built none).
     """
     t = gc.shape[1] - 1
-    live = np.arange(len(gc))
     screened = field.q <= _TABLE_LIMIT
-    if screened and t > 1:
-        live = live[_rootless(field, gc)]
+    if live is None:
+        live = _root_free(field, gc)[0]
     if t == 1 or (screened and t < 4) or not len(live):
         return live.tolist(), [], None
     p, m = field.p, field.m
     levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r) and not (screened and r == t)]
     frob = _frobenius_matrix(field, gc[live])
     frob_q = _power_mod(frob, m, p)  # y -> y**q
+    every = _exact_products(p, m * t)[1]
     x = (np.arange(m * t) == m).astype(frob_q.dtype)
     h, powers = np.tile(x, (len(live), 1)), []
     for i in range(1, t + 1):
-        h = _fmod(np.matmul(frob_q, h[:, :, None])[:, :, 0], p)
+        h = np.matmul(frob_q, h[:, :, None])[:, :, 0]
+        if i % every == 0 or i in levels or i == t:
+            h = _fmod(h, p)
         if i in levels:
             powers.append(h)
     passed = (h == x).all(axis=1)
@@ -447,33 +486,43 @@ def _rabin_screen(field: Field, gc: np.ndarray) -> tuple[list[int], list[np.ndar
 def is_irreducible(g: Poly, gaps: Sequence[Sequence[int]] | None = None) -> bool:
     """Irreducibility over GF(q) by Rabin's test.  With `gaps`, g passed
     `_rabin_screen` and gaps are its rows there (x**(q**i) - x at each open
-    level), so one gcd per level decides; without, g is screened alone."""
+    level), so one gcd per level decides; without, g is screened alone, and
+    its coefficients must be ranks in [0, q)."""
     if gaps is None:
+        check_integers(g.coeffs, 0, g.field.q, "polynomial coefficients")
         return g.degree >= 1 and _first_irreducible(g.field, np.array([g.monic().coeffs]))[0] == 0
     return all(poly_gcd(g, Poly(g.field, r)).degree == 0 for r in gaps)
 
 
 def _first_irreducible(field: Field, gc: np.ndarray) -> tuple[int | None, np.ndarray | None]:
     """Index of the first irreducible row of gc (rows as in `_rabin_screen`)
-    and its p-Frobenius matrix from the screen, or None: one screen of the
-    block, then is_irreducible decides its survivors in order from the
-    screen's own levels."""
-    passed, gaps, frob = _rabin_screen(field, gc)
-    for j, k in enumerate(passed):
-        if is_irreducible(Poly(field, gc[k].tolist()), [v[j].tolist() for v in gaps]):
-            return k, None if frob is None else frob[j]
+    and its p-Frobenius matrix from the screen, or None: one root screen of
+    the block, then `_rabin_screen` stages of `_STAGE_ROWS` root-free rows
+    in order (one stage of every row where no root screen runs), each
+    stage's survivors decided by is_irreducible from its own levels, until
+    one is accepted."""
+    live, screened = _root_free(field, gc)
+    stage = _STAGE_ROWS if screened else len(gc)
+    for start in range(0, len(live), stage):
+        passed, gaps, frob = _rabin_screen(field, gc, live[start : start + stage])
+        for j, k in enumerate(passed):
+            if is_irreducible(Poly(field, gc[k].tolist()), [v[j].tolist() for v in gaps]):
+                return k, None if frob is None else frob[j]
     return None, None
 
 
 def random_irreducible(t: int, field: Field, rng, *, with_frobenius: bool = False):
     """Uniform monic irreducible g of degree exactly t (rejection sampling).
     Each candidate takes t randrange(q) draws of rng, low coefficient first;
-    blocks of `_BLOCK_ROWS` are drawn and tested at once, and rng is left
-    just after the accepted candidate's draws.  `with_frobenius` returns
-    (g, F), F being g's p-Frobenius matrix from the screen, or None where
-    it built none (t = 1, or t <= 3 over a field with q <= 512)."""
+    blocks of `_BLOCK_ROWS` are drawn and root-screened at once (over a
+    field with q > 512, blocks of `_STAGE_ROWS`, one Frobenius stage each),
+    and rng is left just after the accepted candidate's draws.
+    `with_frobenius` returns (g, F), F being g's p-Frobenius matrix from the
+    screen, or None where it built none (t = 1, or t <= 3 over a field with
+    q <= 512)."""
     check_integers((t,), 1, math.inf, "degree t")
-    k, q = _BLOCK_ROWS, field.q
+    q = field.q
+    k = _BLOCK_ROWS if q <= _TABLE_LIMIT else _STAGE_ROWS
     while True:
         draws = rng.next_u64_block(k * t)
         gc = np.ones((k, t + 1), dtype=np.int64)

@@ -16,14 +16,23 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """The splitmix64 output function (Stafford variant 13); elementwise on
-    a uint64 array, where numpy wraps the products mod 2**64."""
+def mix64(z):
+    """The splitmix64 output function (Stafford variant 13) on an int, or
+    elementwise and in place on a uint64 array: numpy wraps the array's
+    products mod 2**64, so only the int takes the masks."""
+    if isinstance(z, np.ndarray):
+        z ^= z >> 30
+        z *= np.uint64(_MIX1)
+        z ^= z >> 27
+        z *= np.uint64(_MIX2)
+        z ^= z >> 31
+        return z
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -42,7 +51,9 @@ class SplitMix64:
     def next_u64_block(self, n: int) -> np.ndarray:
         """The next n next_u64() outputs as a uint64 array, without moving
         the state; `advance(n)` moves it past them."""
-        return mix64(np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64))
+        states = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        states += np.uint64(self.state)
+        return mix64(states)
 
     def advance(self, n: int) -> None:
         """Skip n draws."""

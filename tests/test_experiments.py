@@ -1,6 +1,7 @@
 """Harness tests: the success model, sweep rule, trial reproducibility,
 worker independence, and the seeded generator's reference vectors."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +44,19 @@ def test_splitmix64_block_draw_equals_successive_draws():
         assert draws == [single.next_u64() for _ in range(40)]
         block.advance(40)
         assert block.state == single.state
+
+
+def test_block_finalizer_in_place_equals_masked_ints():
+    # the block path finalizes its uint64 array in place without masks; the
+    # int path keeps them.  481 draws pass a (3,4,20) search block of 480.
+    for seed in (0, 1, (1 << 63) + 5):
+        for n in (1, 80, 481):
+            single = SplitMix64(seed)
+            assert SplitMix64(seed).next_u64_block(n).tolist() == [single.next_u64() for _ in range(n)]
+        z = mix64(seed)
+        assert type(z) is int and z == mix64(seed + (1 << 64))
+        states = np.array([seed], dtype=np.uint64)
+        assert mix64(states) is states and states.tolist() == [z]
 
 
 def test_splitmix64_draw_helpers():

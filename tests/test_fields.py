@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pgoppa.errors import ParamError
-from pgoppa.fields import Field, _is_irreducible_modulus, ints_from_text, is_prime, make_field
+from pgoppa.fields import Field, _default_modulus, _is_irreducible_modulus, ints_from_text, is_prime, make_field
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -104,6 +104,33 @@ def test_default_cubic_modulus_past_the_binomials():
     # bounds are 8, 24, 56, ..., 1016, 2040); a cubic is irreducible iff it
     # has no root.  These p put the first hit on both sides of each bound.
     for p in (5, 11, 23, 29, 53, 59, 113, 131, 239, 251, 503, 509, 1013, 1019, 2039, 2063):
+        xs = np.arange(p)
+        cubics = (monic_of_rank(k, p, 3) for k in count())
+        first = next(f for f in cubics if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())
+        assert make_field(p, 3).modulus == tuple(first), p
+
+
+# the smallest irreducible of each (p, m) as the block search found it with
+# blocks of 8 and no stages: over p > 512 no root screen runs
+DEFAULT_MODULI = {
+    (521, 3): (7, 1, 0, 1),
+    (1031, 2): (1, 0, 1),
+    (523, 4): (1, 1, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p, m", DEFAULT_MODULI)
+def test_default_modulus_is_pinned(p, m):
+    assert _default_modulus(p, m) == DEFAULT_MODULI[p, m]
+
+
+def test_default_cubic_modulus_across_the_block_bounds():
+    # as in the test above, for blocks of 24 doubling to 1024 (bounds 24, 72,
+    # 168, 360, 744, 1512, 2536): these p put the first hit on both sides of
+    # each bound, 71 and 359 on a block's first row
+    for p in (17, 23, 59, 71, 149, 167, 353, 359, 719, 743, 1499, 1511, 2531, 2543):
         xs = np.arange(p)
         cubics = (monic_of_rank(k, p, 3) for k in count())
         first = next(f for f in cubics if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())

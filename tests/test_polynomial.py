@@ -1,6 +1,7 @@
 """Polynomial ring tests: ring laws, gcd machinery, characteristic-p
 decomposition, and the modular inverse Frobenius."""
 
+import hashlib
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from pgoppa.polyring import (
     Poly,
     _digit_split,
     _evaluation_matrix,
+    _exact_products,
     _first_irreducible,
     _fmod,
     _frobenius_inverse,
@@ -355,19 +357,134 @@ def test_root_screen_at_the_float32_bound(t, dtype):
 
 
 def test_block_search_matches_reference_on_fresh_block(monkeypatch):
-    # each block drawn is screened once: its survivors are decided from the
-    # screen's own levels, not screened again one row at a time
-    f = make_field(3, 4)  # the (3,4,20) Table-1 block
-    blocks, screens = [], []
-    draw, screen = SplitMix64.next_u64_block, polyring._rabin_screen
-    monkeypatch.setattr(SplitMix64, "next_u64_block", lambda rng, n: blocks.append(n) or draw(rng, n))
-    monkeypatch.setattr(polyring, "_rabin_screen", lambda field, gc: screens.append(len(gc)) or screen(field, gc))
+    # each block drawn is root-screened once; its root-free rows then enter
+    # Frobenius stages in stream order, each row in at most one, every row
+    # of a block without a hit; F is built for a stage's rows and no others
+    f, t = make_field(3, 4), 20  # the (3,4,20) Table-1 block
+    want = {}
     for seed in (1, 2):
-        block, single = SplitMix64(seed), SplitMix64(seed)
-        g = random_irreducible(20, f, block)
-        assert g == random_irreducible_reference(20, f, single)
-        assert block.state == single.state
-    assert len(screens) == len(blocks) > 0
+        rng = SplitMix64(seed)
+        want[seed] = random_irreducible_reference(t, f, rng), rng.state
+    events = []
+    draw, rootless, screen, frobenius = (
+        SplitMix64.next_u64_block,
+        polyring._rootless,
+        polyring._rabin_screen,
+        polyring._frobenius_matrix,
+    )
+
+    def record_draw(rng, n):
+        out = draw(rng, n)
+        events.append(("draw", (out % np.uint64(f.q)).reshape(-1, t)))
+        return out
+
+    def record_screen(field, gc):
+        mask = rootless(field, gc)
+        events.append(("screen", gc[:, :t].copy(), mask))
+        return mask
+
+    def record_stage(field, gc, live):
+        events.append(("stage", gc[live, :t].copy()))
+        return screen(field, gc, live)
+
+    def record_frobenius(field, gc):
+        events.append(("frob", gc[:, :t].copy()))
+        return frobenius(field, gc)
+
+    monkeypatch.setattr(SplitMix64, "next_u64_block", record_draw)
+    monkeypatch.setattr(polyring, "_rootless", record_screen)
+    monkeypatch.setattr(polyring, "_rabin_screen", record_stage)
+    monkeypatch.setattr(polyring, "_frobenius_matrix", record_frobenius)
+    for seed in (1, 2):
+        events.clear()
+        rng = SplitMix64(seed)
+        g = random_irreducible(t, f, rng)
+        assert (g, rng.state) == want[seed]
+        starts = [i for i, e in enumerate(events) if e[0] == "draw"]
+        assert starts[0] == 0
+        for b, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(events)])):
+            (_, rows), (kind, screened, mask), *rest = events[lo:hi]
+            assert kind == "screen" and np.array_equal(screened, rows)
+            assert [e[0] for e in rest] == ["stage", "frob"] * (len(rest) // 2)
+            stages, built = rest[::2], rest[1::2]
+            assert all(np.array_equal(s[1], m[1]) for s, m in zip(stages, built))
+            assert all(0 < len(s[1]) <= polyring._STAGE_ROWS for s in stages)
+            staged = np.concatenate([s[1] for s in stages]) if stages else rows[:0]
+            assert np.array_equal(staged, rows[mask][: len(staged)])
+            if b < len(starts) - 1:  # a block without a hit
+                assert len(staged) == mask.sum()
+            else:
+                assert list(g.coeffs[:t]) in stages[-1][1].tolist()
+
+
+# the generator search's whole output at seeds 1-3: the first 16 hex digits
+# of sha256 over (g's coefficients, the rng's next draw, F's dtype) and F's
+# bytes, as the search gave them with blocks of 8 and no stages; the last
+# two entries are over the untabled GF(3**6), with no root screen
+SEARCH_DIGESTS = {
+    (3, 3, 8): ["424988df86b95923", "72964f9b40113f6f", "ce1af4b8b50328ff"],
+    (3, 4, 20): ["6f0eb8efb5b1a467", "103d0ba34f3d87b3", "33d69bd4e4ab50de"],
+    (5, 2, 12): ["739f3d625619882f", "ab9ef4966c28e349", "b1129c61ca6b203a"],
+    (5, 3, 41): ["a46324e1ff74794d", "60d3d8ee0fa87383", "cb972de57bf26926"],
+    (7, 2, 24): ["1861d8501482af9c", "bde607f2e870c753", "475af5d8a763c54f"],
+    (11, 2, 60): ["b75ba2e9507dfd98", "976d8e541837a7da", "543250f90abc4e10"],
+    (3, 6, 5): ["ea5546ab148019f5", "64ad480e98101fb4", "34675e450225132f"],
+    (3, 6, 9): ["813cda1c14096ed6", "c7fce6700670bb85", "1777209ed57951cf"],
+}
+
+
+@pytest.mark.parametrize("p, m, t", SEARCH_DIGESTS)
+def test_generator_search_output_is_pinned(p, m, t):
+    for seed, digest in zip((1, 2, 3), SEARCH_DIGESTS[p, m, t]):
+        rng = SplitMix64(seed)
+        g, frob = random_irreducible(t, make_field(p, m), rng, with_frobenius=True)
+        h = hashlib.sha256(repr((g.coeffs, rng.next_u64(), str(frob.dtype))).encode())
+        h.update(frob.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+
+# (3,4,20) holds three products between reductions; over GF(509), t = 65 is
+# the last float32 degree (65 * 508**2 < 2**24 <= 66 * 508**2), which holds
+# one, and t = 66 the first float64 one, which holds two
+@pytest.mark.parametrize(
+    "p, m, t, dtype, k",
+    [(3, 4, 20, np.float32, 3), (509, 1, 65, np.float32, 1), (509, 1, 66, np.float64, 2)],
+)
+def test_lazy_reduction_equals_eager_at_its_edges(monkeypatch, p, m, t, dtype, k):
+    dim, bits = m * t, 24 if dtype == np.float32 else 53
+    assert _exact_products(p, dim) == (dtype, k)
+    assert (p - 1) * (dim * (p - 1)) ** k < 1 << bits <= (p - 1) * (dim * (p - 1)) ** (k + 1)
+    f = make_field(p, m)
+    rng = SplitMix64(t)
+    rows = [random_irreducible(t, f, rng).coeffs for _ in range(2)]
+    rows += [[rng.randrange(f.q) for _ in range(t)] + [1] for _ in range(2)]
+    gc, every_row = np.array(rows), np.arange(len(rows))
+    lazy = _frobenius_matrix(f, gc), _rabin_screen(f, gc, every_row)
+    exact = polyring._exact_products
+    monkeypatch.setattr(polyring, "_exact_products", lambda p, dim: (exact(p, dim)[0], 1))
+    eager = _frobenius_matrix(f, gc), _rabin_screen(f, gc, every_row)
+    assert lazy[0].dtype == eager[0].dtype == dtype and np.array_equal(lazy[0], eager[0])
+    (passed, gaps, frob), (eager_passed, eager_gaps, eager_frob) = lazy[1], eager[1]
+    assert passed == eager_passed and passed[:2] == [0, 1]
+    assert len(gaps) == len(eager_gaps) > 0  # the chain's levels
+    assert all(np.array_equal(a, b) for a, b in zip(gaps, eager_gaps))
+    assert np.array_equal(frob, eager_frob) and np.array_equal(frob[:2], lazy[0][:2])
+
+
+def test_public_verdicts_reject_out_of_range_coefficients(monkeypatch):
+    # rank -1 would read the last table row, 100 would index past it
+    f = make_field(3, 2)
+    for c in (-1, 9, 100, 1.5, True):
+        with pytest.raises(ParamError, match="coefficients"):
+            is_irreducible(Poly(f, [c, 0, 0, 0, 1]))
+        with pytest.raises(ParamError, match="coefficients"):
+            is_square_free(Poly(f, [c, 1, 1]))
+    # the search's own survivors are not checked again
+    checks = []
+    check = polyring.check_integers
+    monkeypatch.setattr(polyring, "check_integers", lambda values, *rest: checks.append(rest[-1]) or check(values, *rest))
+    random_irreducible(20, make_field(3, 4), SplitMix64(1))
+    assert checks == ["degree t"]
 
 
 def frobenius_digits(poly, t):
