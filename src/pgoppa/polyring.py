@@ -342,16 +342,30 @@ def _exact_products(p: int, dim: int) -> tuple[type, int]:
 
 
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p by repeated squaring in a's float dtype, exact under the
-    bound `_frobenius_matrix` enforces."""
-    base, power = a, None
+    """a**e mod p for a reduced a, by repeated squaring in a's float dtype.
+    A product of values i and j products past their last reduction is
+    i + j + 1 past it; an operand is reduced only where that would pass
+    `_exact_products`' k, and the result always."""
+    k = _exact_products(p, a.shape[-1])[1]
+    base, b, power, w = a, 0, None, 0  # b, w: products since each was reduced
     while e:
         if e & 1:
-            power = base if power is None else _fmod(power @ base, p)
+            if power is None:
+                power, w = base, b
+            else:
+                if w + b >= k and w:
+                    power, w = _fmod(power, p), 0
+                if w + b >= k:
+                    base, b = _fmod(base, p), 0
+                power, w = power @ base, w + b + 1
         e >>= 1
         if e:
-            base = _fmod(base @ base, p)
-    return np.eye(a.shape[-1]) if power is None else power
+            if 2 * b >= k:
+                base, b = _fmod(base, p), 0
+            base, b = base @ base, 2 * b + 1
+    if power is None:
+        return np.eye(a.shape[-1])
+    return _fmod(power, p) if w else power
 
 
 def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
@@ -389,14 +403,17 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
             tail.append(_fmod(mul_x @ tail[-1], p))
         mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
     out = np.zeros((rows, dim, dim), dtype=dtype)
-    out[:, :m, :m] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
-    block = out[:, :, :m]
-    for j in range(1, t):
+    free = np.arange(-(-t // p))  # blocks j with j*p < t: (y**k)**p at x**(j*p), no product
+    y_p = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
+    out.reshape(rows, t, m, t, m)[:, free * p, :, free, :] = y_p
+    block = out[:, :, (len(free) - 1) * m : len(free) * m]
+    for j in range(len(free), t):
         block = mul_xp @ block
-        if j % every == 0:
+        if (j + 1 - len(free)) % every == 0:
             block = _fmod(block, p)
         out[:, :, j * m : (j + 1) * m] = block
-    return _fmod(out, p)
+    _fmod(out[:, :, len(free) * m :], p)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -428,7 +445,8 @@ def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
     q <= 512) with no root in GF(q): every row at every element in one product."""
     evaluate = _evaluation_matrix(field, gc.shape[1] - 1, field.elements())
     values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
-    return values.reshape(len(gc), field.q, field.m).any(axis=2).all(axis=1)
+    ranks = values.reshape(len(gc), field.q, field.m) @ (field.p ** np.arange(field.m)).astype(values.dtype)
+    return ranks.all(axis=1)  # g(a)'s rank, zero iff a is a root; a cheaper test than any() over m digits
 
 
 def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -470,14 +488,14 @@ def _rabin_screen(
     frob_q = _power_mod(frob, m, p)  # y -> y**q
     every = _exact_products(p, m * t)[1]
     x = (np.arange(m * t) == m).astype(frob_q.dtype)
-    h, powers = np.tile(x, (len(live), 1)), []
+    h, powers = x[:, None], []
     for i in range(1, t + 1):
-        h = np.matmul(frob_q, h[:, :, None])[:, :, 0]
+        h = frob_q @ h
         if i % every == 0 or i in levels or i == t:
-            h = _fmod(h, p)
+            _fmod(h, p)
         if i in levels:
-            powers.append(h)
-    passed = (h == x).all(axis=1)
+            powers.append(h[:, :, 0])
+    passed = (h[:, :, 0] == x).all(axis=1)
     weights = p ** np.arange(m)
     gaps = [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
     return live[passed].tolist(), gaps, frob[passed]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgoppa import modp, polyring
 from pgoppa.errors import NotInvertibleError, ParamError
-from pgoppa.fields import make_field
+from pgoppa.fields import is_prime, make_field
 from pgoppa.polyring import (
     NEG_INF,
     Poly,
@@ -445,30 +445,57 @@ def test_generator_search_output_is_pinned(p, m, t):
 
 # (3,4,20) holds three products between reductions; over GF(509), t = 65 is
 # the last float32 degree (65 * 508**2 < 2**24 <= 66 * 508**2), which holds
-# one, and t = 66 the first float64 one, which holds two
+# one, and t = 66 the first float64 one, which holds two.  The rows with
+# x**(q**t) == x are irreducible, or (over GF(509), where the reference
+# search is slow) products of distinct linears with irreducibles of the
+# given degrees, whose factor degrees all divide t
 @pytest.mark.parametrize(
-    "p, m, t, dtype, k",
-    [(3, 4, 20, np.float32, 3), (509, 1, 65, np.float32, 1), (509, 1, 66, np.float64, 2)],
+    "p, m, t, dtype, k, degrees",
+    [(3, 4, 20, np.float32, 3, (20,)), (509, 1, 65, np.float32, 1, (5,)), (509, 1, 66, np.float64, 2, (2, 3))],
 )
-def test_lazy_reduction_equals_eager_at_its_edges(monkeypatch, p, m, t, dtype, k):
+def test_lazy_reduction_equals_eager_at_its_edges(p, m, t, dtype, k, degrees):
     dim, bits = m * t, 24 if dtype == np.float32 else 53
     assert _exact_products(p, dim) == (dtype, k)
     assert (p - 1) * (dim * (p - 1)) ** k < 1 << bits <= (p - 1) * (dim * (p - 1)) ** (k + 1)
     f = make_field(p, m)
     rng = SplitMix64(t)
-    rows = [random_irreducible(t, f, rng).coeffs for _ in range(2)]
+    rows = []
+    for _ in range(2):
+        g = Poly.one(f)
+        for d in degrees:
+            g = g * random_irreducible_reference(d, f, rng)
+        for a in rng.sample(range(f.q), t - g.degree):
+            g = g * Poly(f, (f.neg(a), 1))
+        rows.append(g.coeffs)
     rows += [[rng.randrange(f.q) for _ in range(t)] + [1] for _ in range(2)]
-    gc, every_row = np.array(rows), np.arange(len(rows))
-    lazy = _frobenius_matrix(f, gc), _rabin_screen(f, gc, every_row)
-    exact = polyring._exact_products
-    monkeypatch.setattr(polyring, "_exact_products", lambda p, dim: (exact(p, dim)[0], 1))
-    eager = _frobenius_matrix(f, gc), _rabin_screen(f, gc, every_row)
-    assert lazy[0].dtype == eager[0].dtype == dtype and np.array_equal(lazy[0], eager[0])
-    (passed, gaps, frob), (eager_passed, eager_gaps, eager_frob) = lazy[1], eager[1]
-    assert passed == eager_passed and passed[:2] == [0, 1]
-    assert len(gaps) == len(eager_gaps) > 0  # the chain's levels
-    assert all(np.array_equal(a, b) for a, b in zip(gaps, eager_gaps))
-    assert np.array_equal(frob, eager_frob) and np.array_equal(frob[:2], lazy[0][:2])
+    gc = np.array(rows)
+    frob = _frobenius_matrix(f, gc)
+    assert frob.dtype == dtype
+    for row, F in zip(rows, frob.astype(np.int64)):  # F against Poly arithmetic
+        z = Poly(f, [rng.randrange(f.q) for _ in range(t)])
+        assert (F @ frobenius_digits(z, t) % p).tolist() == frobenius_digits(pow_mod(z, p, Poly(f, row)), t)
+    # the chain and the powers against int64 products reduced at every step,
+    # and the powers also on the all-(p-1) matrix, where the bound is tight
+    passed, gaps, _ = _rabin_screen(f, gc, np.arange(len(rows)))
+    frob_q = np.stack([np.eye(dim, dtype=np.int64)] * len(rows))
+    for _ in range(m):
+        frob_q = frob.astype(np.int64) @ frob_q % p
+    x = (np.arange(dim) == m).astype(np.int64)
+    h, want = np.tile(x, (len(rows), 1)), {}
+    for i in range(1, t + 1):
+        h = np.einsum("rij,rj->ri", frob_q, h) % p
+        want[i] = (h - x) % p
+    assert passed == [0, 1] and (h[:2] == x).all()
+    levels = sorted(t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r))  # the chain meets them in order
+    assert len(gaps) == len(levels) > 0 and any(v.any() for v in gaps)
+    for v, i in zip(gaps, levels):
+        assert np.array_equal(v, want[i][:2].reshape(2, t, m) @ p ** np.arange(m))
+    for a in (frob, np.full((1, dim, dim), p - 1, dtype=dtype)):
+        for e in (m, dim - 1, dim + 1):  # F**m carries the chain; F**(m*t - 1) inverts F
+            power, ref = polyring._power_mod(a, e, p), np.stack([np.eye(dim, dtype=np.int64)] * len(a))
+            for _ in range(e):
+                ref = a.astype(np.int64) @ ref % p
+            assert power.dtype == dtype and np.array_equal(power, ref)
 
 
 def test_public_verdicts_reject_out_of_range_coefficients(monkeypatch):
