@@ -355,12 +355,12 @@ def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
             else:
                 if w + b >= k and w:
                     power, w = _fmod(power, p), 0
-                if w + b >= k:
+                if w + b >= k and b:
                     base, b = _fmod(base, p), 0
                 power, w = power @ base, w + b + 1
         e >>= 1
         if e:
-            if 2 * b >= k:
+            if 2 * b >= k and b:
                 base, b = _fmod(base, p), 0
             base, b = base @ base, 2 * b + 1
     if power is None:
@@ -375,7 +375,8 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     Coordinate j*m + k is digit k of the coefficient of x**j.  With C the
     matrix of multiplication by x (its last block, -y**k * (g - x**t), takes
     m*t field products), block j of the result is (C**p)**j applied to the
-    digits of (y**k)**p, k < m.  `_exact_products` picks the dtype (float32
+    digits of (y**k)**p, k < m: while j*p < t, those digits placed at
+    x**(j*p), with no product.  `_exact_products` picks the dtype (float32
     while one product, m*t*(p-1)**2, stays below 2**24, as everywhere on
     the experiment grid, where it is below 12,000) and how many blocks the
     recurrence takes between reductions mod p; all of F is reduced at the
@@ -403,7 +404,7 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
             tail.append(_fmod(mul_x @ tail[-1], p))
         mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
     out = np.zeros((rows, dim, dim), dtype=dtype)
-    free = np.arange(-(-t // p))  # blocks j with j*p < t: (y**k)**p at x**(j*p), no product
+    free = np.arange(-(-t // p))  # the blocks j with j*p < t
     y_p = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
     out.reshape(rows, t, m, t, m)[:, free * p, :, free, :] = y_p
     block = out[:, :, (len(free) - 1) * m : len(free) * m]
