@@ -404,16 +404,16 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
             tail.append(_fmod(mul_x @ tail[-1], p))
         mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
     out = np.zeros((rows, dim, dim), dtype=dtype)
-    free = np.arange(-(-t // p))  # the blocks j with j*p < t
-    y_p = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
-    out.reshape(rows, t, m, t, m)[:, free * p, :, free, :] = y_p
-    block = out[:, :, (len(free) - 1) * m : len(free) * m]
-    for j in range(len(free), t):
+    first = -(-t // p)  # blocks j < first have j*p < t
+    js = np.arange(first)
+    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
+    block = out[:, :, (first - 1) * m : first * m]
+    for j in range(first, t):
         block = mul_xp @ block
-        if (j + 1 - len(free)) % every == 0:
+        if (j + 1 - first) % every == 0:
             block = _fmod(block, p)
         out[:, :, j * m : (j + 1) * m] = block
-    _fmod(out[:, :, len(free) * m :], p)
+    _fmod(out[:, :, first * m :], p)
     return out
 
 
@@ -446,8 +446,9 @@ def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
     q <= 512) with no root in GF(q): every row at every element in one product."""
     evaluate = _evaluation_matrix(field, gc.shape[1] - 1, field.elements())
     values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
+    # each g(a)'s rank, zero iff a is a root: one product, cheaper than any() over the digits
     ranks = values.reshape(len(gc), field.q, field.m) @ (field.p ** np.arange(field.m)).astype(values.dtype)
-    return ranks.all(axis=1)  # g(a)'s rank, zero iff a is a root; a cheaper test than any() over m digits
+    return ranks.all(axis=1)
 
 
 def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
