@@ -57,13 +57,13 @@ def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, candidates ordered by the
     base-p integer value of their low coefficient vector.  Blocks of
-    consecutive ranks, doubling up to 1024 after each miss (all p reducible
+    consecutive ranks, 8 at first and doubling up to 1024 after each miss (all p reducible
     x**3 + c come first when p = 2 mod 3), go through polyring's block test."""
     if m == 1:
         return (0, 1)
-    from .polyring import _BLOCK_ROWS, _first_irreducible  # local: polyring imports fields
+    from .polyring import _first_irreducible  # local: polyring imports fields
 
-    start, size = 0, _BLOCK_ROWS
+    start, size = 0, 8
     while True:
         ranks, rows = np.arange(start, start + size), np.ones((size, m + 1), dtype=np.int64)
         for i in range(m):

@@ -342,30 +342,16 @@ def _exact_products(p: int, dim: int) -> tuple[type, int]:
 
 
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p for a reduced a, by repeated squaring in a's float dtype.
-    A product of values i and j products past their last reduction is
-    i + j + 1 past it; an operand is reduced only where that would pass
-    `_exact_products`' k, and the result always."""
-    k = _exact_products(p, a.shape[-1])[1]
-    base, b, power, w = a, 0, None, 0  # b, w: products since each was reduced
+    """a**e mod p by repeated squaring in a's float dtype, exact under the
+    bound `_frobenius_matrix` enforces."""
+    base, power = a, None
     while e:
         if e & 1:
-            if power is None:
-                power, w = base, b
-            else:
-                if w + b >= k and w:
-                    power, w = _fmod(power, p), 0
-                if w + b >= k and b:
-                    base, b = _fmod(base, p), 0
-                power, w = power @ base, w + b + 1
+            power = base if power is None else _fmod(power @ base, p)
         e >>= 1
         if e:
-            if 2 * b >= k and b:
-                base, b = _fmod(base, p), 0
-            base, b = base @ base, 2 * b + 1
-    if power is None:
-        return np.eye(a.shape[-1])
-    return _fmod(power, p) if w else power
+            base = _fmod(base @ base, p)
+    return np.eye(a.shape[-1]) if power is None else power
 
 
 def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
@@ -460,17 +446,15 @@ def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
     return (live[_rootless(field, gc)] if screened else live), screened
 
 
-def _rabin_screen(
-    field: Field, gc: np.ndarray, live: np.ndarray | None = None
-) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
+def _rabin_screen(field: Field, gc: np.ndarray, live: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
     """Rabin's test on rows of a block, all but its gcds.  Row k of gc holds
     the coefficients, low to high, of a monic g of degree t >= 1.
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
     = 1 for each prime r | t.  Over a field with q <= 512 a root screen
     (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
-    of t <= 3; `live` lists the rows of gc that passed it (`_root_free`'s,
-    taken here when None).  The live rows go through one Frobenius stage:
+    of t <= 3; `live` lists the rows of gc that passed it (`_root_free`'s).
+    The live rows go through one Frobenius stage:
     x**(q**i) mod g from their stacked q-Frobenius matrices, the chain
     reduced mod p as often as `_exact_products` requires and wherever it is
     read (at a level and at i = t).
@@ -480,8 +464,6 @@ def _rabin_screen(
     """
     t = gc.shape[1] - 1
     screened = field.q <= _TABLE_LIMIT
-    if live is None:
-        live = _root_free(field, gc)[0]
     if t == 1 or (screened and t < 4) or not len(live):
         return live.tolist(), [], None
     p, m = field.p, field.m

@@ -126,17 +126,6 @@ def test_default_modulus_is_pinned(p, m):
     assert _default_modulus(p, m) == DEFAULT_MODULI[p, m]
 
 
-def test_default_cubic_modulus_across_the_block_bounds():
-    # as in the test above, for blocks of 24 doubling to 1024 (bounds 24, 72,
-    # 168, 360, 744, 1512, 2536): these p put the first hit on both sides of
-    # each bound, 71 and 359 on a block's first row
-    for p in (17, 23, 59, 71, 149, 167, 353, 359, 719, 743, 1499, 1511, 2531, 2543):
-        xs = np.arange(p)
-        cubics = (monic_of_rank(k, p, 3) for k in count())
-        first = next(f for f in cubics if ((f[0] + xs * (f[1] + xs * (f[2] + xs))) % p).all())
-        assert make_field(p, 3).modulus == tuple(first), p
-
-
 @pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))])
 def test_modulus_check_matches_trial_division(p, degrees):
     for m in degrees:

@@ -23,6 +23,7 @@ from pgoppa.polyring import (
     _frobenius_inverse,
     _frobenius_matrix,
     _rabin_screen,
+    _root_free,
     _root_multiplicities,
     _rootless,
     inv_mod,
@@ -271,7 +272,7 @@ def test_block_verdicts_on_crafted_rows(monkeypatch, rows):
     assert pow_mod(x, 5**t, Poly(f, rows[0])) == x
     gcd_calls = []
     monkeypatch.setattr(polyring, "poly_gcd", lambda a, b: gcd_calls.append(a) or poly_gcd(a, b))
-    assert _rabin_screen(f, np.array(rows))[0] == [0, len(rows) - 1]
+    assert _rabin_screen(f, np.array(rows), _root_free(f, np.array(rows))[0])[0] == [0, len(rows) - 1]
     assert _first_irreducible(f, np.array(rows))[0] == len(rows) - 1
     assert [g.coeffs for g in gcd_calls] == [tuple(rows[0]), tuple(rows[-1])]
     for k, row in enumerate(rows):
@@ -307,7 +308,7 @@ def test_root_screen_keeps_exactly_the_rootless_rows(field, t, seed):
     gc[:, :t] = (SplitMix64(seed).next_u64_block(8 * t) % np.uint64(f.q)).reshape(8, t)
     rootless = [k for k in range(8) if has_no_root(Poly(f, gc[k].tolist()))]
     assert np.flatnonzero(_rootless(f, gc)).tolist() == rootless
-    passed = _rabin_screen(f, gc)[0]
+    passed = _rabin_screen(f, gc, _root_free(f, gc)[0])[0]
     if t == 1:  # every linear g is irreducible, and no row is screened
         assert passed == list(range(8))
     elif t < 4:  # the root screen is the whole verdict
@@ -475,7 +476,7 @@ def test_lazy_reduction_equals_eager_at_its_edges(p, m, t, dtype, k, degrees):
         z = Poly(f, [rng.randrange(f.q) for _ in range(t)])
         assert (F @ frobenius_digits(z, t) % p).tolist() == frobenius_digits(pow_mod(z, p, Poly(f, row)), t)
     # the chain and the powers against int64 products reduced at every step,
-    # and the powers also on the all-(p-1) matrix, where the bound is tight
+    # and the powers also on the all-(p-1) matrix, the largest reduced one
     passed, gaps, _ = _rabin_screen(f, gc, np.arange(len(rows)))
     frob_q = np.stack([np.eye(dim, dtype=np.int64)] * len(rows))
     for _ in range(m):
