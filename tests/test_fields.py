@@ -110,8 +110,8 @@ def test_default_cubic_modulus_past_the_binomials():
         assert make_field(p, 3).modulus == tuple(first), p
 
 
-# the smallest irreducible of each (p, m) as the block search found it with
-# blocks of 8 and no stages: over p > 512 no root screen runs
+# the smallest monic irreducible of each (p, m) by candidate rank; over
+# p > 512 no root screen runs
 DEFAULT_MODULI = {
     (521, 3): (7, 1, 0, 1),
     (1031, 2): (1, 0, 1),
