@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -52,9 +54,11 @@ class TrialConfig:
         check_integers((self.trials,), 1, math.inf, "trials")
         check_integers((self.seed,), -math.inf, math.inf, "seed")
         q = self.p**self.m
-        if q - self.m * self.t <= 0:
-            raise ParamError(f"p^m - m*t = {q - self.m * self.t}, need > 0")
         n = self.n if self.n is not None else q
+        if n > q:
+            raise ParamError(f"n = {n} exceeds field size {q}")
+        if n - self.m * self.t <= 0:
+            raise ParamError(f"dimension bound violated: n - m*t = {n - self.m * self.t}")
         if not 0 <= self.w <= n:
             raise ParamError(f"weight {self.w} out of range for length {n}")
 
@@ -94,7 +98,9 @@ def csv_report(reports: list[TrialReport], seed: int) -> str:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the request (or cpu count), capped by PGOPPA_MAX_WORKERS."""
+    """Worker count: the request (or cpu count), capped by PGOPPA_MAX_WORKERS.
+    It is read on every `run_trials` call, and a new count replaces the
+    kept process pool."""
     if requested is not None:
         check_integers((requested,), -math.inf, math.inf, "worker count")
     base = requested if requested is not None else (os.cpu_count() or 1)
@@ -119,8 +125,34 @@ def _single_trial(cfg: TrialConfig, index: int) -> bool:
     return bool(phis) and (0,) * code.n in decode(code, e, phis).codewords()
 
 
+_POOL: tuple[int, ProcessPoolExecutor] | None = None  # (worker count, pool)
+_POOL_LOCK = threading.Lock()  # held for a whole pooled batch, so no thread replaces a pool in use
+
+
+def _pool(nworkers: int, replace: bool = False) -> ProcessPoolExecutor:
+    """The kept pool of `nworkers` processes.  One of another count, or any
+    when `replace`, is shut down and joined first, so that no executor
+    thread is alive when the new pool forks its workers."""
+    global _POOL
+    if _POOL is not None and (replace or _POOL[0] != nworkers):
+        _POOL[1].shutdown(wait=True)
+        _POOL = None
+    if _POOL is None:
+        _POOL = (nworkers, ProcessPoolExecutor(max_workers=nworkers))
+    return _POOL[1]
+
+
 def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
-    """Run the configured trials and report observed vs modeled success."""
+    """Run the configured trials and report observed vs modeled success.
+
+    With one worker, or fewer than two trials per worker, the trials run in
+    this process.  Otherwise they run in a process pool kept at module level:
+    the first pooled call makes it, later calls with the same
+    `resolve_workers` count reuse it and its workers' warm caches, and a
+    call with another count replaces it.  A pool broken by a dead worker is
+    replaced and the batch run once more (trial i depends only on (seed, i));
+    a second failure propagates.  The workers live until the interpreter
+    exits, when `concurrent.futures` joins them."""
     cfg.validate()
     nworkers = resolve_workers(workers)
     started = time.perf_counter()
@@ -128,8 +160,12 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
         successes = sum(_single_trial(cfg, i) for i in range(cfg.trials))
     else:
         chunk = max(1, cfg.trials // (nworkers * 8))
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            successes = sum(pool.map(partial(_single_trial, cfg), range(cfg.trials), chunksize=chunk))
+        batch = partial(_single_trial, cfg), range(cfg.trials)
+        with _POOL_LOCK:
+            try:
+                successes = sum(_pool(nworkers).map(*batch, chunksize=chunk))
+            except BrokenProcessPool:
+                successes = sum(_pool(nworkers, replace=True).map(*batch, chunksize=chunk))
     wallclock = time.perf_counter() - started
     predicted = success_prob_model(cfg.q, cfg.t, cfg.w)
     sigma = binomial_sigma(predicted, cfg.trials)

@@ -597,8 +597,10 @@ def _pth_roots(rows: np.ndarray, inverse: np.ndarray, field: Field) -> np.ndarra
 
 def pth_root_mod(z: Poly, g: Poly, *, inverse: np.ndarray | None = None) -> Poly:
     """The v with v**p == z (mod g) for a square-free g of degree >= 1;
-    ParamError for any other g.  `inverse` is g's `_frobenius_inverse`;
-    the root is `_pth_roots` on one row."""
+    ParamError for any other g, or for coefficients of z or g that are not
+    ranks in [0, q).  `inverse` is g's `_frobenius_inverse`; the root is
+    `_pth_roots` on one row."""
+    check_integers(z.coeffs + g.coeffs, 0, g.field.q, "polynomial coefficients")
     if g.degree < 1:
         raise ParamError("modulus must have degree >= 1")
     f = g.field

@@ -1,5 +1,18 @@
 """Harness tests: the success model, sweep rule, trial reproducibility,
-worker independence, and the seeded generator's reference vectors."""
+worker independence, the kept process pool, and the seeded generator's
+reference vectors."""
+
+import json
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +23,7 @@ from pgoppa.experiments import (
     BINARY_BLOCKS,
     CSV_HEADER,
     TABLE_BLOCKS,
+    WORKERS_ENV,
     TrialConfig,
     _single_trial,
     binomial_sigma,
@@ -161,6 +175,13 @@ def test_config_validation():
         TrialConfig(3, 3, 8, 99).validate()
     with pytest.raises(ParamError):
         TrialConfig(3, 3, 8, 8, trials=0).validate()
+    # n is checked before any trial runs, with build_code's messages
+    with pytest.raises(ParamError, match="dimension bound violated: n - m\\*t = 0"):
+        TrialConfig(3, 3, 6, 4, n=18).validate()
+    with pytest.raises(ParamError, match="n = 30 exceeds field size 27"):
+        TrialConfig(3, 3, 6, 4, n=30).validate()
+    with pytest.raises(ParamError, match="dimension bound"):
+        run_trials(TrialConfig(3, 3, 6, 4, trials=8, n=18), workers=2)
     for bad in (TrialConfig(3.0, 2, 2, 1), TrialConfig(3, 2.0, 2, 1), TrialConfig(3, 2, 2.0, 1),
                 TrialConfig(3, 2, 2, 1.0), TrialConfig(3, 2, 2, 1, trials=2.0), TrialConfig(3, 2, 2, 1, n=9.0),
                 TrialConfig(3, 2, 2, 1, trials=2, seed=1.5)):
@@ -184,6 +205,118 @@ def test_run_trials_reproducible_and_worker_independent():
     par = run_trials(cfg, workers=2)
     assert seq.successes == rerun.successes == par.successes
     assert seq.csv_row() == par.csv_row()
+
+
+POOL_BLOCKS = (TrialConfig(3, 3, 6, 6, trials=24, seed=77), TrialConfig(5, 2, 6, 5, trials=24, dist="uniform", seed=78))
+
+
+def pool_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_pool_is_kept_per_worker_count_and_matches_one_worker(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    serial = [run_trials(cfg, workers=1) for cfg in POOL_BLOCKS]
+    pids = []
+    for workers in (2, 3, 2):
+        per_block = []
+        for cfg, ref in zip(POOL_BLOCKS, serial):
+            rep = run_trials(cfg, workers=workers)
+            assert rep.successes == ref.successes and rep.csv_row() == ref.csv_row()
+            per_block.append(pool_pids())
+        # both blocks ran on the same workers, and the last count's were joined
+        assert per_block[0] == per_block[1] and len(per_block[0]) == workers
+        pids.append(per_block[0])
+    assert not set(pids[0]) & set(pids[1]) and not set(pids[1]) & set(pids[2])
+
+
+def test_pool_replaces_a_worker_killed_while_idle(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    cfg = POOL_BLOCKS[0]
+    serial = run_trials(cfg, workers=1).successes
+    assert run_trials(cfg, workers=2).successes == serial
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+    # the broken pool is replaced and the batch run again
+    assert run_trials(cfg, workers=2).successes == serial
+    assert victim.pid not in pool_pids() and len(pool_pids()) == 2
+
+
+def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):
+    # a thread never shuts down a pool that another thread's batch is using
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    cfg = POOL_BLOCKS[0]
+    serial = run_trials(cfg, workers=1).successes
+    results = []
+
+    def calls(workers):
+        results.extend(run_trials(cfg, workers=workers).successes for _ in range(3))
+
+    threads = [threading.Thread(target=calls, args=(w,)) for w in (2, 3, 2, 3)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [serial] * 12
+
+
+POOL_SCRIPT = textwrap.dedent("""
+    import json, multiprocessing, os, threading, warnings
+    threads_at_fork = []
+    os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
+    from pgoppa.experiments import TrialConfig, run_trials
+    cfg = TrialConfig(3, 3, 6, 6, trials=12, seed=5)
+    pids = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for workers in (2, 2, 3, 2):
+            run_trials(cfg, workers=workers)
+            pids.append(sorted(p.pid for p in multiprocessing.active_children()))
+    print(json.dumps({
+        "start_method": multiprocessing.get_start_method(),
+        "pids": pids,
+        "threads_at_fork": threads_at_fork,
+        "fork_warnings": [str(w.message) for w in caught if "fork" in str(w.message)],
+    }))
+""")
+
+
+@pytest.fixture(scope="module")
+def pool_process():
+    """A fresh interpreter that makes pooled calls at worker counts 2, 2, 3, 2
+    and exits.  BLAS threads are held to one, so that the only threads alive
+    at a fork are Python's own (Python 3.12 warns on a fork with more)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop(WORKERS_ENV, None)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_pool_workers_end_with_the_interpreter(pool_process):
+    pids = pool_process["pids"]
+    assert pids[0] == pids[1] and len(pids[2]) == 3 and len(pids[3]) == 2
+    alive = {pid for call in pids for pid in call}
+    deadline = time.monotonic() + 5
+    while alive and time.monotonic() < deadline:
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        time.sleep(0.05)
+    assert not alive
+
+
+def test_pool_forks_with_no_other_thread_alive(pool_process):
+    assert pool_process["fork_warnings"] == []
+    # Python 3.10 may fork a pool's later workers after its manager thread starts
+    if pool_process["start_method"] == "fork" and sys.version_info >= (3, 11):
+        # 2 + 0 + 3 + 2 forks: a kept pool forks nothing, a replaced one is joined first
+        assert pool_process["threads_at_fork"] == [1] * 7
 
 
 @st.composite

@@ -654,6 +654,16 @@ def test_pth_root_mod_no_root():
         pth_root_mod(Poly.x(F3), Poly(F3, [0, 0, 1]))
     with pytest.raises(ParamError, match="degree"):
         pth_root_mod(Poly.x(F3), Poly.one(F3))
+    # ranks outside [0, q) in z or g: -1 gave a wrong root, 9 in g an IndexError
+    f9 = make_field(3, 2)
+    g9 = Poly(f9, [1, 1, 0, 1])
+    assert is_square_free(g9)
+    for z in ([-1, 2], [9, 1], [1.5, 2], [True, 2]):
+        with pytest.raises(ParamError, match="coefficients"):
+            pth_root_mod(Poly(f9, z), g9)
+    for g in ([1, -1, 0, 1], [1, 9, 0, 1], [1, 1.5, 0, 1]):
+        with pytest.raises(ParamError, match="coefficients"):
+            pth_root_mod(Poly(f9, [1, 2]), Poly(f9, g))
     for f in (F3, make_field(2, 2)):  # every monic g of degree 1..3
         for t in (1, 2, 3):
             for low in itertools.product(range(f.q), repeat=t):
