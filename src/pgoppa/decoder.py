@@ -84,9 +84,9 @@ def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
     for j, aj in enumerate(a):
         if aj.degree > (t - j) // p:
             raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
-    out = [0] * (t + 1)
+    out, ppow = [0] * (t + 1), f._ppow
     for j, aj in enumerate(a):
-        out[j : j + p * len(aj.coeffs) : p] = [f.pow(c, p) for c in aj.coeffs]
+        out[j : j + p * len(aj.coeffs) : p] = [ppow[c] for c in aj.coeffs]
     sigma = Poly(f, out)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")

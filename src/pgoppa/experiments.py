@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import wait
 
 from .decoder import decode, locator_degree
 from .errors import ParamError, check_integers
@@ -132,9 +133,15 @@ _POOL_LOCK = threading.Lock()  # held for a whole pooled batch, so no thread rep
 def _pool(nworkers: int, replace: bool = False) -> ProcessPoolExecutor:
     """The kept pool of `nworkers` processes.  One of another count, or any
     when `replace`, is shut down and joined first, so that no executor
-    thread is alive when the new pool forks its workers."""
+    thread is alive when the new pool forks its workers.  If a worker has
+    died, the live ones are terminated first: the dead one may have held the
+    call queue's lock, which a live one would then wait on forever."""
     global _POOL
     if _POOL is not None and (replace or _POOL[0] != nworkers):
+        procs = list((_POOL[1]._processes or {}).values())
+        if wait([proc.sentinel for proc in procs], timeout=0):  # a worker has exited
+            for proc in procs:
+                proc.terminate()
         _POOL[1].shutdown(wait=True)
         _POOL = None
     if _POOL is None:

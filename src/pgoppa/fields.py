@@ -6,9 +6,9 @@ Ranks below p are exactly the prime subfield, and rank arithmetic is
 what the on-disk formats use, so no wrapper type is needed.
 
 Every field has the same lookups (_add[a][b], _mul[a][b], _neg[a], _inv[a],
-_proot[a]) and numpy array ops: tables built from the digit arithmetic when
-q <= 512, entries computed from it when read beyond.  No discrete-log or
-Zech tables anywhere, so q is bounded only by patience.
+_ppow[a] == a**p, _proot[a]) and numpy array ops: tables built from the
+digit arithmetic when q <= 512, entries computed from it when read beyond.
+No discrete-log or Zech tables anywhere, so q is bounded only by patience.
 
 Field operations do not check their arguments: a rank outside [0, q)
 gives an IndexError or a wrong answer.  Ranks are checked where they
@@ -90,7 +90,7 @@ class _Computed:
 class Field:
     """Immutable GF(p^m) context; all element operations are pure."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_proot", "_arrays")
+    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_ppow", "_proot", "_arrays")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -205,10 +205,8 @@ class Field:
         self._arrays = (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
         self._neg = (-digits % p @ weights).tolist()
         self._inv = np.argmax(mul == 1, axis=1).tolist()
-        proot = [0] * q
-        for a in range(q):
-            proot[self.pow(a, p)] = a
-        self._proot = proot
+        self._ppow = [self.pow(a, p) for a in range(q)]
+        self._proot = np.argsort(self._ppow).tolist()  # the inverse permutation
 
     def _computed_lookups(self) -> None:
         """Lookups computed by the digit arithmetic when read, and array ops
@@ -217,6 +215,7 @@ class Field:
         self._mul = _Computed(_Computed, self._mul_raw)
         self._neg = _Computed(lambda a: self.from_coeffs(-c for c in self.coeffs(a)))
         self._inv = _Computed(lambda a: self.pow(a, self.q - 2))
+        self._ppow = _Computed(lambda a: self.pow(a, self.p))
         self._proot = _Computed(lambda a: self.pow(a, self.p ** (self.m - 1)))
         self._arrays = np.frompyfunc(self._add_raw, 2, 1), np.frompyfunc(self._mul_raw, 2, 1), object
 

@@ -93,9 +93,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         out: list[int] = []
+        dst, src, add, mul = [out], [(0, other.coeffs)], self.field._add, self.field._mul
         for i, c in enumerate(self.coeffs):
             if c:
-                _row_addmul([out], [other.coeffs], c, i, self.field)
+                _row_addmul(dst, src, mul[c], i, add)
         return Poly(self.field, out)
 
     def scale(self, c: int) -> "Poly":
@@ -117,16 +118,16 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return Poly(self.field, self._cancel_by(other, [list(self.coeffs)])[0])
 
-    def _cancel_by(self, other: "Poly", rows: list[list[int]], *cofactor: Sequence[int]) -> list[list[int]]:
-        """rows cancelled against (other, *cofactor) by `_cancel`, in place:
+    def _cancel_by(self, other: "Poly", row: list[list[int]], *cofactor: Sequence[int]) -> list[list[int]]:
+        """row cancelled against (other, *cofactor) by `_cancel`, in place:
         entry 0 ends as the remainder mod other, and the row (a, 0) against
         (b, -1) collects the quotient in entry 1."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        _cancel(rows, [other.coeffs, *cofactor], 0, f.neg(f.inv(other.lc())), f)
-        return rows
+        _cancel([row], [other.coeffs, *cofactor], 0, f.neg(f.inv(other.lc())), f)
+        return row
 
     def deriv(self) -> "Poly":
         """Formal derivative; exponents act through the prime subfield."""
@@ -165,16 +166,16 @@ class Poly:
 # Every GF(q)[x] operation reduces to one loop over coefficients,
 # `_row_addmul`, and one loop over leading terms, `_cancel`, on rows of
 # bare coefficient lists (low to high, trimmed).  They run over the field's
-# lookups, tables or computed alike: `_row_addmul` takes its multiplier's
-# row once, so an update is three subscripts.
+# lookups, tables or computed alike.  `_cancel` binds the field's tables,
+# -1/lc's table row and the source's nonzero entries once per call, for all
+# its target rows, so a transformation has no set-up of its own.
 
 
-def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: int, field: Field) -> None:
-    """dst += nc * x**e * src in place, entrywise on trimmed coefficient lists."""
-    add, times = field._add, field._mul[nc]
-    for d, s in zip(dst, src):
-        if not s:
-            continue
+def _row_addmul(dst: list[list[int]], src: Sequence[tuple[int, Sequence[int]]], times: Sequence[int], e: int, add) -> None:
+    """dst += c * x**e * src in place on trimmed coefficient lists: src as
+    (index, coefficients) pairs, times c's row of _mul, add the field's _add."""
+    for j, s in src:
+        d = dst[j]
         short = e + len(s) - len(d)
         if short > 0:
             d.extend([0] * short)
@@ -187,20 +188,23 @@ def _row_addmul(dst: list[list[int]], src: Sequence[Sequence[int]], nc: int, e: 
                 d.pop()
 
 
-def _cancel(dst: list[list[int]], src: Sequence[Sequence[int]], col: int, neg_inv_lc: int, field: Field) -> None:
-    """Cancel dst[col]'s leading term against src[col]'s until dst[col] is
-    shorter, in place: each step is one simple transformation, dst +=
-    c * x**e * src by `_row_addmul`.  neg_inv_lc is -1/lc(src[col]), and
-    each c is read from its table row."""
-    size, lead, times = len(src[col]), dst[col], field._mul[neg_inv_lc]
-    while len(lead) >= size:
-        _row_addmul(dst, src, times[lead[-1]], len(lead) - size, field)
+def _cancel(targets: Sequence[list[list[int]]], src: Sequence[Sequence[int]], col: int, neg_inv_lc: int, field: Field) -> None:
+    """For each target row in order, cancel its entry col's leading term
+    against src[col]'s until it is shorter, in place: each step is one
+    simple transformation, row += c * x**e * src by `_row_addmul`, with c
+    read from the table row of neg_inv_lc = -1/lc(src[col]).  src is no target."""
+    add, mul, coef = field._add, field._mul, field._mul[neg_inv_lc]
+    size, pairs = len(src[col]), [(j, s) for j, s in enumerate(src) if s]
+    for dst in targets:
+        lead = dst[col]
+        while len(lead) >= size:
+            _row_addmul(dst, pairs, mul[coef[lead[-1]]], len(lead) - size, add)
 
 
 def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Poly:
     """a + c * b, as a Poly."""
     out = list(a)
-    _row_addmul([out], [b], c, 0, field)
+    _row_addmul([out], [(0, b)], field._mul[c], 0, field._add)
     return Poly(field, out)
 
 
@@ -212,7 +216,7 @@ def _euclid(a: list[list[int]], b: list[list[int]], field: Field) -> list[list[i
     remainder is zero.  Returns the last row with a nonzero remainder,
     scaled to make it monic (a when both are zero)."""
     while b[0]:
-        _cancel(a, b, 0, field.neg(field.inv(b[0][-1])), field)
+        _cancel([a], b, 0, field.neg(field.inv(b[0][-1])), field)
         a, b = b, a
     times = field._mul[field.inv(a[0][-1]) if a[0] else 1]
     return [[times[c] for c in entry] for entry in a]
@@ -392,7 +396,7 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     out = np.zeros((rows, dim, dim), dtype=dtype)
     first = -(-t // p)  # blocks j < first have j*p < t
     js = np.arange(first)
-    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = _digit_split(np.array([field.pow(y, p) for y in ys]), field).T
+    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = _digit_split(np.array([field._ppow[y] for y in ys]), field).T
     block = out[:, :, (first - 1) * m : first * m]
     for j in range(first, t):
         block = mul_xp @ block
@@ -582,7 +586,7 @@ def _shifts_mod(z: Poly, g: Poly, count: int) -> np.ndarray:
     out[0, : len(row)] = row
     for k in range(1, count):
         row = [0, *row] if row else row
-        _cancel([row], [g.coeffs], 0, neg_inv_lc, f)
+        _cancel([[row]], [g.coeffs], 0, neg_inv_lc, f)
         out[k, : len(row)] = row
     return out
 

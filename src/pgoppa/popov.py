@@ -52,27 +52,22 @@ def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     Sweep order is deterministic: source row k ascending, target row l
     ascending, repeated until no positive pivot index repeats.  Each
     transformation adds a multiple of one row to another, so the rows span
-    the same lattice.  The sweeps run on bare coefficient lists; Poly
-    entries are built only on return, and the argument is left unchanged.
+    the same lattice.  A row's pivot is read when it becomes the source,
+    for one `_cancel` call that reduces every other row, and all pivots
+    once per sweep for the repeat check.  The sweeps run on bare
+    coefficient lists; Poly entries are built only on return, and the
+    argument is left unchanged.
     """
     field = rows[0][0].field
     rows = [[list(entry.coeffs) for entry in r] for r in rows]
-    piv = [_pivot(r) for r in rows]
 
     def has_repeat() -> bool:
-        nonzero = [p for p in piv if p]
+        nonzero = [p for p in map(_pivot, rows) if p]
         return len(nonzero) != len(set(nonzero))
 
     while has_repeat():
         for k, src in enumerate(rows):
-            if piv[k] == 0:
-                continue
-            col = piv[k] - 1
-            size = len(src[col])
-            neg_inv_lc = field.neg(field.inv(src[col][-1]))
-            for ell, dst in enumerate(rows):
-                if len(dst[col]) < size or dst is src:
-                    continue  # nothing to cancel: the row and its pivot stay
-                _cancel(dst, src, col, neg_inv_lc, field)
-                piv[ell] = _pivot(dst)
+            col = _pivot(src) - 1
+            if col >= 0:
+                _cancel(rows[:k] + rows[k + 1 :], src, col, field.neg(field.inv(src[col][-1])), field)
     return [[Poly(field, entry) for entry in r] for r in rows]

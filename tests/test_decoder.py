@@ -328,13 +328,13 @@ def test_assemble_locator_checks_every_bound_before_any_power(monkeypatch):
     # still names the first entry that breaks its bound
     f3 = make_field(3, 1)
     powers = []
-    field_pow = type(f3).pow
 
-    def counting(self, a, e):
-        powers.append(a)
-        return field_pow(self, a, e)
+    class Counting:  # the p-th power lookup, recording each read
+        def __getitem__(self, a):
+            powers.append(a)
+            return f3.pow(a, 3)
 
-    monkeypatch.setattr(type(f3), "pow", counting)
+    monkeypatch.setattr(f3, "_ppow", Counting())
     row = [Poly(f3, (1, 2)), Poly(f3, (2,)), Poly(f3, (1, 1, 1))]
     with pytest.raises(DegreeBoundError, match=r"^deg\(a_2\) = 2 exceeds 1$"):
         assemble_locator(row, 5)

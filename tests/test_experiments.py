@@ -214,6 +214,20 @@ def pool_pids() -> list[int]:
     return sorted(p.pid for p in multiprocessing.active_children())
 
 
+def still_alive(pids, seconds: float = 5) -> set[int]:
+    """The pids that still exist after polling them for up to `seconds`."""
+    alive = set(pids)
+    deadline = time.monotonic() + seconds
+    while alive and time.monotonic() < deadline:
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        time.sleep(0.05)
+    return alive
+
+
 def test_pool_is_kept_per_worker_count_and_matches_one_worker(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     serial = [run_trials(cfg, workers=1) for cfg in POOL_BLOCKS]
@@ -241,6 +255,52 @@ def test_pool_replaces_a_worker_killed_while_idle(monkeypatch):
     # the broken pool is replaced and the batch run again
     assert run_trials(cfg, workers=2).successes == serial
     assert victim.pid not in pool_pids() and len(pool_pids()) == 2
+
+
+SWITCH_SCRIPT = textwrap.dedent("""
+    import json, multiprocessing, multiprocessing.connection, os, signal, sys
+    from pgoppa.experiments import TrialConfig, run_trials
+    cfg = TrialConfig(3, 3, 6, 6, trials=12, seed=5)
+    serial = run_trials(cfg, workers=1).successes
+    run_trials(cfg, workers=2)
+    old = sorted(multiprocessing.active_children(), key=lambda proc: proc.pid)
+    victim = old[int(sys.argv[1])]
+    os.kill(victim.pid, signal.SIGKILL)
+    multiprocessing.connection.wait([victim.sentinel], timeout=10)
+    # at once: the pool's manager thread may not have seen the death yet
+    print(json.dumps({
+        "matches": run_trials(cfg, workers=3).successes == serial,
+        "old": [proc.pid for proc in old],
+        "new": sorted(proc.pid for proc in multiprocessing.active_children()),
+    }))
+""")
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_pool_switch_after_a_worker_died_while_idle(victim):
+    # whichever of two idle workers is killed (one of them holds the call
+    # queue's lock), switching to three workers neither hangs nor leaves the
+    # survivor behind; the child runs in its own session, so that a hang is
+    # a failure and its whole process group is killed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop(WORKERS_ENV, None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SWITCH_SCRIPT, str(victim)], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("switching worker counts hung after a worker died")
+    assert proc.returncode == 0, err
+    result = json.loads(out.splitlines()[-1])
+    assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
+    alive = still_alive(result["old"] + result["new"])
+    if alive:
+        os.killpg(proc.pid, signal.SIGKILL)
+    assert not alive
 
 
 def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):
@@ -299,16 +359,7 @@ def pool_process():
 def test_pool_workers_end_with_the_interpreter(pool_process):
     pids = pool_process["pids"]
     assert pids[0] == pids[1] and len(pids[2]) == 3 and len(pids[3]) == 2
-    alive = {pid for call in pids for pid in call}
-    deadline = time.monotonic() + 5
-    while alive and time.monotonic() < deadline:
-        for pid in list(alive):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                alive.discard(pid)
-        time.sleep(0.05)
-    assert not alive
+    assert not still_alive([pid for call in pids for pid in call])
 
 
 def test_pool_forks_with_no_other_thread_alive(pool_process):

@@ -258,6 +258,8 @@ def test_fields_pickle_with_or_without_tables():
         assert twin == f and type(twin._mul) is type(f._mul)
         assert [twin.mul(a, 19) for a in range(f.q)] == [f.mul(a, 19) for a in range(f.q)]
         assert [twin.pth_root(a) for a in range(f.q)] == [f.pth_root(a) for a in range(f.q)]
+        # the p-th power lookup is a**p and inverts pth_root
+        assert all(twin._ppow[a] == f.pow(a, f.p) and twin._ppow[f.pth_root(a)] == a for a in range(f.q))
 
 
 def test_coeffs_roundtrip():

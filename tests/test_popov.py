@@ -171,15 +171,15 @@ def test_cost_scaling_trend(monkeypatch):
 
     Work is tallied at the kernel's row operation: one simple
     transformation per call, and one coefficient update per source
-    coefficient it touches.
+    coefficient it touches (src is (index, coefficients) pairs).
     """
     tally = {"ops": 0, "updates": 0}
     kernel = polyring._row_addmul
 
-    def counting(dst, src, nc, e, field):
+    def counting(dst, src, times, e, add):
         tally["ops"] += 1
-        tally["updates"] += sum(len(s) for s in src)
-        kernel(dst, src, nc, e, field)
+        tally["updates"] += sum(len(s) for _, s in src)
+        kernel(dst, src, times, e, add)
 
     def measure(p, t, reps=4):
         f = make_field(p, 1)
