@@ -18,11 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing.connection import wait
 
 from .decoder import decode, locator_degree
 from .errors import ParamError, check_integers
-from .goppa import build_code, sample_error
+from .goppa import _check_shape, build_code, sample_error
 from .rng import trial_stream
 
 WORKERS_ENV = "PGOPPA_MAX_WORKERS"
@@ -54,12 +53,8 @@ class TrialConfig:
         check_integers(sizes, 0, math.inf, "p, m, t, w and n")
         check_integers((self.trials,), 1, math.inf, "trials")
         check_integers((self.seed,), -math.inf, math.inf, "seed")
-        q = self.p**self.m
-        n = self.n if self.n is not None else q
-        if n > q:
-            raise ParamError(f"n = {n} exceeds field size {q}")
-        if n - self.m * self.t <= 0:
-            raise ParamError(f"dimension bound violated: n - m*t = {n - self.m * self.t}")
+        n = self.n if self.n is not None else self.q
+        _check_shape(self.q, self.m, self.t, n)
         if not 0 <= self.w <= n:
             raise ParamError(f"weight {self.w} out of range for length {n}")
 
@@ -127,24 +122,34 @@ def _single_trial(cfg: TrialConfig, index: int) -> bool:
 
 
 _POOL: tuple[int, ProcessPoolExecutor] | None = None  # (worker count, pool)
-_POOL_LOCK = threading.Lock()  # held for a whole pooled batch, so no thread replaces a pool in use
+_POOL_LOCK = threading.RLock()  # held for a whole pooled batch, so no thread replaces a pool in use
 
 
-def _pool(nworkers: int, replace: bool = False) -> ProcessPoolExecutor:
-    """The kept pool of `nworkers` processes.  One of another count, or any
-    when `replace`, is shut down and joined first, so that no executor
-    thread is alive when the new pool forks its workers.  If a worker has
-    died, the live ones are terminated first: the dead one may have held the
-    call queue's lock, which a live one would then wait on forever."""
+def _close_pool() -> None:
+    """Terminate the kept pool's idle workers, then shut the pool down and
+    join them.  A worker that died may have held the call queue's lock, on
+    which a live one, and with it a plain join, would wait forever."""
     global _POOL
-    if _POOL is not None and (replace or _POOL[0] != nworkers):
-        procs = list((_POOL[1]._processes or {}).values())
-        if wait([proc.sentinel for proc in procs], timeout=0):  # a worker has exited
-            for proc in procs:
+    with _POOL_LOCK:
+        if _POOL is not None:
+            for proc in list((_POOL[1]._processes or {}).values()):
                 proc.terminate()
-        _POOL[1].shutdown(wait=True)
-        _POOL = None
-    if _POOL is None:
+            _POOL[1].shutdown(wait=True)
+            _POOL = None
+
+
+# threading's exit hooks run last registered first, so this one runs before
+# concurrent.futures' own, which joins the workers without terminating them
+threading._register_atexit(_close_pool)
+
+
+def _pool(nworkers: int) -> ProcessPoolExecutor:
+    """The kept pool of `nworkers` processes.  One of another count is
+    closed first, so that no executor thread is alive when the new pool
+    forks its workers."""
+    global _POOL
+    if _POOL is None or _POOL[0] != nworkers:
+        _close_pool()
         _POOL = (nworkers, ProcessPoolExecutor(max_workers=nworkers))
     return _POOL[1]
 
@@ -159,7 +164,7 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     call with another count replaces it.  A pool broken by a dead worker is
     replaced and the batch run once more (trial i depends only on (seed, i));
     a second failure propagates.  The workers live until the interpreter
-    exits, when `concurrent.futures` joins them."""
+    exits, when `_close_pool` terminates and joins them."""
     cfg.validate()
     nworkers = resolve_workers(workers)
     started = time.perf_counter()
@@ -172,7 +177,8 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
             try:
                 successes = sum(_pool(nworkers).map(*batch, chunksize=chunk))
             except BrokenProcessPool:
-                successes = sum(_pool(nworkers, replace=True).map(*batch, chunksize=chunk))
+                _close_pool()
+                successes = sum(_pool(nworkers).map(*batch, chunksize=chunk))
     wallclock = time.perf_counter() - started
     predicted = success_prob_model(cfg.q, cfg.t, cfg.w)
     sigma = binomial_sigma(predicted, cfg.trials)

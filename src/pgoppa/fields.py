@@ -41,19 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _is_irreducible_modulus(p: int, f: Sequence[int]) -> bool:
-    """Verdict on a monic modulus f over GF(p), coefficients low to high.
-
-    A degree-1 f needs no test, which also keeps make_field(p, 1) from
-    recursing; higher degrees go through Rabin's test in polyring.
-    """
-    if len(f) == 2:
-        return True
-    from .polyring import Poly, is_irreducible  # local: polyring imports fields
-
-    return is_irreducible(Poly(make_field(p, 1), f))
-
-
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, candidates ordered by the
     base-p integer value of their low coefficient vector.  Blocks of
@@ -264,7 +251,10 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ParamError(f"modulus must be monic of degree {m}, got {list(modulus)}")
-        if not _is_irreducible_modulus(p, modulus):
+        from .polyring import Poly, is_irreducible  # local: polyring imports fields
+
+        # degree 1 needs no test, which also keeps make_field(p, 1) from recursing
+        if m > 1 and not is_irreducible(Poly(make_field(p, 1), modulus)):
             raise ParamError(f"modulus {list(modulus)} is reducible over GF({p})")
         key = (p, m, modulus)
     else:

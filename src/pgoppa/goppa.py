@@ -88,6 +88,15 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
     return ErrorPattern(tuple(values))
 
 
+def _check_shape(q: int, m: int, t: int, n: int) -> None:
+    """ParamError unless a length-n code over GF(q = p**m) with a degree-t
+    generator has the shape the decoder takes: n <= q and n - m*t > 0."""
+    if n > q:
+        raise ParamError(f"n = {n} exceeds field size {q}")
+    if n - m * t <= 0:
+        raise ParamError(f"dimension bound violated: n - m*t = {n - m * t}")
+
+
 class GoppaCode:
     """Immutable Goppa code with a cached GF(p) parity-check matrix."""
 
@@ -104,12 +113,9 @@ class GoppaCode:
             raise ParamError("generator must be monic")
         if len(set(support)) != n:
             raise ParamError("support elements must be distinct")
-        if n > field.q:
-            raise ParamError(f"support length {n} exceeds field size {field.q}")
+        _check_shape(field.q, field.m, t, n)
         if n * (field.p - 1) ** 2 + field.p >= 1 << 63:  # the bound on Hbar @ word in int64
             raise ParamError(f"syndromes of length-{n} words mod {field.p} would overflow int64")
-        if n - field.m * t <= 0:
-            raise ParamError(f"dimension bound violated: n - m*t = {n - field.m * t}")
         # before any table lookup: an out-of-range rank would index past the tables
         check_integers(support, 0, field.q, "support elements")
         check_integers(g.coeffs, 0, field.q, "generator coefficients")
@@ -278,10 +284,7 @@ def build_code(
     check_integers((t,) if n is None else (t, n), 1, math.inf, "t and n")
     field = make_field(p, m)
     if n is not None:
-        if n > field.q:
-            raise ParamError(f"n = {n} exceeds field size {field.q}")
-        if n - m * t <= 0:
-            raise ParamError(f"dimension bound violated: n - m*t = {n - m * t}")
+        _check_shape(field.q, m, t, n)
     if irreducible_only:
         g, frob = random_irreducible(t, field, rng, with_frobenius=True)
     else:

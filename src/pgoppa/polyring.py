@@ -334,15 +334,15 @@ def _exact_products(p: int, dim: int) -> tuple[type, int]:
     """(dtype, k): a reduced GF(p) value takes k products in a row by
     reduced matrices of side dim before it needs `_fmod`, its entries then
     at most (p-1) * (dim*(p-1))**k, exact below 2**24 in float32 (taken
-    where it holds one product) and 2**53 in float64; k = 0 where neither
-    holds one."""
+    where it holds one product) and 2**53 in float64; ParamError where
+    neither holds one."""
     for dtype, bits in ((np.float32, 24), (np.float64, 53)):
         k, bound = 0, p - 1
         while k < bits and bound * dim * (p - 1) < 1 << bits:
             k, bound = k + 1, bound * dim * (p - 1)
         if k:
             return dtype, k
-    return np.float64, 0
+    raise ParamError(f"GF({p}) products of matrices of side {dim} exceed exact float64 range")
 
 
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -376,8 +376,6 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     rows, t = gc.shape[0], gc.shape[1] - 1
     dim = m * t
     dtype, every = _exact_products(p, dim)
-    if not every:
-        raise ParamError(f"GF({p}) residue space of dimension {dim} exceeds exact float64 range")
     ys = [p**k for k in range(m)]  # the ranks of y**k
     top = _elementwise(field)[1](np.array([field.neg(y) for y in ys])[:, None], gc[:, None, :t])
     eye = np.eye(dim, dtype=dtype)
@@ -417,8 +415,8 @@ def _evaluation_matrix(field: Field, t: int, points: Sequence[int]) -> np.ndarra
     are a leading slice; column j*m + l is digit l of g(points[j]): block
     (i, j) is the matrix of multiplication by a**i, its column k the digits
     of y**k * a**i.  Every dot product sums (t+1)*m terms below (p-1)**2:
-    the dtype is `_exact_products`' for side (t+1)*m, float32 while
-    (t+1)*m*(p-1)**2 < 2**24 and float64 beyond.
+    `_exact_products` for side (t+1)*m picks float32 while (t+1)*m*(p-1)**2
+    < 2**24 and float64 below 2**53, and raises ParamError beyond.
     """
     p, m = field.p, field.m
     mul, pts = _elementwise(field)[1], np.array(points, dtype=np.int64)
@@ -431,23 +429,18 @@ def _evaluation_matrix(field: Field, t: int, points: Sequence[int]) -> np.ndarra
     return digits.transpose(1, 0, 2, 3).reshape((t + 1) * m, len(pts) * m).astype(dtype)
 
 
-def _rootless(field: Field, gc: np.ndarray) -> np.ndarray:
-    """Mask of the rows of gc (as in `_rabin_screen`, over a field with
-    q <= 512) with no root in GF(q): every row at every element in one product."""
+def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(rows, screened): over a field with q <= 512 and for t >= 2, the indices
+    of gc's rows (as in `_rabin_screen`) with no root in GF(q), every row at
+    every element in one product, and True; elsewhere every row and False."""
+    live = np.arange(len(gc))
+    if field.q > _TABLE_LIMIT or gc.shape[1] <= 2:
+        return live, False
     evaluate = _evaluation_matrix(field, gc.shape[1] - 1, field.elements())
     values = _fmod(_digit_split(gc, field).reshape(len(gc), -1).astype(evaluate.dtype) @ evaluate, field.p)
     # each g(a)'s rank, zero iff a is a root: one product, cheaper than any() over the digits
     ranks = values.reshape(len(gc), field.q, field.m) @ (field.p ** np.arange(field.m)).astype(values.dtype)
-    return ranks.all(axis=1)
-
-
-def _root_free(field: Field, gc: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(rows, screened): the indices of gc's rows that pass the root screen
-    (`_rootless`), which runs over a field with q <= 512 for t >= 2, and
-    whether it ran; every row where it does not."""
-    live = np.arange(len(gc))
-    screened = field.q <= _TABLE_LIMIT and gc.shape[1] > 2
-    return (live[_rootless(field, gc)] if screened else live), screened
+    return live[ranks.all(axis=1)], True
 
 
 def _rabin_screen(field: Field, gc: np.ndarray, live: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
@@ -456,8 +449,8 @@ def _rabin_screen(field: Field, gc: np.ndarray, live: np.ndarray) -> tuple[list[
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
     = 1 for each prime r | t.  Over a field with q <= 512 a root screen
-    (`_rootless`: g at every element) decides gcd(x**q - x, g) first, and all
-    of t <= 3; `live` lists the rows of gc that passed it (`_root_free`'s).
+    (`_root_free`: g at every element) decides gcd(x**q - x, g) first, and
+    all of t <= 3; `live` lists the rows of gc that passed it.
     The live rows go through one Frobenius stage:
     x**(q**i) mod g from their stacked q-Frobenius matrices, the chain
     reduced mod p as often as `_exact_products` requires and wherever it is

@@ -281,6 +281,20 @@ def test_recover_error_values_matches_per_point_oracle(p, m):
         recover_error_values(code, Poly.zero(f), 1)
 
 
+@pytest.mark.parametrize("p", [134217757, 2147483659])
+def test_root_finding_beyond_exact_float64_products_is_rejected(p):
+    # (p - 1)**2 >= 2**53: not even one product of the evaluation matrix is
+    # exact in float64, and roots read through it can be missed
+    f = make_field(p, 1)
+    support = (5, 11, 1000003, p - 2)
+    code = AlternantCode(f, support, (1,) * len(support), 4)
+    sigma = Poly.one(f)
+    for lj in support[:3]:
+        sigma = sigma * Poly(f, (f.neg(f.inv(lj)), 1))
+    with pytest.raises(ParamError, match="exact float64"):
+        recover_error_values(code, sigma, 1)
+
+
 @pytest.mark.parametrize("phi", [0, 3, -1, 1.5, "1", True, None])
 def test_scale_guess_outside_one_to_p_is_rejected(phi):
     # phi is a magnitude in GF(p) \ {0}: 0 would report error positions of

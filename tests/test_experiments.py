@@ -276,16 +276,14 @@ SWITCH_SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("victim", [0, 1])
-def test_pool_switch_after_a_worker_died_while_idle(victim):
-    # whichever of two idle workers is killed (one of them holds the call
-    # queue's lock), switching to three workers neither hangs nor leaves the
-    # survivor behind; the child runs in its own session, so that a hang is
-    # a failure and its whole process group is killed
+def run_in_own_session(script: str, victim: int, hang: str) -> tuple[int, object]:
+    """(pid, last stdout line as JSON) of `script` run with `victim` in a child
+    interpreter of its own session, so that a hang is a failure (`hang`) and
+    its whole process group is killed."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop(WORKERS_ENV, None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", SWITCH_SCRIPT, str(victim)], env=env, stdout=subprocess.PIPE,
+        [sys.executable, "-c", script, str(victim)], env=env, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
@@ -293,14 +291,48 @@ def test_pool_switch_after_a_worker_died_while_idle(victim):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("switching worker counts hung after a worker died")
+        pytest.fail(hang)
     assert proc.returncode == 0, err
-    result = json.loads(out.splitlines()[-1])
-    assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
-    alive = still_alive(result["old"] + result["new"])
+    return proc.pid, json.loads(out.splitlines()[-1])
+
+
+def none_outlive(pids, group: int) -> bool:
+    """Whether all of pids end within a few seconds; the group is killed if not."""
+    alive = still_alive(pids)
     if alive:
-        os.killpg(proc.pid, signal.SIGKILL)
-    assert not alive
+        os.killpg(group, signal.SIGKILL)
+    return not alive
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_pool_switch_after_a_worker_died_while_idle(victim):
+    # whichever of two idle workers is killed (one of them holds the call
+    # queue's lock), switching to three workers neither hangs nor leaves the
+    # survivor behind
+    group, result = run_in_own_session(SWITCH_SCRIPT, victim, "switching worker counts hung after a worker died")
+    assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
+    assert none_outlive(result["old"] + result["new"], group)
+
+
+EXIT_SCRIPT = textwrap.dedent("""
+    import json, multiprocessing, multiprocessing.connection, os, signal, sys
+    from pgoppa.experiments import TrialConfig, run_trials
+    run_trials(TrialConfig(3, 3, 6, 6, trials=12, seed=5), workers=2)
+    workers = sorted(multiprocessing.active_children(), key=lambda proc: proc.pid)
+    victim = workers[int(sys.argv[1])]
+    os.kill(victim.pid, signal.SIGKILL)
+    multiprocessing.connection.wait([victim.sentinel], timeout=10)
+    # exit at once: the pool's manager thread may not have seen the death yet
+    print(json.dumps([proc.pid for proc in workers]))
+""")
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_pool_exit_after_a_worker_died_while_idle(victim):
+    # whichever of two idle workers is killed just before the interpreter
+    # exits, the exit neither hangs nor leaves the survivor behind
+    group, workers = run_in_own_session(EXIT_SCRIPT, victim, "the interpreter hung at exit after a worker died")
+    assert none_outlive(workers, group)
 
 
 def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pgoppa.errors import ParamError
-from pgoppa.fields import Field, _default_modulus, _is_irreducible_modulus, ints_from_text, is_prime, make_field
+from pgoppa.fields import Field, _default_modulus, ints_from_text, is_prime, make_field
+from pgoppa.polyring import Poly, is_irreducible
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -131,7 +132,7 @@ def test_modulus_check_matches_trial_division(p, degrees):
     for m in degrees:
         for k in range(p**m):
             f = monic_of_rank(k, p, m)
-            assert _is_irreducible_modulus(p, f) == trial_division_irreducible(f, p), f
+            assert is_irreducible(Poly(make_field(p, 1), f)) == trial_division_irreducible(f, p), f
 
 
 def test_modulus_check_beyond_exact_float64_range():

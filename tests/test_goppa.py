@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pgoppa import polyring
 from pgoppa.decoder import decode
 from pgoppa.errors import ParamError
+from pgoppa.experiments import TrialConfig
 from pgoppa.fields import make_field
 from pgoppa.goppa import (
     ErrorPattern,
@@ -398,6 +399,24 @@ F9 = make_field(3, 2)
 def test_code_parameters_are_rejected_with_their_message(build, message):
     with pytest.raises(ParamError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "n, message", [(10, "n = 10 exceeds field size 9"), (4, "dimension bound violated: n - m*t = 0")]
+)
+def test_each_shape_rule_has_one_wording(n, message):
+    # the experiment config, the code builder and the code itself reject a
+    # length-n, degree-2 code over GF(9) alike: n = q + 1 and n = m*t
+    g = random_irreducible(2, F9, SplitMix64(6))
+    builds = (
+        lambda: TrialConfig(3, 2, 2, 0, n=n).validate(),
+        lambda: build_code(3, 2, 2, n, rng=SplitMix64(6)),
+        lambda: GoppaCode(F9, range(n), g),
+    )
+    for build in builds:
+        with pytest.raises(ParamError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_word_text_roundtrip():

@@ -25,7 +25,6 @@ from pgoppa.polyring import (
     _rabin_screen,
     _root_free,
     _root_multiplicities,
-    _rootless,
     inv_mod,
     is_irreducible,
     is_square_free,
@@ -307,8 +306,10 @@ def test_root_screen_keeps_exactly_the_rootless_rows(field, t, seed):
     gc = np.ones((8, t + 1), dtype=np.int64)
     gc[:, :t] = (SplitMix64(seed).next_u64_block(8 * t) % np.uint64(f.q)).reshape(8, t)
     rootless = [k for k in range(8) if has_no_root(Poly(f, gc[k].tolist()))]
-    assert np.flatnonzero(_rootless(f, gc)).tolist() == rootless
-    passed = _rabin_screen(f, gc, _root_free(f, gc)[0])[0]
+    live, screened = _root_free(f, gc)
+    assert screened == (t > 1)
+    assert live.tolist() == (rootless if screened else list(range(8)))  # a linear g always has a root
+    passed = _rabin_screen(f, gc, live)[0]
     if t == 1:  # every linear g is irreducible, and no row is screened
         assert passed == list(range(8))
     elif t < 4:  # the root screen is the whole verdict
@@ -354,7 +355,7 @@ def test_root_screen_at_the_float32_bound(t, dtype):
     for a in (0, 508):  # rows with a root at a
         rows.append(Poly(f, (f.neg(a), 1)) * Poly(f, [rng.randrange(509) for _ in range(t - 1)] + [1]))
     gc = np.array([g.coeffs for g in rows])
-    assert _rootless(f, gc).tolist() == [has_no_root(g) for g in rows]
+    assert _root_free(f, gc)[0].tolist() == [k for k, g in enumerate(rows) if has_no_root(g)]
 
 
 def test_block_search_matches_reference_on_fresh_block(monkeypatch):
@@ -367,9 +368,9 @@ def test_block_search_matches_reference_on_fresh_block(monkeypatch):
         rng = SplitMix64(seed)
         want[seed] = random_irreducible_reference(t, f, rng), rng.state
     events = []
-    draw, rootless, screen, frobenius = (
+    draw, root_free, screen, frobenius = (
         SplitMix64.next_u64_block,
-        polyring._rootless,
+        polyring._root_free,
         polyring._rabin_screen,
         polyring._frobenius_matrix,
     )
@@ -380,9 +381,9 @@ def test_block_search_matches_reference_on_fresh_block(monkeypatch):
         return out
 
     def record_screen(field, gc):
-        mask = rootless(field, gc)
-        events.append(("screen", gc[:, :t].copy(), mask))
-        return mask
+        live, screened = root_free(field, gc)
+        events.append(("screen", gc[:, :t].copy(), live))
+        return live, screened
 
     def record_stage(field, gc, live):
         events.append(("stage", gc[live, :t].copy()))
@@ -393,7 +394,7 @@ def test_block_search_matches_reference_on_fresh_block(monkeypatch):
         return frobenius(field, gc)
 
     monkeypatch.setattr(SplitMix64, "next_u64_block", record_draw)
-    monkeypatch.setattr(polyring, "_rootless", record_screen)
+    monkeypatch.setattr(polyring, "_root_free", record_screen)
     monkeypatch.setattr(polyring, "_rabin_screen", record_stage)
     monkeypatch.setattr(polyring, "_frobenius_matrix", record_frobenius)
     for seed in (1, 2):
@@ -404,16 +405,16 @@ def test_block_search_matches_reference_on_fresh_block(monkeypatch):
         starts = [i for i, e in enumerate(events) if e[0] == "draw"]
         assert starts[0] == 0
         for b, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(events)])):
-            (_, rows), (kind, screened, mask), *rest = events[lo:hi]
+            (_, rows), (kind, screened, live), *rest = events[lo:hi]
             assert kind == "screen" and np.array_equal(screened, rows)
             assert [e[0] for e in rest] == ["stage", "frob"] * (len(rest) // 2)
             stages, built = rest[::2], rest[1::2]
             assert all(np.array_equal(s[1], m[1]) for s, m in zip(stages, built))
             assert all(0 < len(s[1]) <= polyring._STAGE_ROWS for s in stages)
             staged = np.concatenate([s[1] for s in stages]) if stages else rows[:0]
-            assert np.array_equal(staged, rows[mask][: len(staged)])
+            assert np.array_equal(staged, rows[live][: len(staged)])
             if b < len(starts) - 1:  # a block without a hit
-                assert len(staged) == mask.sum()
+                assert len(staged) == len(live)
             else:
                 assert list(g.coeffs[:t]) in stages[-1][1].tolist()
 
