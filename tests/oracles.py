@@ -256,6 +256,42 @@ def random_irreducible_reference(t: int, field, rng) -> Poly:
             return g
 
 
+class SplitMix64Reference:
+    """splitmix64 keeping only an int state: each draw is one step of the
+    state and one masked output mix, the per-draw reference for the
+    windowed `SplitMix64`."""
+
+    MASK, GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def next_u64(self) -> int:
+        self.state = z = (self.state + self.GAMMA) & self.MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def next_u64_block(self, n: int) -> list[int]:
+        start = self.state
+        block = [self.next_u64() for _ in range(n)]
+        self.state = start
+        return block
+
+    def advance(self, n: int) -> None:
+        self.state = (self.state + n * self.GAMMA) & self.MASK
+
+    def randrange(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randrange() argument must be positive")
+        return self.next_u64() % n
+
+    def randranges(self, bounds) -> list[int]:
+        if any(b <= 0 for b in bounds):
+            raise ValueError("randrange() argument must be positive")
+        return [self.randrange(b) for b in bounds]
+
+
 def sample_reference(rng, seq, k: int) -> list:
     """SplitMix64.sample one draw at a time: partial Fisher-Yates with one
     randrange call per position."""

@@ -6,12 +6,14 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import random
 import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +36,9 @@ from pgoppa.experiments import (
     sweep_weights,
     table_rows,
 )
-from pgoppa.rng import SplitMix64, mix64, trial_stream
+from pgoppa.rng import _WINDOW, SplitMix64, mix64, trial_stream
 
-from oracles import reference_trial, sample_reference, shuffle_reference
+from oracles import SplitMix64Reference, reference_trial, sample_reference, shuffle_reference
 
 
 def test_splitmix64_reference_vectors():
@@ -105,10 +107,101 @@ def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
 
 def test_bulk_draw_rejects_a_modulus_below_one():
     g = SplitMix64(13)
-    for bounds in ([0], [5, 0, 3], [-1], [4, -7], [3] * 40 + [0]):
+    for bounds in (
+        [0], [5, 0, 3], [-1], [4, -7], [3] * 40 + [0],
+        range(3, -1, -1), range(0, 5), range(-2, 3), range(5, -3, -2), range(-4, 0),
+    ):
         with pytest.raises(ValueError):
             g.randranges(bounds)
     assert g.state == 13  # nothing was drawn
+
+
+def _windowed_step(plan: random.Random, stream: SplitMix64, ref: SplitMix64Reference) -> None:
+    """One randomly chosen call, made on both streams and compared."""
+    op = plan.choice(("next", "block", "advance", "randranges", "sample", "shuffle", "state"))
+    if op == "next":
+        assert stream.next_u64() == ref.next_u64()
+    elif op == "block":
+        n = plan.choice((-5, 0, 1, plan.randint(2, 90), _WINDOW - 1, _WINDOW, _WINDOW + plan.randint(1, 300)))
+        block = stream.next_u64_block(n)
+        assert block.tolist() == ref.next_u64_block(n)
+        assert not block.flags.writeable
+    elif op == "advance":
+        n = plan.choice((0, 1, plan.randint(2, 90), _WINDOW + plan.randint(0, 3000), plan.getrandbits(70)))
+        stream.advance(n)
+        ref.advance(n)
+    elif op == "randranges":
+        n = plan.choice((0, plan.randint(1, 90)))
+        bounds = plan.choice((
+            [plan.randint(1, 2**64 - 1) for _ in range(n)],
+            [plan.randint(1, 9) for _ in range(n)],
+            range(n, 0, -1),
+            range(n + 1, 1, -1),
+            range(1, n + 1),
+            range(plan.randint(1, 2**63), 2**64 - 1, 2**61),
+        ))
+        assert stream.randranges(bounds) == ref.randranges(bounds)
+    elif op == "sample":
+        n = plan.choice((plan.randint(0, 90), plan.randint(90, 3000)))
+        k = plan.randint(0, min(n, 90))
+        assert stream.sample(range(n), k) == sample_reference(ref, range(n), k)
+    elif op == "shuffle":
+        items = list(range(plan.randint(0, 90)))
+        expected = list(items)
+        stream.shuffle(items)
+        shuffle_reference(ref, expected)
+        assert items == expected
+    else:
+        stream.state = ref.state = plan.getrandbits(64)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_windowed_stream_equals_a_per_draw_reference(seed):
+    # seeded random interleavings of every draw, across window refills,
+    # blocks past the window's end and state assignments
+    plan = random.Random(seed)
+    start = plan.getrandbits(64)
+    stream, ref = SplitMix64(start), SplitMix64Reference(start)
+    for _ in range(250):
+        _windowed_step(plan, stream, ref)
+        assert stream.state == ref.state
+
+
+def test_a_draw_at_the_window_end_refills_it():
+    g, ref = SplitMix64(17), SplitMix64Reference(17)
+    g.next_u64_block(1)  # fills the window
+    g.advance(_WINDOW)  # the cursor at its very end
+    ref.advance(_WINDOW)
+    assert g.next_u64_block(0).tolist() == [] and g.randranges([]) == [] and g.state == ref.state
+    assert g.next_u64() == ref.next_u64() and g.state == ref.state
+
+
+class _Unlistable(Sequence):
+    """The integers 0 .. 10**12 - 1, which may be indexed and sliced but not
+    iterated or copied."""
+
+    def __len__(self):
+        return 10**12
+
+    def __getitem__(self, i):
+        return range(10**12)[i]
+
+    def __iter__(self):
+        raise AssertionError("sample iterated its whole sequence")
+
+
+def test_sample_reads_only_the_positions_it_draws():
+    # partial Fisher-Yates over a dict of moved positions, one randrange per
+    # draw: the reference for sequences far too long to copy
+    for seq, offset in ((_Unlistable(), 0), (range(1, 2147483659), 1)):
+        ref = SplitMix64Reference(31)
+        moved = {}
+        for i in range(30):
+            j = i + ref.randrange(len(seq) - i)
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        g = SplitMix64(31)
+        assert g.sample(seq, 30) == [moved[i] + offset for i in range(30)]
+        assert g.state == ref.state
 
 
 def test_trial_streams_are_decorrelated():
@@ -257,17 +350,68 @@ def test_pool_replaces_a_worker_killed_while_idle(monkeypatch):
     assert victim.pid not in pool_pids() and len(pool_pids()) == 2
 
 
-SWITCH_SCRIPT = textwrap.dedent("""
-    import json, multiprocessing, multiprocessing.connection, os, signal, sys
+# Of two idle workers, one (the holder) holds the call queue's lock and waits
+# in a read on the queue's pipe; the other (the waiter) waits for the lock.
+# Only the holder's death can hang a pool that does not terminate its idle
+# workers, so the scripts pick the victim by its role: the holder is the
+# worker whose /proc/<pid>/syscall number is that of a helper blocked in
+# os.read on a pipe.  Where that file cannot be read, pid order stands in.
+# Even then such a pool hangs only if the switch or exit wakes its manager
+# thread before that thread sees the death (about 3 runs in 4 on a 2-core
+# host), so each test kills the holder in HOLDER_ROUNDS runs of its scenario.
+HOLDER_ROUNDS = 5
+PICK_VICTIM = textwrap.dedent("""
+    import os, sys, time
+
+    def blocked_in(pid):
+        # the number of the system call pid is blocked in, None while it runs
+        with open(f"/proc/{pid}/syscall") as fh:
+            number = fh.read().split()[0]
+        return number if number.isdigit() else None  # not "running" or -1
+
+    def pipe_read_number():
+        r, w = os.pipe()
+        helper = os.fork()
+        if helper == 0:
+            os.read(r, 1)
+            os._exit(0)
+        try:
+            for _ in range(500):
+                if (number := blocked_in(helper)) is not None:
+                    return number
+                time.sleep(0.01)
+        except OSError:  # no readable /proc/<pid>/syscall
+            return None
+        finally:
+            os.write(w, b"x")
+            os.waitpid(helper, 0)
+            os.close(r)
+            os.close(w)
+
+    def pick_victim(workers, role):
+        workers = sorted(workers, key=lambda proc: proc.pid)
+        for _ in range(500 if PIPE_READ is not None else 0):
+            numbers = [blocked_in(proc.pid) for proc in workers]
+            if None not in numbers and numbers.count(PIPE_READ) == 1:
+                holder = numbers.index(PIPE_READ)
+                return workers[holder if role == "holder" else 1 - holder]
+            time.sleep(0.01)
+        return workers[("holder", "waiter").index(role)]
+
+    PIPE_READ = pipe_read_number()  # before any pool thread starts
+""")
+
+SWITCH_SCRIPT = PICK_VICTIM + textwrap.dedent("""
+    import json, multiprocessing, os, signal, sys
     from pgoppa.experiments import TrialConfig, run_trials
     cfg = TrialConfig(3, 3, 6, 6, trials=12, seed=5)
     serial = run_trials(cfg, workers=1).successes
     run_trials(cfg, workers=2)
     old = sorted(multiprocessing.active_children(), key=lambda proc: proc.pid)
-    victim = old[int(sys.argv[1])]
+    victim = pick_victim(old, sys.argv[1])
     os.kill(victim.pid, signal.SIGKILL)
-    multiprocessing.connection.wait([victim.sentinel], timeout=10)
-    # at once: the pool's manager thread may not have seen the death yet
+    # switch at once, with no wait in which the pool's manager thread could
+    # see the death first: it would then end the pool as broken by itself
     print(json.dumps({
         "matches": run_trials(cfg, workers=3).successes == serial,
         "old": [proc.pid for proc in old],
@@ -276,7 +420,7 @@ SWITCH_SCRIPT = textwrap.dedent("""
 """)
 
 
-def run_in_own_session(script: str, victim: int, hang: str) -> tuple[int, object]:
+def run_in_own_session(script: str, victim: str, hang: str) -> tuple[int, object]:
     """(pid, last stdout line as JSON) of `script` run with `victim` in a child
     interpreter of its own session, so that a hang is a failure (`hang`) and
     its whole process group is killed."""
@@ -304,35 +448,38 @@ def none_outlive(pids, group: int) -> bool:
     return not alive
 
 
-@pytest.mark.parametrize("victim", [0, 1])
+@pytest.mark.parametrize("victim", ["holder", "waiter"])
 def test_pool_switch_after_a_worker_died_while_idle(victim):
-    # whichever of two idle workers is killed (one of them holds the call
-    # queue's lock), switching to three workers neither hangs nor leaves the
-    # survivor behind
-    group, result = run_in_own_session(SWITCH_SCRIPT, victim, "switching worker counts hung after a worker died")
-    assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
-    assert none_outlive(result["old"] + result["new"], group)
+    # whichever of two idle workers is killed, the call queue's lock holder
+    # or the worker waiting for it, switching to three workers neither hangs
+    # nor leaves the survivor behind
+    for _ in range(HOLDER_ROUNDS if victim == "holder" else 1):
+        group, result = run_in_own_session(SWITCH_SCRIPT, victim, "switching worker counts hung after a worker died")
+        assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
+        assert none_outlive(result["old"] + result["new"], group)
 
 
-EXIT_SCRIPT = textwrap.dedent("""
-    import json, multiprocessing, multiprocessing.connection, os, signal, sys
+EXIT_SCRIPT = PICK_VICTIM + textwrap.dedent("""
+    import json, multiprocessing, os, signal, sys
     from pgoppa.experiments import TrialConfig, run_trials
     run_trials(TrialConfig(3, 3, 6, 6, trials=12, seed=5), workers=2)
     workers = sorted(multiprocessing.active_children(), key=lambda proc: proc.pid)
-    victim = workers[int(sys.argv[1])]
+    victim = pick_victim(workers, sys.argv[1])
+    print(json.dumps([proc.pid for proc in workers]), flush=True)
+    # exit at once, with no wait in which the pool's manager thread could see
+    # the death first: it would then end the pool as broken by itself
     os.kill(victim.pid, signal.SIGKILL)
-    multiprocessing.connection.wait([victim.sentinel], timeout=10)
-    # exit at once: the pool's manager thread may not have seen the death yet
-    print(json.dumps([proc.pid for proc in workers]))
 """)
 
 
-@pytest.mark.parametrize("victim", [0, 1])
+@pytest.mark.parametrize("victim", ["holder", "waiter"])
 def test_pool_exit_after_a_worker_died_while_idle(victim):
     # whichever of two idle workers is killed just before the interpreter
-    # exits, the exit neither hangs nor leaves the survivor behind
-    group, workers = run_in_own_session(EXIT_SCRIPT, victim, "the interpreter hung at exit after a worker died")
-    assert none_outlive(workers, group)
+    # exits, the lock holder or the waiter, the exit neither hangs nor leaves
+    # the survivor behind
+    for _ in range(HOLDER_ROUNDS if victim == "holder" else 1):
+        group, workers = run_in_own_session(EXIT_SCRIPT, victim, "the interpreter hung at exit after a worker died")
+        assert none_outlive(workers, group)
 
 
 def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):

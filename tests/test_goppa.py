@@ -3,6 +3,7 @@ and the rational-sum syndrome, trace expansion, sampling, file formats."""
 
 import hashlib
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +61,20 @@ def test_build_code_dimension_rule():
 def test_build_code_oversized_support():
     with pytest.raises(ParamError):
         build_code(3, 2, 2, 10, rng=SplitMix64(3))
+
+
+def test_build_code_memory_follows_n_not_q():
+    # an irreducible g of degree >= 2 has no roots, so the support is
+    # sampled from range(q) itself, reading only the positions it draws:
+    # over GF(3^13) a 100-point code allocates kilobytes, not a q-entry list
+    make_field(3, 13)
+    tracemalloc.start()
+    try:
+        code = build_code(3, 13, 2, 100, rng=SplitMix64(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.n == 100 and peak < 1 << 22
 
 
 def test_t1_parity_check_specialization():
