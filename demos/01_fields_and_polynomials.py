@@ -2,7 +2,9 @@
 """Tour of the arithmetic layer: GF(p^m) contexts, element encoding,
 p-th roots, and the characteristic-p polynomial decomposition."""
 
-from pgoppa import Poly, assemble_locator, make_field, pth_power_decompose, pth_root_mod, random_irreducible
+from pgoppa import Poly, make_field
+from pgoppa.decoder import assemble_locator
+from pgoppa.polyring import pth_power_decompose, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
 # A field context fixes p, m, and a monic irreducible modulus.  Elements are

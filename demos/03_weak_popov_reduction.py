@@ -3,8 +3,8 @@
 and the shortest-vector guarantee.  A matrix is a list of rows of Poly
 entries."""
 
-from pgoppa import Poly, make_field, pivot_index, weak_popov_reduce
-from pgoppa.popov import degree_tableau
+from pgoppa import Poly, make_field
+from pgoppa.popov import degree_tableau, pivot_index, weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
 F = make_field(3, 2)

@@ -2,15 +2,8 @@
 """A complete decode, opened up: syndrome, radicands, lattice reduction,
 locator assembly, root multiplicities, and verification."""
 
-from pgoppa import (
-    Poly,
-    assemble_locator,
-    build_code,
-    decode,
-    find_roots_multiplicities,
-    key_lattices,
-    sample_error,
-)
+from pgoppa import Poly, build_code, decode, sample_error
+from pgoppa.decoder import assemble_locator, find_roots_multiplicities, key_lattices
 from pgoppa.errors import DegreeBoundError
 from pgoppa.popov import degree_tableau, weak_popov_reduce
 from pgoppa.rng import SplitMix64

@@ -2,8 +2,8 @@
 """Reproducing decoding-success statistics at desk scale: observed rates
 against the 1 - q**-(t+1-w) model, with seeded, restartable trials."""
 
-from pgoppa import TrialConfig, run_trials, success_prob_model, sweep_weights
-from pgoppa.experiments import CSV_HEADER, csv_report
+from pgoppa import TrialConfig, run_trials, success_prob_model
+from pgoppa.experiments import CSV_HEADER, csv_report, sweep_weights
 
 SEED = 42
 TRIALS = 300  # raise to 1000+ for tighter intervals

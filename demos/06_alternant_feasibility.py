@@ -2,15 +2,15 @@
 """The alternant variant: decoding modulo x**r instead of a square-free
 generator, and why the required p-th roots rarely exist."""
 
-from pgoppa import (
+from pgoppa import feasibility_probe
+from pgoppa.alternant import (
     alternant_syndrome,
-    assemble_locator,
-    feasibility_probe,
     predicted_feasibility,
     random_restricted_alternant,
     recover_error_values,
     try_build_alternant_lattice,
 )
+from pgoppa.decoder import assemble_locator
 from pgoppa.errors import DegreeBoundError
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64

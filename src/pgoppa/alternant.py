@@ -103,7 +103,7 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     rows: list[list[Poly]] = [[xr] + [zero] * (p - 1)]
     for k in range(1, p):
         c = (phi * k) % p
-        u = ((Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)) % xr).coeffs
+        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)).coeffs[:r]  # mod x**r
         if any(any(u[j::p]) for j in range(1, p)):  # off the stride-p slice: no p-th power
             return None
         v = Poly(f, map(f.pth_root, u[::p]))  # part 0 of `pth_power_decompose`

@@ -28,7 +28,6 @@ class Candidate:
     error: ErrorPattern
     phi: int
     sigma: Poly
-    multiplicities: dict[int, int]
 
 
 @dataclass
@@ -132,7 +131,6 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
             error=ErrorPattern((0,) * n),
             phi=0,
             sigma=Poly.one(f),
-            multiplicities={},
         )
         return DecodeOutcome([cand])
     try:
@@ -160,7 +158,7 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
             if codeword in seen:
                 continue
             seen.add(codeword)
-            outcome.candidates.append(Candidate(codeword, ErrorPattern(tuple(e)), phi, sigma, mults))
+            outcome.candidates.append(Candidate(codeword, ErrorPattern(tuple(e)), phi, sigma))
     return outcome
 
 

@@ -21,6 +21,7 @@ from functools import partial
 
 from .decoder import decode, locator_degree
 from .errors import ParamError, check_integers
+from .fields import _check_characteristic
 from .goppa import _check_shape, build_code, sample_error
 from .rng import trial_stream
 
@@ -49,8 +50,8 @@ class TrialConfig:
     n: int | None = None
 
     def validate(self) -> None:
-        sizes = (self.p, self.m, self.t, self.w) + ((self.n,) if self.n is not None else ())
-        check_integers(sizes, 0, math.inf, "p, m, t, w and n")
+        _check_characteristic(self.p, self.m)  # make_field's check, building no field
+        check_integers((self.w,), 0, math.inf, "weight w")
         check_integers((self.trials,), 1, math.inf, "trials")
         check_integers((self.seed,), -math.inf, math.inf, "seed")
         n = self.n if self.n is not None else self.q

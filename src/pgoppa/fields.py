@@ -230,6 +230,13 @@ class Field:
 _FIELD_CACHE: dict[tuple, Field] = {}
 
 
+def _check_characteristic(p: int, m: int) -> None:
+    """ParamError unless p is a prime and m an integer >= 1."""
+    check_integers((p, m), 1, math.inf, "characteristic and extension degree")
+    if not is_prime(p):
+        raise ParamError(f"characteristic must be prime, got {p}")
+
+
 def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     """Build (or fetch the cached) GF(p^m) context.
 
@@ -243,9 +250,7 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     field could be built anyway: its m*t-dimensional residue space is at
     least as large.
     """
-    check_integers((p, m), 1, math.inf, "characteristic and extension degree")
-    if not is_prime(p):
-        raise ParamError(f"characteristic must be prime, got {p}")
+    _check_characteristic(p, m)
     if modulus is not None:
         check_integers(modulus, -math.inf, math.inf, "modulus coefficients")
         modulus = tuple(c % p for c in modulus)

@@ -34,13 +34,9 @@ from .polyring import (
 
 @dataclass(frozen=True)
 class ErrorPattern:
-    """Length-n vector of mod-p magnitudes with weight bookkeeping."""
+    """Length-n vector of mod-p magnitudes and its support."""
 
     values: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for v in self.values if v)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -90,7 +86,9 @@ def sample_error(n: int, w: int, dist, p: int, rng) -> ErrorPattern:
 
 def _check_shape(q: int, m: int, t: int, n: int) -> None:
     """ParamError unless a length-n code over GF(q = p**m) with a degree-t
-    generator has the shape the decoder takes: n <= q and n - m*t > 0."""
+    generator has the shape the decoder takes: t and n integers >= 1,
+    n <= q and n - m*t > 0."""
+    check_integers((t, n), 1, math.inf, "t and n")
     if n > q:
         raise ParamError(f"n = {n} exceeds field size {q}")
     if n - m * t <= 0:
@@ -281,10 +279,8 @@ def build_code(
     n defaults to the maximum possible length (all of GF(q) when the
     generator is irreducible of degree >= 2).
     """
-    check_integers((t,) if n is None else (t, n), 1, math.inf, "t and n")
     field = make_field(p, m)
-    if n is not None:
-        _check_shape(field.q, m, t, n)
+    _check_shape(field.q, m, t, field.q if n is None else n)  # a default n is at most q
     if irreducible_only:
         g, frob = random_irreducible(t, field, rng, with_frobenius=True)
     else:

@@ -125,8 +125,7 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        _cancel([row], [other.coeffs, *cofactor], 0, f.neg(f.inv(other.lc())), f)
+        _cancel([row], [other.coeffs, *cofactor], 0, self.field)
         return row
 
     def deriv(self) -> "Poly":
@@ -167,8 +166,8 @@ class Poly:
 # `_row_addmul`, and one loop over leading terms, `_cancel`, on rows of
 # bare coefficient lists (low to high, trimmed).  They run over the field's
 # lookups, tables or computed alike.  `_cancel` binds the field's tables,
-# -1/lc's table row and the source's nonzero entries once per call, for all
-# its target rows, so a transformation has no set-up of its own.
+# the table row of the source's -1/lc and its nonzero entries once per call,
+# for all its target rows, so a transformation has no set-up of its own.
 
 
 def _row_addmul(dst: list[list[int]], src: Sequence[tuple[int, Sequence[int]]], times: Sequence[int], e: int, add) -> None:
@@ -188,12 +187,12 @@ def _row_addmul(dst: list[list[int]], src: Sequence[tuple[int, Sequence[int]]], 
                 d.pop()
 
 
-def _cancel(targets: Sequence[list[list[int]]], src: Sequence[Sequence[int]], col: int, neg_inv_lc: int, field: Field) -> None:
+def _cancel(targets: Sequence[list[list[int]]], src: Sequence[Sequence[int]], col: int, field: Field) -> None:
     """For each target row in order, cancel its entry col's leading term
     against src[col]'s until it is shorter, in place: each step is one
-    simple transformation, row += c * x**e * src by `_row_addmul`, with c
-    read from the table row of neg_inv_lc = -1/lc(src[col]).  src is no target."""
-    add, mul, coef = field._add, field._mul, field._mul[neg_inv_lc]
+    simple transformation, row += c * x**e * src by `_row_addmul`, c read
+    from the table row of -1/lc(src[col]), taken once.  src is no target."""
+    add, mul, coef = field._add, field._mul, field._mul[field._neg[field._inv[src[col][-1]]]]
     size, pairs = len(src[col]), [(j, s) for j, s in enumerate(src) if s]
     for dst in targets:
         lead = dst[col]
@@ -216,7 +215,7 @@ def _euclid(a: list[list[int]], b: list[list[int]], field: Field) -> list[list[i
     remainder is zero.  Returns the last row with a nonzero remainder,
     scaled to make it monic (a when both are zero)."""
     while b[0]:
-        _cancel([a], b, 0, field.neg(field.inv(b[0][-1])), field)
+        _cancel([a], b, 0, field)
         a, b = b, a
     times = field._mul[field.inv(a[0][-1]) if a[0] else 1]
     return [[times[c] for c in entry] for entry in a]
@@ -573,13 +572,12 @@ def _shifts_mod(z: Poly, g: Poly, count: int) -> np.ndarray:
     """Coefficient ranks of x**k * z mod g for k < count, one row each,
     low to high and padded to g's degree t >= 1: each row is the last
     shifted by one and reduced by one `_cancel` step."""
-    f, neg_inv_lc = g.field, g.field.neg(g.field.inv(g.lc()))
     out = np.zeros((count, g.degree), dtype=np.int64)
     row = list((z % g).coeffs)
     out[0, : len(row)] = row
     for k in range(1, count):
         row = [0, *row] if row else row
-        _cancel([[row]], [g.coeffs], 0, neg_inv_lc, f)
+        _cancel([[row]], [g.coeffs], 0, g.field)
         out[k, : len(row)] = row
     return out
 

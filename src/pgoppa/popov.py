@@ -69,5 +69,5 @@ def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
         for k, src in enumerate(rows):
             col = _pivot(src) - 1
             if col >= 0:
-                _cancel(rows[:k] + rows[k + 1 :], src, col, field.neg(field.inv(src[col][-1])), field)
+                _cancel(rows[:k] + rows[k + 1 :], src, col, field)
     return [[Poly(field, entry) for entry in r] for r in rows]

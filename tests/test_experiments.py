@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pgoppa import experiments
 from pgoppa.errors import ParamError
 from pgoppa.experiments import (
     BINARY_BLOCKS,
@@ -282,6 +283,26 @@ def test_config_validation():
             run_trials(bad)
     for seed in (-1, 0, 2**64):  # a seed of either sign stays valid
         TrialConfig(3, 2, 2, 1, trials=2, seed=seed).validate()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (TrialConfig(4, 2, 2, 2), "characteristic must be prime, got 4"),
+        (TrialConfig(3, 0, 1, 0), "characteristic and extension degree must be integers"),
+        (TrialConfig(3, 3, 0, 0), "t and n must be integers"),
+    ],
+    ids=["composite-p", "m=0", "t=0"],
+)
+def test_config_every_trial_rejects_fails_before_the_pool(monkeypatch, cfg, message):
+    # make_field's and build_code's own checks, with their wording, before
+    # any worker forks
+    def no_pool(nworkers):
+        raise AssertionError("the pool was reached")
+
+    monkeypatch.setattr(experiments, "_pool", no_pool)
+    with pytest.raises(ParamError, match=message):
+        run_trials(cfg, workers=2)
 
 
 def test_run_trials_zero_weight_always_succeeds():

@@ -261,9 +261,9 @@ def test_codeword_min_weight_at_design_distance(code338):
 def test_sample_error_basics():
     rng = SplitMix64(57)
     z = sample_error(10, 0, "equal", 3, rng)
-    assert z.weight == 0 and magnitude_profile(z) == {}
+    assert not any(z.values) and magnitude_profile(z) == {}
     e = sample_error(40, 9, "equal", 5, rng)
-    assert e.weight == 9
+    assert sum(1 for v in e.values if v) == 9
     assert len(magnitude_profile(e)) == 1
     assert sum(magnitude_profile(e).values()) == 9
     fixed = sample_error(40, 6, ("equal", 3), 5, rng)
@@ -416,6 +416,14 @@ def test_code_parameters_are_rejected_with_their_message(build, message):
         build()
 
 
+def test_build_code_checks_the_default_shape_before_the_search():
+    # n omitted is n = q = 27 at most, and 27 - 3*9 = 0: no generator is drawn
+    rng = SplitMix64(8)
+    with pytest.raises(ParamError, match=r"dimension bound violated: n - m\*t = 0"):
+        build_code(3, 3, 9, rng=rng)
+    assert rng.state == 8
+
+
 @pytest.mark.parametrize(
     "n, message", [(10, "n = 10 exceeds field size 9"), (4, "dimension bound violated: n - m*t = 0")]
 )
@@ -462,6 +470,6 @@ def test_records_round_trip(block, data):
 
 def test_error_pattern_fields():
     e = ErrorPattern((0, 2, 0, 2, 1))
-    assert e.weight == 3
+    assert sum(1 for v in e.values if v) == 3
     assert magnitude_profile(e) == {2: 2, 1: 1}
     assert e.support == (1, 3, 4)
