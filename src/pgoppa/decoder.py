@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegreeBoundError, NotInvertibleError, check_integers
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _digit_split, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import weak_popov_reduce
 
 
@@ -74,19 +74,14 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
 
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
-    """sigma = sum x**j a_j**p, made monic; rejects rows breaking the
-    degree bounds deg(a_j) <= (t - j) // p, all checked before any power is
-    taken.  Coefficient i of a_j, raised to the p-th power, is coefficient
-    p*i + j of sigma: j < p, so no two terms share a slot."""
-    f = a[0].field
-    p = f.p
+    """sigma = sum x**j a_j**p (`_pth_power_compose`), made monic; rejects
+    rows breaking the degree bounds deg(a_j) <= (t - j) // p, all checked
+    before any power is taken."""
+    p = a[0].field.p
     for j, aj in enumerate(a):
         if aj.degree > (t - j) // p:
             raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
-    out, ppow = [0] * (t + 1), f._ppow
-    for j, aj in enumerate(a):
-        out[j : j + p * len(aj.coeffs) : p] = [ppow[c] for c in aj.coeffs]
-    sigma = Poly(f, out)
+    sigma = _pth_power_compose(a)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")
     return sigma.monic()

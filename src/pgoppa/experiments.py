@@ -172,6 +172,8 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     if nworkers <= 1 or cfg.trials < 2 * nworkers:
         successes = sum(_single_trial(cfg, i) for i in range(cfg.trials))
     else:
+        # a bad magnitude law raises here, not in every worker: one throwaway error of weight w
+        sample_error(cfg.w, cfg.w, cfg.dist, cfg.p, trial_stream(cfg.seed, 0))
         chunk = max(1, cfg.trials // (nworkers * 8))
         batch = partial(_single_trial, cfg), range(cfg.trials)
         with _POOL_LOCK:

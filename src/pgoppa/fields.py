@@ -6,9 +6,9 @@ Ranks below p are exactly the prime subfield, and rank arithmetic is
 what the on-disk formats use, so no wrapper type is needed.
 
 Every field has the same lookups (_add[a][b], _mul[a][b], _neg[a], _inv[a],
-_ppow[a] == a**p, _proot[a]) and numpy array ops: tables built from the
-digit arithmetic when q <= 512, entries computed from it when read beyond.
-No discrete-log or Zech tables anywhere, so q is bounded only by patience.
+_ppow[a] == a**p, _proot[a]) and numpy array ops, int64 ranks in and out:
+tables built from the digit arithmetic when q <= 512, entries computed from
+it when read beyond.  No discrete-log or Zech tables; q <= 2**63, so ranks fit int64.
 
 Field operations do not check their arguments: a rank outside [0, q)
 gives an IndexError or a wrong answer.  Ranks are checked where they
@@ -189,7 +189,7 @@ class Field:
         add = sum((digits[:, None, k] + digits[:, k]) % p * weights[k] for k in range(m))
         mul = sum(digits @ lifted[:, :, k].T % p * weights[k] for k in range(m))
         self._add, self._mul = add.tolist(), mul.tolist()
-        self._arrays = (lambda a, b: add[a, b]), (lambda a, b: mul[a, b]), np.int64
+        self._arrays = (lambda a, b: add[a, b]), (lambda a, b: mul[a, b])
         self._neg = (-digits % p @ weights).tolist()
         self._inv = np.argmax(mul == 1, axis=1).tolist()
         self._ppow = [self.pow(a, p) for a in range(q)]
@@ -197,14 +197,15 @@ class Field:
 
     def _computed_lookups(self) -> None:
         """Lookups computed by the digit arithmetic when read, and array ops
-        that apply add and mul elementwise on Python ints."""
+        that apply add and mul elementwise on Python ints, cast to int64."""
         self._add = _Computed(_Computed, self._add_raw)  # _add[a] is the row of a
         self._mul = _Computed(_Computed, self._mul_raw)
         self._neg = _Computed(lambda a: self.from_coeffs(-c for c in self.coeffs(a)))
         self._inv = _Computed(lambda a: self.pow(a, self.q - 2))
         self._ppow = _Computed(lambda a: self.pow(a, self.p))
         self._proot = _Computed(lambda a: self.pow(a, self.p ** (self.m - 1)))
-        self._arrays = np.frompyfunc(self._add_raw, 2, 1), np.frompyfunc(self._mul_raw, 2, 1), object
+        add, mul = np.frompyfunc(self._add_raw, 2, 1), np.frompyfunc(self._mul_raw, 2, 1)
+        self._arrays = (lambda a, b: add(a, b).astype(np.int64)), (lambda a, b: mul(a, b).astype(np.int64))
 
     # -- misc ----------------------------------------------------------------
 
@@ -231,8 +232,10 @@ _FIELD_CACHE: dict[tuple, Field] = {}
 
 
 def _check_characteristic(p: int, m: int) -> None:
-    """ParamError unless p is a prime and m an integer >= 1."""
+    """ParamError unless p is a prime, m an integer >= 1 and p**m <= 2**63."""
     check_integers((p, m), 1, math.inf, "characteristic and extension degree")
+    if p ** min(m, 64) > 1 << 63:  # m capped: any p >= 2 exceeds it at m = 64
+        raise ParamError(f"field size {p}**{m} exceeds 2**63")
     if not is_prime(p):
         raise ParamError(f"characteristic must be prime, got {p}")
 

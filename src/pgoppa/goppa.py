@@ -144,7 +144,7 @@ class GoppaCode:
         if not values.all():
             raise ParamError("support must avoid the roots of the generator")
         scale = np.array([f.neg(f.inv(int(v))) for v in values])
-        return _elementwise(f)[1](np.array(quotient[::-1]), scale).astype(np.int64)
+        return _elementwise(f)[1](np.array(quotient[::-1]), scale)
 
     def _expand_trace(self, h: np.ndarray) -> np.ndarray:
         """mt x n matrix over GF(p): each GF(q) row becomes m coordinate rows."""

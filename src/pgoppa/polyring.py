@@ -246,8 +246,8 @@ def is_square_free(g: Poly) -> bool:
 
 
 def _elementwise(field: Field):
-    """(add, mul, dtype): the field's add and mul on arrays of ranks, and
-    the dtype the arrays take."""
+    """(add, mul): the field's add and mul on int64 arrays of ranks, each
+    returning an int64 array, whether the field has tables or not."""
     return field._arrays
 
 
@@ -259,9 +259,9 @@ def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
     Returns the rows r_{t-1}, ..., r_0, r_{-1}: at each point a, row r_k is
     coefficient k of (g(x) - g(a)) / (x - a), and the last row is g(a).
     """
-    add, mul, dtype = _elementwise(field)
-    points = np.array(points, dtype=dtype)
-    rows = [np.full(points.shape, gc[-1], dtype=dtype)]
+    add, mul = _elementwise(field)
+    points = np.array(points, dtype=np.int64)
+    rows = [np.full(points.shape, gc[-1], dtype=np.int64)]
     for c in reversed(gc[:-1]):
         rows.append(add(mul(rows[-1], points), c))
     return rows
@@ -447,23 +447,20 @@ def _rabin_screen(field: Field, gc: np.ndarray, live: np.ndarray) -> tuple[list[
     the coefficients, low to high, of a monic g of degree t >= 1.
 
     g is irreducible iff x**(q**t) == x (mod g) and gcd(x**(q**(t/r)) - x, g)
-    = 1 for each prime r | t.  Over a field with q <= 512 a root screen
-    (`_root_free`: g at every element) decides gcd(x**q - x, g) first, and
-    all of t <= 3; `live` lists the rows of gc that passed it.
-    The live rows go through one Frobenius stage:
-    x**(q**i) mod g from their stacked q-Frobenius matrices, the chain
-    reduced mod p as often as `_exact_products` requires and wherever it is
-    read (at a level and at i = t).
-    Returns the rows, in order, that pass, for each level i = t/r whose gcd
-    is still open the coefficient ranks of x**(q**i) - x at those rows, and
-    their stacked p-Frobenius matrices (None where the screen built none).
+    = 1 for each prime r | t.  The rows of gc that `live` lists, however
+    chosen, go through one Frobenius stage: x**(q**i) mod g from
+    their stacked q-Frobenius matrices, the chain reduced mod p as often as
+    `_exact_products` requires and wherever it is read (at a level and at
+    i = t).  Returns the rows, in order, that pass, for each level i = t/r
+    the coefficient ranks of x**(q**i) - x at those rows, and their stacked
+    p-Frobenius matrices.  For t = 1, where every row is irreducible and x
+    has no coordinate, it returns every live row, no levels and None.
     """
     t = gc.shape[1] - 1
-    screened = field.q <= _TABLE_LIMIT
-    if t == 1 or (screened and t < 4) or not len(live):
+    if t == 1 or not len(live):
         return live.tolist(), [], None
     p, m = field.p, field.m
-    levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r) and not (screened and r == t)]
+    levels = [t // r for r in range(2, t + 1) if t % r == 0 and is_prime(r)]
     frob = _frobenius_matrix(field, gc[live])
     frob_q = _power_mod(frob, m, p)  # y -> y**q
     every = _exact_products(p, m * t)[1]
@@ -476,14 +473,14 @@ def _rabin_screen(field: Field, gc: np.ndarray, live: np.ndarray) -> tuple[list[
         if i in levels:
             powers.append(h[:, :, 0])
     passed = (h[:, :, 0] == x).all(axis=1)
-    weights = p ** np.arange(m)
-    gaps = [(_fmod(v[passed] - x, p).reshape(-1, t, m) @ weights).astype(np.int64) for v in powers]
+    weights = p ** np.arange(m)  # int64: float64 is inexact past 2**53
+    gaps = [_fmod(v[passed] - x, p).astype(np.int64).reshape(-1, t, m) @ weights for v in powers]
     return live[passed].tolist(), gaps, frob[passed]
 
 
 def is_irreducible(g: Poly, gaps: Sequence[Sequence[int]] | None = None) -> bool:
     """Irreducibility over GF(q) by Rabin's test.  With `gaps`, g passed
-    `_rabin_screen` and gaps are its rows there (x**(q**i) - x at each open
+    `_rabin_screen` and gaps are its rows there (x**(q**i) - x at each
     level), so one gcd per level decides; without, g is screened alone, and
     its coefficients must be ranks in [0, q)."""
     if gaps is None:
@@ -516,8 +513,7 @@ def random_irreducible(t: int, field: Field, rng, *, with_frobenius: bool = Fals
     field with q > 512, blocks of `_STAGE_ROWS`, one Frobenius stage each),
     and rng is left just after the accepted candidate's draws.
     `with_frobenius` returns (g, F), F being g's p-Frobenius matrix from the
-    screen, or None where it built none (t = 1, or t <= 3 over a field with
-    q <= 512)."""
+    screen, or None for t = 1, where it builds none."""
     check_integers((t,), 1, math.inf, "degree t")
     q = field.q
     k = _BLOCK_ROWS if q <= _TABLE_LIMIT else _STAGE_ROWS
@@ -541,6 +537,17 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     """
     fld = f.field
     return [Poly(fld, map(fld.pth_root, f.coeffs[k :: fld.p])) for k in range(fld.p)]
+
+
+def _pth_power_compose(a: Sequence[Poly]) -> Poly:
+    """sum x**k * a_k**p over a = (a_0, ..., a_{p-1}), the inverse of
+    `pth_power_decompose`: coefficient i of a_k, raised to the p-th power by
+    one `_ppow` lookup, is coefficient p*i + k, a slot no other term takes."""
+    f = a[0].field
+    out, ppow = [0] * (f.p * max(len(ak.coeffs) for ak in a)), f._ppow
+    for k, ak in enumerate(a):
+        out[k : k + f.p * len(ak.coeffs) : f.p] = [ppow[c] for c in ak.coeffs]
+    return Poly(f, out)
 
 
 def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:

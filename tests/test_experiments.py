@@ -291,15 +291,20 @@ def test_config_validation():
         (TrialConfig(4, 2, 2, 2), "characteristic must be prime, got 4"),
         (TrialConfig(3, 0, 1, 0), "characteristic and extension degree must be integers"),
         (TrialConfig(3, 3, 0, 0), "t and n must be integers"),
+        (TrialConfig(3, 40, 2, 1), "field size 3\\*\\*40 exceeds 2\\*\\*63"),
+        (TrialConfig(2, 64, 2, 1), "field size 2\\*\\*64 exceeds 2\\*\\*63"),
+        (TrialConfig(3, 2, 2, 1, trials=8, dist="bogus"), "unknown magnitude distribution 'bogus'"),
+        (TrialConfig(3, 2, 2, 1, trials=8, dist={1: 2}), "do not sum to the weight"),
     ],
-    ids=["composite-p", "m=0", "t=0"],
+    ids=["composite-p", "m=0", "t=0", "q=3**40", "q=2**64", "unknown-law", "profile-misses-w"],
 )
 def test_config_every_trial_rejects_fails_before_the_pool(monkeypatch, cfg, message):
-    # make_field's and build_code's own checks, with their wording, before
-    # any worker forks
+    # make_field's, build_code's and sample_error's own checks, with their
+    # wording, before any worker forks
     def no_pool(nworkers):
         raise AssertionError("the pool was reached")
 
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
     monkeypatch.setattr(experiments, "_pool", no_pool)
     with pytest.raises(ParamError, match=message):
         run_trials(cfg, workers=2)

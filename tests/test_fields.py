@@ -10,7 +10,7 @@ import pytest
 
 from pgoppa.errors import ParamError
 from pgoppa.fields import Field, _default_modulus, ints_from_text, is_prime, make_field
-from pgoppa.polyring import Poly, is_irreducible
+from pgoppa.polyring import Poly, _elementwise, is_irreducible
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -148,6 +148,28 @@ def test_make_field_rejects_composite_characteristic():
     for p in (5.0, "5", True):  # types too, before the field cache is consulted
         with pytest.raises(ParamError, match="characteristic"):
             make_field(p, 2)
+
+
+def test_make_field_rejects_a_field_whose_ranks_overflow_int64():
+    # q = 3**40 and 2**64 exceed 2**63; 2**64 is rejected before 2**m is taken
+    for p, m in ((3, 40), (2, 64), (2, 10**18)):
+        with pytest.raises(ParamError, match=r"exceeds 2\*\*63"):
+            make_field(p, m)
+    f = make_field(2, 63)  # q = 2**63: the largest rank is 2**63 - 1
+    assert f.q == 1 << 63 and is_irreducible(Poly(make_field(2, 1), f.modulus))
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (3, 6), (509, 1), (2**31 - 1, 1)], ids=["3-4", "3-6", "509", "2^31-1"])
+def test_array_ops_return_int64_ranks_equal_to_the_lookups(p, m):
+    # tabled (3**4, 509) and computed (3**6, 2**31 - 1) fields alike
+    f = make_field(p, m)
+    rng = random.Random(p * m)
+    a, b = (np.array([rng.randrange(f.q) for _ in range(12)]).reshape(3, 4) for _ in range(2))
+    add, mul = _elementwise(f)
+    for op, lookup in ((add, f.add), (mul, f.mul)):
+        for other in (b, b[0], int(b[0, 0])):  # an array, a broadcast row, one shared rank
+            out, pairs = op(a, other), zip(*(v.ravel().tolist() for v in np.broadcast_arrays(a, other)))
+            assert out.dtype == np.int64 and out.ravel().tolist() == [lookup(x, y) for x, y in pairs]
 
 
 def test_make_field_rejects_a_degree_below_one():

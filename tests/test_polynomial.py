@@ -279,6 +279,37 @@ def test_block_verdicts_on_crafted_rows(monkeypatch, rows):
         assert is_irreducible(g) == irreducible_by_trial_division(g) == rabin_irreducible(g) == (k == len(rows) - 1)
 
 
+@pytest.mark.parametrize("roots", [(1, 2), (1, 2, 3), (1, 2, 3, 4, 5)], ids=["t2", "t3", "t5"])
+def test_rabin_screen_rejects_unscreened_split_rows(monkeypatch, roots):
+    # a product of distinct linear factors passes x**(q**t) == x; with no
+    # root screen before it, the stage's level t/t = 1, gcd(x**q - x, g),
+    # is what rejects it
+    f = make_field(7, 1)
+    g = Poly.one(f)
+    for a in roots:
+        g = g * Poly(f, (f.neg(a), 1))
+    passed, gaps, frob = _rabin_screen(f, np.array([g.coeffs]), np.arange(1))
+    assert passed == [0] and len(gaps) == 1 and frob.shape == (1, g.degree, g.degree)
+    assert not is_irreducible(g, [v[0].tolist() for v in gaps])
+    # nor does the block search accept it when the root screen keeps every row
+    monkeypatch.setattr(polyring, "_root_free", lambda field, gc: (np.arange(len(gc)), False))
+    assert _first_irreducible(f, np.array([g.coeffs])) == (None, None)
+
+
+def test_gap_ranks_past_two_to_the_53_stay_exact():
+    # GF(3**34) ranks reach 3**34 > 2**53, where a float64 fold of the gap
+    # digits rounds: linear x quadratic x cubic passes x**(q**6) == x, and
+    # only exact gaps at the levels 3 and 2 reject it
+    f = make_field(3, 34)
+    rng = SplitMix64(34)
+    quadratic, cubic = random_irreducible(2, f, rng), random_irreducible(3, f, rng)
+    assert rabin_irreducible(quadratic) and rabin_irreducible(cubic)
+    g = Poly(f, (rng.randrange(f.q), 1)) * quadratic * cubic
+    passed, gaps, _ = _rabin_screen(f, np.array([g.coeffs]), np.arange(1))
+    assert passed == [0] and not is_irreducible(g, [v[0].tolist() for v in gaps])
+    assert not is_irreducible(g)
+
+
 # the untabled GF(3^6) runs the block test without the root screen
 BLOCK_FIELDS = [(2, 3), (3, 2), (7, 1), (3, 4), (3, 6)]
 
