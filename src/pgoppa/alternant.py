@@ -10,11 +10,12 @@ coefficient support alone (every index not divisible by p must vanish on
 the truncation), which is rare; feasibility_probe measures how rare
 against the closed-form estimate.
 
-A structural note the probe makes visible: for p >= 3 and k >= 2 the
-radicand u_k = x**k + phi*k*x**(k-1)/s always carries the nonzero
-coefficient phi*k/s(0) at index k-1, which is not a multiple of p, so
-whenever r > p - 2 no invertible syndrome is ever feasible and the
-observed rate is exactly zero.
+A structural note the probe makes visible: for p >= 3 the radicand
+u_2 = x**2 + 2*phi*x/s always carries the nonzero coefficient 2*phi/s(0)
+at index 1, which is not a multiple of p and survives mod x**r whenever
+r >= 2, so there no invertible syndrome is ever feasible and the observed
+rate is exactly zero.  At r = 1 no index off the stride-p slice is left,
+and a trial is feasible exactly when s(0) != 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .errors import NotInvertibleError, ParamError, check_integers
 from .fields import Field, make_field
-from .polyring import Poly, _root_multiplicities, inv_mod
+from .polyring import Poly, _check_poly, _power_sums, _root_multiplicities, inv_mod
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,14 @@ def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
 
 def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:
     """Power-sum syndrome: coefficient i is sum_j e_j * D_j * L_j**i, i < r,
-    with D_j = xi_j * L_j.  ParamError unless e has length n and integer
-    entries in [0, p)."""
+    with D_j = xi_j * L_j (`polyring._power_sums`).  ParamError unless e
+    has length n and integer entries in [0, p)."""
     f = code.field
     p = f.p
     if len(e) != code.n:
         raise ParamError(f"error has length {len(e)}, code length is {code.n}")
     check_integers(e, 0, p, "error entries")
-    s = [0] * code.r
-    for ej, xj, lj in zip(e, code.xi, code.L):
-        if ej:
-            c = ej * xj % p  # e_j * xi_j is a prime-subfield rank
-            for i in range(code.r):
-                c = f.mul(c, lj)  # e_j * D_j * L_j**i
-                s[i] = f.add(s[i], c)
-    return Poly(f, s)
+    return Poly(f, _power_sums(f, e, code.xi, code.L, code.r))
 
 
 def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[list[Poly]] | None:
@@ -89,34 +83,41 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     radicands carry the opposite sign from the Goppa case:
     u_k = x**k + phi*k*x**(k-1)/s.  Each u_k is rooted whole: modulo x**r
     the p-th root is not a bijection, so the decoder's split into
-    root(x**k) and root(x**(k-1)/s) does not exist here.
+    root(x**k) and root(x**(k-1)/s) does not exist here.  ParamError
+    unless s is over the code's field with ranks in [0, q).
     """
     f = code.field
     p = f.p
     check_integers((phi,), 1, p, "scale guess")
+    _check_poly(s, f, "syndrome")
     r = code.r
     xr = Poly.monomial(f, r)
     if s.is_zero() or s.coeffs[0] == 0:
         raise NotInvertibleError("syndrome not invertible modulo x**r (constant term zero)")
-    s_inv = inv_mod(s, xr)
-    zero, one = Poly.zero(f), Poly.one(f)
-    rows: list[list[Poly]] = [[xr] + [zero] * (p - 1)]
+    s_inv = inv_mod(s, xr).coeffs
+    s_inv += (0,) * (r - len(s_inv))  # padded to r coefficients
+    roots = []
     for k in range(1, p):
         c = (phi * k) % p
-        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale(c)).coeffs[:r]  # mod x**r
+        u = ([0] * (k - 1) + [f.mul(c, a) for a in s_inv])[:r]  # c * x**(k-1) / s mod x**r
+        if k < r:
+            u[k] = f.add(u[k], 1)  # + x**k: u_k mod x**r
         if any(any(u[j::p]) for j in range(1, p)):  # off the stride-p slice: no p-th power
             return None
-        v = Poly(f, map(f.pth_root, u[::p]))  # part 0 of `pth_power_decompose`
-        rows.append([-v] + [one if j == k else zero for j in range(1, p)])
-    return rows
+        roots.append(Poly(f, map(f.pth_root, u[::p])))  # part 0 of `pth_power_decompose`
+    zero, one = Poly.zero(f), Poly.one(f)
+    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
+    return [[xr] + [zero] * (p - 1)] + [[-v] + unit for v, unit in zip(roots, units)]
 
 
 def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int, int]:
     """Support index -> magnitude, reading roots of sigma at inverse
-    support points: e_j = phi * mu_j / xi_j."""
+    support points: e_j = phi * mu_j / xi_j.  ParamError unless sigma is
+    over the code's field with ranks in [0, q)."""
     f = code.field
     p = f.p
     check_integers((phi,), 1, p, "scale guess")
+    _check_poly(sigma, f, "locator")
     xi = code.xi
     mults = _root_multiplicities(sigma, tuple(f.inv(lj) for lj in code.L))
     return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegreeBoundError, NotInvertibleError, check_integers
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import weak_popov_reduce
 
 
@@ -53,9 +53,11 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     from its first decode on; the x**(k-1)/s mod g are stacked and every
     b_k comes from one product, and the (p-1)**2 entries phi*b_k - a_k are
     one expression on GF(p) digits.
-    Raises NotInvertibleError when s is not invertible mod g.
+    Raises NotInvertibleError when s is not invertible mod g, and
+    ParamError when s is not over the code's field with ranks in [0, q).
     """
     f = code.field
+    _check_poly(s, f, "syndrome")
     p, t = f.p, code.t
     g = code.g
     inverse, a = code.pth_roots(pth_root_mod)
@@ -90,7 +92,9 @@ def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
 def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
     """Map support index -> multiplicity of L_j as a root of sigma, in
     ascending support order.  A locator has degree at most t, so every
-    sigma shares the evaluation matrix of the code's degree bound."""
+    sigma shares the evaluation matrix of the code's degree bound.
+    ParamError unless sigma is over the code's field with ranks in [0, q)."""
+    _check_poly(sigma, code.field, "locator")
     return _root_multiplicities(sigma, code.L, code.t)
 
 

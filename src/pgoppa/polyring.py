@@ -102,12 +102,6 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         return _plus_scaled(self.field, (), c, self.coeffs)
 
-    def shift(self, e: int) -> "Poly":
-        """Multiply by x**e."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * e + self.coeffs)
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         r, q = self._cancel_by(other, [list(self.coeffs), []], [self.field.neg(1)])
         return Poly(self.field, q), Poly(self.field, r)
@@ -160,6 +154,14 @@ class Poly:
         return " ".join(map(str, self.coeffs)) if self.coeffs else "0"
 
 
+def _check_poly(f: Poly, field: Field, what: str) -> None:
+    """ParamError unless f is over field, its coefficients ranks in [0, q):
+    for a Poly that enters a public decoding step from outside."""
+    if f.field is not field and f.field != field:
+        raise ParamError(f"{what} is over {f.field!r}, not {field!r}")
+    check_integers(f.coeffs, 0, field.q, f"{what} coefficients")
+
+
 # -- coefficient-list kernels ----------------------------------------------
 #
 # Every GF(q)[x] operation reduces to one loop over coefficients,
@@ -168,6 +170,9 @@ class Poly:
 # lookups, tables or computed alike.  `_cancel` binds the field's tables,
 # the table row of the source's -1/lc and its nonzero entries once per call,
 # for all its target rows, so a transformation has no set-up of its own.
+# `_power_sums` is no third arithmetic loop but an evaluation, like
+# `_evaluation_matrix`: weighted sums of the powers of a list of points, one
+# list pass per power (an array form of it read 0.95x at the probe's sizes).
 
 
 def _row_addmul(dst: list[list[int]], src: Sequence[tuple[int, Sequence[int]]], times: Sequence[int], e: int, add) -> None:
@@ -205,6 +210,26 @@ def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Po
     out = list(a)
     _row_addmul([out], [(0, b)], field._mul[c], 0, field._add)
     return Poly(field, out)
+
+
+def _power_sums(field: Field, e: Sequence[int], xi: Sequence[int], points: Sequence[int], r: int) -> list[int]:
+    """Entry i < r is sum_j e_j * xi_j * points_j**(i+1), e_j * xi_j a
+    prime-subfield rank: the terms of the nonzero e_j in one list pass,
+    each power a fold over them, every power past the first one more pass
+    that multiplies each term by its point."""
+    p, add, mul = field.p, field._add, field._mul
+    terms = [mul[a][ej * xj % p] for ej, xj, a in zip(e, xi, points) if ej]
+    if r > 1:  # the terms' points, read from the second power on
+        points = [a for ej, a in zip(e, points) if ej]
+    sums = []
+    for i in range(r):
+        if i:
+            terms = [mul[a][c] for a, c in zip(points, terms)]
+        acc = 0
+        for c in terms:
+            acc = add[acc][c]
+        sums.append(acc)
+    return sums
 
 
 def _euclid(a: list[list[int]], b: list[list[int]], field: Field) -> list[list[int]]:

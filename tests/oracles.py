@@ -9,7 +9,7 @@ from pgoppa.decoder import decode
 from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_root_mod
+from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
 from pgoppa.popov import pivot_index
 from pgoppa.rng import trial_stream
 
@@ -43,7 +43,7 @@ def _row_submul(dst: list[Poly], src: Sequence[Poly], c: int, e: int) -> None:
     """dst -= c * x**e * src, entrywise."""
     for j, s in enumerate(src):
         if s:
-            dst[j] = dst[j] - s.scale(c).shift(e)
+            dst[j] = dst[j] - shift(s.scale(c), e)
 
 
 def reference_weak_popov_reduce(a: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], list[list[Poly]]]:
@@ -150,6 +150,11 @@ def schoolbook_scale(a: Poly, c: int) -> Poly:
     return Poly(a.field, [a.field.mul(c, x) for x in a.coeffs])
 
 
+def shift(f: Poly, e: int) -> Poly:
+    """f * x**e."""
+    return Poly(f.field, (0,) * e + f.coeffs)
+
+
 def schoolbook_mul(a: Poly, b: Poly) -> Poly:
     f = a.field
     if not a.coeffs or not b.coeffs:
@@ -241,7 +246,7 @@ def assemble_locator_reference(a: Sequence[Poly], t: int) -> Poly:
         if aj.degree > (t - j) // p:
             raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
         if aj:
-            sigma = sigma + poly_pth_power(aj).shift(j)
+            sigma = sigma + shift(poly_pth_power(aj), j)
     if sigma.is_zero():
         raise DegreeBoundError("zero locator")
     return sigma.monic()
@@ -359,7 +364,7 @@ def reference_key_lattice(code: GoppaCode, s_inv: Poly, phi: int) -> list[list[P
     zero, one = Poly.zero(f), Poly.one(f)
     rows = [[g] + [zero] * (p - 1)]
     for k in range(1, p):
-        u = (Poly.monomial(f, k) + s_inv.shift(k - 1).scale((-phi * k) % p)) % g
+        u = (Poly.monomial(f, k) + shift(s_inv, k - 1).scale((-phi * k) % p)) % g
         v = pth_root_mod(u, g)
         rows.append([-v] + [one if j == k else zero for j in range(1, p)])
     return rows
@@ -374,7 +379,7 @@ def per_root_key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     s_inv = inv_mod(s, g)
     zero, one = Poly.zero(f), Poly.one(f)
     a = [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, p)]
-    b = [pth_root_mod(s_inv.shift(k - 1), g).scale(k) for k in range(1, p)]
+    b = [pth_root_mod(shift(s_inv, k - 1), g).scale(k) for k in range(1, p)]
     units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
     return [
         [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]
@@ -395,6 +400,27 @@ def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int
             for _ in range(exp):
                 sigma = sigma * lin
     return sigma
+
+
+def reference_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[list[Poly]] | None:
+    """The alternant key lattice from Poly arithmetic: u_k = x**k +
+    phi*k*x**(k-1)*s**-1 mod x**r as a sum of Poly terms, split by
+    pth_power_decompose; None unless parts 1..p-1 of every u_k vanish, and
+    then row k is (-part 0, 0, .., 1, .., 0) under (x**r, 0, ..., 0).
+    inv_mod raises NotInvertibleError for a syndrome with s(0) = 0."""
+    f = code.field
+    p = f.p
+    xr = Poly.monomial(f, code.r)
+    s_inv = inv_mod(s, xr)
+    zero, one = Poly.zero(f), Poly.one(f)
+    rows = [[xr] + [zero] * (p - 1)]
+    for k in range(1, p):
+        u = (Poly.monomial(f, k) + shift(s_inv, k - 1).scale(phi * k % p)) % xr
+        root, *rest = pth_power_decompose(u)
+        if any(rest):
+            return None
+        rows.append([-root] + [one if j == k else zero for j in range(1, p)])
+    return rows
 
 
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

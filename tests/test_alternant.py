@@ -14,14 +14,22 @@ from pgoppa.alternant import (
     recover_error_values,
     try_build_alternant_lattice,
 )
-from pgoppa.decoder import assemble_locator
+from pgoppa.decoder import assemble_locator, find_roots_multiplicities, key_lattices
 from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
 from pgoppa.fields import make_field
+from pgoppa.goppa import build_code
 from pgoppa.polyring import Poly, inv_mod, pth_power_decompose
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
-from oracles import alternant_locator_from_error, evaluate, poly_pth_power, root_multiplicity
+from oracles import (
+    alternant_locator_from_error,
+    evaluate,
+    poly_pth_power,
+    reference_alternant_lattice,
+    root_multiplicity,
+    shift,
+)
 
 
 def alternant_syndrome_series(code, e):
@@ -113,9 +121,11 @@ def test_syndrome_zero_and_single():
 
 
 def test_syndrome_two_paths_agree():
+    # r up to 6 on tabled fields, and GF(3^6), whose lookups are computed
     rng = SplitMix64(3002)
-    for p, m, r in [(2, 3, 4), (3, 2, 5), (5, 1, 4)]:
-        for _ in range(170):
+    for p, m, r, codes in [(2, 3, 4, 170), (3, 2, 5, 170), (5, 1, 4, 170),
+                           (2, 4, 6, 40), (3, 2, 6, 40), (7, 1, 6, 40), (3, 6, 3, 3)]:
+        for _ in range(codes):
             code = random_restricted_alternant(p, m, r, rng)
             e = [rng.randrange(p) for _ in range(code.n)]
             assert alternant_syndrome(code, e) == alternant_syndrome_series(code, e)
@@ -180,7 +190,7 @@ def test_end_to_end_feasible_binary_instances():
             assert basis[0][0] == xr
             s_inv = inv_mod(s, xr)
             for k in range(1, p):
-                u = (Poly.monomial(code.field, k) + s_inv.shift(k - 1).scale(k % p)) % xr
+                u = (Poly.monomial(code.field, k) + shift(s_inv, k - 1).scale(k % p)) % xr
                 assert poly_pth_power(-basis[k][0]) % xr == u
             reduced = weak_popov_reduce(basis)
             hit = False
@@ -197,10 +207,10 @@ def test_end_to_end_feasible_binary_instances():
 
 
 def test_odd_characteristic_structural_infeasibility():
-    # for p >= 3 and r > p - 2 the radicand u_k (k >= 2) keeps a nonzero
-    # coefficient at index k-1, never a multiple of p: no instance is feasible
+    # for p >= 3 and r >= 2 the radicand u_2 keeps 2*phi/s(0) != 0 at index
+    # 1, never a multiple of p and kept mod x**r: no instance is feasible
     rng = SplitMix64(3006)
-    for p, m, r in [(3, 1, 4), (3, 2, 3), (5, 1, 5)]:
+    for p, m, r in [(3, 1, 4), (3, 2, 3), (5, 1, 5), (5, 1, 2), (7, 1, 3), (7, 2, 2)]:
         feasible = 0
         for _ in range(150):
             code = random_restricted_alternant(p, m, r, rng)
@@ -212,6 +222,56 @@ def test_odd_characteristic_structural_infeasibility():
             except NotInvertibleError:
                 pass
         assert feasible == 0
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_lattice_equals_poly_built_reference(p, m):
+    # the radicands built and stride-tested as coefficient lists give the
+    # Poly-built lattice, None and NotInvertibleError alike, for r from 1
+    # to p + 2 and every phi; at r = 1 the stride test is vacuous, so an
+    # invertible syndrome is always feasible
+    f = make_field(p, m)
+    rng = SplitMix64(3014 + p)
+    outcomes = set()
+    for r in range(1, p + 3):
+        code = AlternantCode(f, (1,), (1,), r)
+        for _ in range(60):
+            s = Poly(f, [rng.randrange(f.q) for _ in range(r)])
+            for phi in range(1, p):
+                try:
+                    want = reference_alternant_lattice(code, s, phi)
+                except NotInvertibleError:
+                    with pytest.raises(NotInvertibleError):
+                        try_build_alternant_lattice(code, s, phi)
+                    outcomes.add("not invertible")
+                    continue
+                assert try_build_alternant_lattice(code, s, phi) == want
+                assert want is not None or r > 1
+                outcomes.add("infeasible" if want is None else "feasible")
+    assert outcomes == {"not invertible", "infeasible", "feasible"}
+
+
+@pytest.mark.parametrize("coeffs", [None, (99, 1), (-1, 1)], ids=["over GF(27)", "rank 99", "rank -1"])
+@pytest.mark.parametrize("step, what", [("try_build_alternant_lattice", "syndrome"),
+                                        ("recover_error_values", "locator"),
+                                        ("find_roots_multiplicities", "locator"),
+                                        ("key_lattices", "syndrome")])
+def test_a_polynomial_off_the_codes_field_is_rejected(step, what, coeffs):
+    # a Poly over another field, or with a rank outside [0, q), used to give
+    # a bare ValueError or IndexError, None, or a root map read from the
+    # wrong tables; each public step now names the argument in a ParamError
+    alternant = random_restricted_alternant(3, 2, 2, SplitMix64(1))
+    goppa = build_code(3, 2, 2, rng=SplitMix64(2))
+    assert goppa.field == alternant.field  # GF(9)
+    poly = Poly(make_field(3, 3), (1, 1)) if coeffs is None else Poly(alternant.field, coeffs)
+    call = {
+        "try_build_alternant_lattice": lambda: try_build_alternant_lattice(alternant, poly, 1),
+        "recover_error_values": lambda: recover_error_values(alternant, poly, 1),
+        "find_roots_multiplicities": lambda: find_roots_multiplicities(poly, goppa),
+        "key_lattices": lambda: key_lattices(goppa, poly),
+    }[step]
+    with pytest.raises(ParamError, match=what):
+        call()
 
 
 def test_non_invertible_syndrome_raises():

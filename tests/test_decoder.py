@@ -28,6 +28,7 @@ from oracles import (
     per_root_key_lattices,
     pow_mod,
     reference_key_lattice,
+    shift,
 )
 from test_popov import PROPERTY_FIELDS, polys
 
@@ -143,7 +144,7 @@ def test_key_lattice_defining_property():
             continue
         s_inv = inv_mod(s, code.g)
         for k in range(1, p):
-            u = (Poly.monomial(code.field, k) - s_inv.shift(k - 1).scale(phi * k % p)) % code.g
+            u = (Poly.monomial(code.field, k) - shift(s_inv, k - 1).scale(phi * k % p)) % code.g
             v = -basis[k][0]
             assert pow_mod(v, p, code.g) == u
             assert v.degree < code.t
