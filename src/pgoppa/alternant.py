@@ -83,8 +83,10 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
     radicands carry the opposite sign from the Goppa case:
     u_k = x**k + phi*k*x**(k-1)/s.  Each u_k is rooted whole: modulo x**r
     the p-th root is not a bijection, so the decoder's split into
-    root(x**k) and root(x**(k-1)/s) does not exist here.  ParamError
-    unless s is over the code's field with ranks in [0, q).
+    root(x**k) and root(x**(k-1)/s) does not exist here.  Row k holds
+    -v_k, v_k the root of u_k; the root of -u_k is -v_k, so -u_k is filled
+    and rooted.  ParamError unless s is over the code's field with ranks in
+    [0, q).
     """
     f = code.field
     p = f.p
@@ -96,18 +98,18 @@ def try_build_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
         raise NotInvertibleError("syndrome not invertible modulo x**r (constant term zero)")
     s_inv = inv_mod(s, xr).coeffs
     s_inv += (0,) * (r - len(s_inv))  # padded to r coefficients
-    roots = []
+    minus_one, zero, one = f.neg(1), Poly.zero(f), Poly.one(f)
+    rows = [[xr] + [zero] * (p - 1)]
     for k in range(1, p):
-        c = (phi * k) % p
-        u = ([0] * (k - 1) + [f.mul(c, a) for a in s_inv])[:r]  # c * x**(k-1) / s mod x**r
+        c = (-phi * k) % p
+        u = ([0] * (k - 1) + [f.mul(c, a) for a in s_inv])[:r]  # -phi*k * x**(k-1) / s mod x**r
         if k < r:
-            u[k] = f.add(u[k], 1)  # + x**k: u_k mod x**r
+            u[k] = f.add(u[k], minus_one)  # - x**k: -u_k mod x**r
         if any(any(u[j::p]) for j in range(1, p)):  # off the stride-p slice: no p-th power
             return None
-        roots.append(Poly(f, map(f.pth_root, u[::p])))  # part 0 of `pth_power_decompose`
-    zero, one = Poly.zero(f), Poly.one(f)
-    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
-    return [[xr] + [zero] * (p - 1)] + [[-v] + unit for v, unit in zip(roots, units)]
+        # part 0 of `pth_power_decompose`: -v_k, then the k-th unit vector
+        rows.append([Poly(f, map(f.pth_root, u[::p]))] + [one if j == k else zero for j in range(1, p)])
+    return rows
 
 
 def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int, int]:
@@ -123,7 +125,7 @@ def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int
     return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeReport:
     p: int
     m: int

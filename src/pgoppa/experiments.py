@@ -126,22 +126,34 @@ _POOL: tuple[int, ProcessPoolExecutor] | None = None  # (worker count, pool)
 _POOL_LOCK = threading.RLock()  # held for a whole pooled batch, so no thread replaces a pool in use
 
 
-def _close_pool() -> None:
+def _close_pool(terminate: bool = True) -> None:
     """Terminate the kept pool's idle workers, then shut the pool down and
     join them.  A worker that died may have held the call queue's lock, on
-    which a live one, and with it a plain join, would wait forever."""
+    which a live one, and with it a plain join, would wait forever.  With
+    terminate=False the live workers finish the calls they hold and the
+    queued ones are cancelled: after a trial raised, no cancelled call is
+    left for a termination to fail on."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is not None:
-            for proc in list((_POOL[1]._processes or {}).values()):
+            for proc in list((_POOL[1]._processes or {}).values()) if terminate else ():
                 proc.terminate()
-            _POOL[1].shutdown(wait=True)
+            _POOL[1].shutdown(wait=True, cancel_futures=not terminate)
             _POOL = None
 
 
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool is not the child's to close, and
+    the fork may have caught its shutdown lock held."""
+    global _POOL
+    _POOL = None
+
+
 # threading's exit hooks run last registered first, so this one runs before
-# concurrent.futures' own, which joins the workers without terminating them
+# concurrent.futures' own, which joins the workers without terminating them;
+# a worker inherits the hook, and runs it when a pool shuts down gracefully
 threading._register_atexit(_close_pool)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pool(nworkers: int) -> ProcessPoolExecutor:
@@ -164,8 +176,10 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     `resolve_workers` count reuse it and its workers' warm caches, and a
     call with another count replaces it.  A pool broken by a dead worker is
     replaced and the batch run once more (trial i depends only on (seed, i));
-    a second failure propagates.  The workers live until the interpreter
-    exits, when `_close_pool` terminates and joins them."""
+    a second failure propagates.  Any other exception closes the pool, its
+    live workers finishing the calls they hold, before it propagates.  The
+    workers live until the interpreter exits, when `_close_pool` terminates
+    and joins them."""
     cfg.validate()
     nworkers = resolve_workers(workers)
     started = time.perf_counter()
@@ -182,6 +196,9 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
             except BrokenProcessPool:
                 _close_pool()
                 successes = sum(_pool(nworkers).map(*batch, chunksize=chunk))
+            except BaseException:
+                _close_pool(terminate=False)
+                raise
     wallclock = time.perf_counter() - started
     predicted = success_prob_model(cfg.q, cfg.t, cfg.w)
     sigma = binomial_sigma(predicted, cfg.trials)

@@ -252,8 +252,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def inv_mod(f: Poly, g: Poly) -> Poly:
-    """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1."""
-    d, u = _euclid([list((f % g).coeffs), [1]], [list(g.coeffs), []], g.field)
+    """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1.  An f
+    of lower degree than g is its own remainder."""
+    f._check(g)
+    rem = f.coeffs if len(f.coeffs) < len(g.coeffs) else (f % g).coeffs
+    d, u = _euclid([list(rem), [1]], [list(g.coeffs), []], g.field)
     if len(d) != 1:
         raise NotInvertibleError(f"not invertible, gcd has degree {len(d) - 1}")
     return Poly(g.field, u)

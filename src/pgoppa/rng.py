@@ -105,18 +105,20 @@ class SplitMix64:
     def randranges(self, bounds) -> list[int]:
         """randrange(n) for each n in bounds, in order: the values and final
         state of successive randrange calls, drawn as one block.  Each bound
-        must be below 2**64."""
+        must be below 2**64.  A list whose bounds are all equal is reduced by
+        one scalar modulus, not an array of them."""
         if isinstance(bounds, range):
             if bounds and min(bounds[0], bounds[-1]) <= 0:
                 raise ValueError("randrange() argument must be positive")
             moduli = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
         else:
             bounds = list(bounds)
-            if min(bounds, default=1) <= 0:
+            same = bool(bounds) and bounds.count(bounds[0]) == len(bounds)
+            if (bounds[0] if same else min(bounds, default=1)) <= 0:
                 raise ValueError("randrange() argument must be positive")
-            moduli = np.array(bounds, dtype=np.uint64)
-        draws = self.next_u64_block(len(moduli)) % moduli
-        self.advance(len(moduli))
+            moduli = np.uint64(bounds[0]) if same else np.array(bounds, dtype=np.uint64)
+        draws = self.next_u64_block(len(bounds)) % moduli
+        self.advance(len(bounds))
         return draws.tolist()
 
     def sample(self, seq, k: int) -> list:

@@ -28,6 +28,7 @@ from oracles import (
     poly_pth_power,
     reference_alternant_lattice,
     root_multiplicity,
+    rooted_then_negated_lattice,
     shift,
 )
 
@@ -249,6 +250,29 @@ def test_lattice_equals_poly_built_reference(p, m):
                 assert want is not None or r > 1
                 outcomes.add("infeasible" if want is None else "feasible")
     assert outcomes == {"not invertible", "infeasible", "feasible"}
+
+
+@pytest.mark.parametrize("p,m,r", [(2, 2, 4), (2, 3, 5), (3, 4, 1), (5, 2, 1), (7, 1, 1), (11, 1, 1)])
+def test_lattice_equals_the_negated_roots_of_u(p, m, r):
+    # row k's entry -v_k is the root of -u_k, filled directly: it equals
+    # rooting u_k and negating, at every phi, on 100 code syndromes.  Past
+    # p = 2, -1 != 1 and -phi*k covers coefficients other than +-1
+    rng = SplitMix64(3039 + p)
+    outcomes = []
+    for _ in range(100):
+        code = random_restricted_alternant(p, m, r, rng)
+        s = alternant_syndrome(code, rng.randranges([p] * code.n))
+        for phi in range(1, p):
+            try:
+                want = rooted_then_negated_lattice(code, s, phi)
+            except NotInvertibleError:
+                with pytest.raises(NotInvertibleError):
+                    try_build_alternant_lattice(code, s, phi)
+                outcomes.append("not invertible")
+                continue
+            assert try_build_alternant_lattice(code, s, phi) == want
+            outcomes.append("infeasible" if want is None else "feasible")
+    assert "feasible" in outcomes and len(outcomes) == 100 * (p - 1)
 
 
 @pytest.mark.parametrize("coeffs", [None, (99, 1), (-1, 1)], ids=["over GF(27)", "rank 99", "rank -1"])

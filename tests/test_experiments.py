@@ -106,15 +106,30 @@ def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
     assert bulk.state == single.state
 
 
+# [b] * n, the shape of every list the library draws from: one scalar modulus
+EQUAL_BOUNDS = st.builds(lambda b, n: [b] * n, st.integers(1, 2**64 - 1), st.integers(0, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, _WINDOW + 5), EQUAL_BOUNDS)
+def test_bulk_draws_of_one_bound_match_one_draw_at_a_time(seed, skip, bounds):
+    # skip moves the cursor first, so that some blocks run past the window's end
+    bulk, single = SplitMix64(seed), SplitMix64(seed)
+    bulk.advance(skip)
+    single.advance(skip)
+    assert bulk.randranges(bounds) == [single.randrange(b) for b in bounds]
+    assert bulk.state == single.state
+
+
 def test_bulk_draw_rejects_a_modulus_below_one():
     g = SplitMix64(13)
     for bounds in (
-        [0], [5, 0, 3], [-1], [4, -7], [3] * 40 + [0],
+        [0], [5, 0, 3], [-1], [4, -7], [3] * 40 + [0], [0] * 5, [-2] * 3,
         range(3, -1, -1), range(0, 5), range(-2, 3), range(5, -3, -2), range(-4, 0),
     ):
         with pytest.raises(ValueError):
             g.randranges(bounds)
-    assert g.state == 13  # nothing was drawn
+        assert g.state == 13  # nothing was drawn
 
 
 def _windowed_step(plan: random.Random, stream: SplitMix64, ref: SplitMix64Reference) -> None:
@@ -446,10 +461,10 @@ SWITCH_SCRIPT = PICK_VICTIM + textwrap.dedent("""
 """)
 
 
-def run_in_own_session(script: str, victim: str, hang: str) -> tuple[int, object]:
-    """(pid, last stdout line as JSON) of `script` run with `victim` in a child
-    interpreter of its own session, so that a hang is a failure (`hang`) and
-    its whole process group is killed."""
+def run_in_own_session(script: str, victim: str, hang: str) -> tuple[int, object, str]:
+    """(pid, last stdout line as JSON, stderr) of `script` run with `victim`
+    in a child interpreter of its own session, so that a hang is a failure
+    (`hang`) and its whole process group is killed."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop(WORKERS_ENV, None)
     proc = subprocess.Popen(
@@ -463,7 +478,7 @@ def run_in_own_session(script: str, victim: str, hang: str) -> tuple[int, object
         proc.communicate()
         pytest.fail(hang)
     assert proc.returncode == 0, err
-    return proc.pid, json.loads(out.splitlines()[-1])
+    return proc.pid, json.loads(out.splitlines()[-1]), err
 
 
 def none_outlive(pids, group: int) -> bool:
@@ -480,7 +495,7 @@ def test_pool_switch_after_a_worker_died_while_idle(victim):
     # or the worker waiting for it, switching to three workers neither hangs
     # nor leaves the survivor behind
     for _ in range(HOLDER_ROUNDS if victim == "holder" else 1):
-        group, result = run_in_own_session(SWITCH_SCRIPT, victim, "switching worker counts hung after a worker died")
+        group, result, _ = run_in_own_session(SWITCH_SCRIPT, victim, "switching worker counts hung after a worker died")
         assert result["matches"] and len(result["new"]) == 3 and not set(result["old"]) & set(result["new"])
         assert none_outlive(result["old"] + result["new"], group)
 
@@ -504,8 +519,52 @@ def test_pool_exit_after_a_worker_died_while_idle(victim):
     # exits, the lock holder or the waiter, the exit neither hangs nor leaves
     # the survivor behind
     for _ in range(HOLDER_ROUNDS if victim == "holder" else 1):
-        group, workers = run_in_own_session(EXIT_SCRIPT, victim, "the interpreter hung at exit after a worker died")
+        group, workers, _ = run_in_own_session(EXIT_SCRIPT, victim, "the interpreter hung at exit after a worker died")
         assert none_outlive(workers, group)
+
+
+RAISE_SCRIPT = textwrap.dedent("""
+    import json, multiprocessing, sys
+    from pgoppa import experiments
+    from pgoppa.experiments import TrialConfig, run_trials
+    trial, failing = experiments._single_trial, int(sys.argv[1])
+
+    def raising(cfg, index):
+        if index == failing:
+            raise RuntimeError(f"trial {index} raised")
+        return trial(cfg, index)
+
+    # the workers are forked, so they call raising too
+    experiments._single_trial = raising
+    cfg = TrialConfig(3, 2, 2, 1, trials=64, seed=1)
+    try:
+        run_trials(cfg, workers=2)
+        raised = None
+    except RuntimeError as exc:
+        raised = str(exc)
+    left = [proc.pid for proc in multiprocessing.active_children()]
+    # a later batch takes a new pool, and its workers end at exit
+    experiments._single_trial = trial
+    print(json.dumps({
+        "raised": raised,
+        "left": left,
+        "matches": run_trials(cfg, workers=2).successes == run_trials(cfg, workers=1).successes,
+        "workers": [proc.pid for proc in multiprocessing.active_children()],
+    }))
+""")
+
+
+def test_pool_closes_after_a_trial_raised():
+    # a trial that raises in a worker reaches the caller, and the pool is
+    # closed before it does: no worker is left, and the exit prints no
+    # InvalidStateError, which terminating live workers whose queue holds
+    # calls that map cancelled sets off in some exits, not all
+    for _ in range(5):
+        group, result, err = run_in_own_session(RAISE_SCRIPT, "5", "the interpreter hung after a trial raised")
+        assert result["raised"] == "trial 5 raised" and result["left"] == []
+        assert result["matches"] and len(result["workers"]) == 2
+        assert "InvalidStateError" not in err and "Traceback" not in err, err
+        assert none_outlive(result["workers"], group)
 
 
 def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):

@@ -170,6 +170,28 @@ def test_inv_mod_examples():
         inv_mod(Poly(F3, [1, 0, 1]) * Poly(F3, [2, 1]), g * Poly(F3, [1, 1]))  # gcd g
 
 
+def test_inv_mod_reduces_only_an_f_not_below_g():
+    # an f of lower degree than g skips the remainder; one of higher or equal
+    # degree is reduced first, and its inverse is that of f mod g
+    f9 = make_field(3, 2)
+    g = Poly(f9, [2, 0, 1, 1])  # x^3 + x^2 + 2, irreducible over GF(3)
+    for f in (Poly(f9, [5]), Poly(f9, [1, 7, 3]), g + Poly(f9, [0, 4]), g * Poly(f9, [3, 2, 1]) + Poly(f9, [8])):
+        u = inv_mod(f, g)
+        assert u.degree < g.degree and (u * f) % g == Poly.one(f9)
+        assert u == inv_mod(f % g, g)
+    with pytest.raises(NotInvertibleError, match="gcd has degree 3"):
+        inv_mod(Poly.zero(f9), g)  # gcd(0, g) = g
+    with pytest.raises(NotInvertibleError, match="gcd has degree 3"):
+        inv_mod(g * Poly(f9, [1, 1]), g)  # f = 0 mod g
+    with pytest.raises(ValueError, match="different fields"):
+        inv_mod(Poly(F3, [1]), g)  # deg f < deg g: the fields are still checked
+    with pytest.raises(ValueError, match="different fields"):
+        inv_mod(Poly(F3, [1, 1, 1, 1, 1]), g)
+    for f in (Poly(f9, [1, 1]), Poly.zero(f9)):
+        with pytest.raises(ZeroDivisionError):
+            inv_mod(f, Poly.zero(f9))
+
+
 def test_is_square_free():
     assert is_square_free(Poly(F3, [1, 0, 1]))  # irreducible quadratic
     assert not is_square_free(Poly(F3, [0, 0, 1]))  # x^2
