@@ -126,19 +126,24 @@ _POOL: tuple[int, ProcessPoolExecutor] | None = None  # (worker count, pool)
 _POOL_LOCK = threading.RLock()  # held for a whole pooled batch, so no thread replaces a pool in use
 
 
-def _close_pool(terminate: bool = True) -> None:
-    """Terminate the kept pool's idle workers, then shut the pool down and
-    join them.  A worker that died may have held the call queue's lock, on
-    which a live one, and with it a plain join, would wait forever.  With
-    terminate=False the live workers finish the calls they hold and the
-    queued ones are cancelled: after a trial raised, no cancelled call is
-    left for a termination to fail on."""
+def _close_pool() -> None:
+    """Shut the kept pool down with its queued calls cancelled, terminate
+    its workers, then join them and the pool's manager thread.  A worker
+    that died may have held the call queue's lock, on which a live one, and
+    with it a plain join, would wait forever.  The shutdown wakes the
+    manager before any worker dies, so the manager drops the calls a failed
+    `map` cancelled before it sees a dead worker, and marks only running
+    calls broken (a cancelled one raises InvalidStateError there)."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is not None:
-            for proc in list((_POOL[1]._processes or {}).values()) if terminate else ():
+            pool = _POOL[1]
+            procs, manager = list((pool._processes or {}).values()), pool._executor_manager_thread
+            pool.shutdown(wait=False, cancel_futures=True)
+            for proc in procs:
                 proc.terminate()
-            _POOL[1].shutdown(wait=True, cancel_futures=not terminate)
+            if manager is not None:
+                manager.join()
             _POOL = None
 
 
@@ -176,10 +181,10 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
     `resolve_workers` count reuse it and its workers' warm caches, and a
     call with another count replaces it.  A pool broken by a dead worker is
     replaced and the batch run once more (trial i depends only on (seed, i));
-    a second failure propagates.  Any other exception closes the pool, its
-    live workers finishing the calls they hold, before it propagates.  The
-    workers live until the interpreter exits, when `_close_pool` terminates
-    and joins them."""
+    a second failure propagates, and so does any other exception, after
+    `_close_pool` has closed the pool; an interrupt leaves that to the exit
+    hook.  The workers live until the interpreter exits, when `_close_pool`
+    terminates and joins them."""
     cfg.validate()
     nworkers = resolve_workers(workers)
     started = time.perf_counter()
@@ -196,8 +201,8 @@ def run_trials(cfg: TrialConfig, workers: int | None = None) -> TrialReport:
             except BrokenProcessPool:
                 _close_pool()
                 successes = sum(_pool(nworkers).map(*batch, chunksize=chunk))
-            except BaseException:
-                _close_pool(terminate=False)
+            except Exception:
+                _close_pool()
                 raise
     wallclock = time.perf_counter() - started
     predicted = success_prob_model(cfg.q, cfg.t, cfg.w)

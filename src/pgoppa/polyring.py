@@ -252,11 +252,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def inv_mod(f: Poly, g: Poly) -> Poly:
-    """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1.  An f
-    of lower degree than g is its own remainder."""
+    """Inverse of f modulo g; NotInvertibleError when gcd(f, g) != 1.  Euclid's
+    first step reduces (f, 1) against (g, 0), so f is passed unreduced."""
     f._check(g)
-    rem = f.coeffs if len(f.coeffs) < len(g.coeffs) else (f % g).coeffs
-    d, u = _euclid([list(rem), [1]], [list(g.coeffs), []], g.field)
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    d, u = _euclid([list(f.coeffs), [1]], [list(g.coeffs), []], g.field)
     if len(d) != 1:
         raise NotInvertibleError(f"not invertible, gcd has degree {len(d) - 1}")
     return Poly(g.field, u)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
 from pgoppa.decoder import decode
-from pgoppa.errors import DegreeBoundError, NotInvertibleError
+from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
@@ -421,32 +421,6 @@ def reference_alternant_lattice(code: AlternantCode, s: Poly, phi: int) -> list[
             return None
         rows.append([-root] + [one if j == k else zero for j in range(1, p)])
     return rows
-
-
-def rooted_then_negated_lattice(code: AlternantCode, s: Poly, phi: int) -> list[list[Poly]] | None:
-    """The alternant key lattice as the package built it before it filled
-    -u_k: u_k = x**k + phi*k*x**(k-1)/s mod x**r filled as a coefficient
-    list, stride-tested, its stride-p slice rooted entry by entry into v_k,
-    and row k built from -v_k."""
-    f = code.field
-    p, r = f.p, code.r
-    xr = Poly.monomial(f, r)
-    if s.is_zero() or s.coeffs[0] == 0:
-        raise NotInvertibleError("syndrome not invertible modulo x**r (constant term zero)")
-    s_inv = inv_mod(s, xr).coeffs
-    s_inv += (0,) * (r - len(s_inv))
-    roots = []
-    for k in range(1, p):
-        c = (phi * k) % p
-        u = ([0] * (k - 1) + [f.mul(c, a) for a in s_inv])[:r]
-        if k < r:
-            u[k] = f.add(u[k], 1)
-        if any(any(u[j::p]) for j in range(1, p)):
-            return None
-        roots.append(Poly(f, map(f.pth_root, u[::p])))
-    zero, one = Poly.zero(f), Poly.one(f)
-    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
-    return [[xr] + [zero] * (p - 1)] + [[-v] + unit for v, unit in zip(roots, units)]
 
 
 def ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -89,10 +89,18 @@ def test_splitmix64_draw_helpers():
         SplitMix64(12).sample(range(3), 5)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 30), st.lists(st.integers(1, 2**64 - 1), max_size=40))
-def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
-    # k and len(bounds) run from an empty block up
+# [b] * n, the shape of every list the library draws from: one scalar modulus
+EQUAL_BOUNDS = st.builds(lambda b, n: [b] * n, st.integers(1, 2**64 - 1), st.integers(0, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 30), st.integers(0, _WINDOW + 5),
+    st.one_of(st.lists(st.integers(1, 2**64 - 1), max_size=40), EQUAL_BOUNDS),
+)
+def test_bulk_draws_match_one_draw_at_a_time(seed, n, skip, bounds):
+    # k and len(bounds) run from an empty block up; skip moves the cursor
+    # before the bounds' block, so that some blocks run past the window's end
     for k in range(n + 1):
         bulk, single = SplitMix64(seed), SplitMix64(seed)
         assert bulk.sample(range(n), k) == sample_reference(single, range(n), k)
@@ -102,19 +110,6 @@ def test_bulk_draws_match_one_draw_at_a_time(seed, n, bounds):
     bulk.shuffle(items)
     shuffle_reference(single, expected)
     assert items == expected and bulk.state == single.state
-    assert bulk.randranges(bounds) == [single.randrange(b) for b in bounds]
-    assert bulk.state == single.state
-
-
-# [b] * n, the shape of every list the library draws from: one scalar modulus
-EQUAL_BOUNDS = st.builds(lambda b, n: [b] * n, st.integers(1, 2**64 - 1), st.integers(0, 40))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, _WINDOW + 5), EQUAL_BOUNDS)
-def test_bulk_draws_of_one_bound_match_one_draw_at_a_time(seed, skip, bounds):
-    # skip moves the cursor first, so that some blocks run past the window's end
-    bulk, single = SplitMix64(seed), SplitMix64(seed)
     bulk.advance(skip)
     single.advance(skip)
     assert bulk.randranges(bounds) == [single.randrange(b) for b in bounds]
@@ -524,47 +519,68 @@ def test_pool_exit_after_a_worker_died_while_idle(victim):
 
 
 RAISE_SCRIPT = textwrap.dedent("""
-    import json, multiprocessing, sys
+    import json, multiprocessing, os, signal, sys, threading, time
     from pgoppa import experiments
     from pgoppa.experiments import TrialConfig, run_trials
-    trial, failing = experiments._single_trial, int(sys.argv[1])
+    trial, interrupt = experiments._single_trial, sys.argv[1] == "interrupt"
 
-    def raising(cfg, index):
-        if index == failing:
+    def slow(cfg, index):
+        # trial 5 raises, unless the batch is interrupted; each chunk from
+        # trial 8 on holds its worker for 40 s, so a close that let the
+        # workers finish their calls would show
+        if index == 5 and not interrupt:
             raise RuntimeError(f"trial {index} raised")
+        if index >= 8:
+            time.sleep(10)
         return trial(cfg, index)
 
-    # the workers are forked, so they call raising too
-    experiments._single_trial = raising
+    # the workers are forked, so they call slow too
+    experiments._single_trial = slow
     cfg = TrialConfig(3, 2, 2, 1, trials=64, seed=1)
+    if interrupt:  # SIGINT to this process alone, as an interrupted notebook kernel gets
+        threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
+    started = time.perf_counter()
     try:
         run_trials(cfg, workers=2)
         raised = None
-    except RuntimeError as exc:
-        raised = str(exc)
-    left = [proc.pid for proc in multiprocessing.active_children()]
-    # a later batch takes a new pool, and its workers end at exit
-    experiments._single_trial = trial
-    print(json.dumps({
+    except (RuntimeError, KeyboardInterrupt) as exc:
+        raised = repr(exc)
+    result = {
         "raised": raised,
-        "left": left,
-        "matches": run_trials(cfg, workers=2).successes == run_trials(cfg, workers=1).successes,
-        "workers": [proc.pid for proc in multiprocessing.active_children()],
-    }))
+        "seconds": time.perf_counter() - started,
+        "left": [proc.pid for proc in multiprocessing.active_children()],
+    }
+    if not interrupt:  # a later batch takes a new pool, and its workers end at exit
+        experiments._single_trial = trial
+        result["matches"] = run_trials(cfg, workers=2).successes == run_trials(cfg, workers=1).successes
+        result["workers"] = [proc.pid for proc in multiprocessing.active_children()]
+    print(json.dumps(result))
 """)
 
 
 def test_pool_closes_after_a_trial_raised():
-    # a trial that raises in a worker reaches the caller, and the pool is
-    # closed before it does: no worker is left, and the exit prints no
-    # InvalidStateError, which terminating live workers whose queue holds
-    # calls that map cancelled sets off in some exits, not all
+    # a trial that raises in a worker reaches the caller at once, and the
+    # pool is closed before it does: no worker is left, and the exit prints
+    # no InvalidStateError, which terminating live workers whose pool still
+    # holds calls that map cancelled would set off
     for _ in range(5):
-        group, result, err = run_in_own_session(RAISE_SCRIPT, "5", "the interpreter hung after a trial raised")
-        assert result["raised"] == "trial 5 raised" and result["left"] == []
+        group, result, err = run_in_own_session(RAISE_SCRIPT, "raise", "the interpreter hung after a trial raised")
+        assert result["raised"] == "RuntimeError('trial 5 raised')" and result["left"] == []
+        assert result["seconds"] < 5, result
         assert result["matches"] and len(result["workers"]) == 2
         assert "InvalidStateError" not in err and "Traceback" not in err, err
         assert none_outlive(result["workers"], group)
+
+
+def test_pool_exit_after_an_interrupted_batch():
+    # an interrupt reaches the caller at once and leaves the pool to the
+    # exit hook, which ends its busy workers with no InvalidStateError
+    for _ in range(3):
+        group, result, err = run_in_own_session(RAISE_SCRIPT, "interrupt", "the interpreter hung after an interrupt")
+        assert result["raised"] == "KeyboardInterrupt()" and len(result["left"]) == 2
+        assert result["seconds"] < 5, result
+        assert "InvalidStateError" not in err and "Traceback" not in err, err
+        assert none_outlive(result["left"], group)
 
 
 def test_pool_serves_threads_one_batch_at_a_time(monkeypatch):
