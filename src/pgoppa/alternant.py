@@ -56,11 +56,14 @@ class AlternantCode:
 
 def random_restricted_alternant(p: int, m: int, r: int, rng) -> AlternantCode:
     """Full-length code: L is a random ordering of all nonzero elements,
-    ratios xi uniform in 1..p-1."""
+    ratios xi uniform in 1..p-1.  r is checked before any draw."""
     f = make_field(p, m)
+    check_integers((r,), 1, math.inf, "syndrome length r")
     support = rng.sample(range(1, f.q), f.q - 1)
     xi = [1 + v for v in rng.randranges([p - 1] * len(support))]
-    return AlternantCode(f, tuple(support), tuple(xi), r)
+    code = object.__new__(AlternantCode)  # distinct, in-range draws: __post_init__ would find nothing
+    code.__dict__.update(field=f, L=tuple(support), xi=tuple(xi), r=r)
+    return code
 
 
 def alternant_syndrome(code: AlternantCode, e: Sequence[int]) -> Poly:

@@ -20,6 +20,7 @@ from .experiments import (
     sweep_weights,
     table_rows,
 )
+from .fields import _check_characteristic
 from .goppa import GoppaCode, build_code, sample_error, word_from_text, word_to_text
 from .rng import SplitMix64
 
@@ -136,6 +137,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_characteristic(args.p, args.m)  # before p**m
     rows = [(args.p, args.m, args.t, w) for w in sweep_weights(args.p**args.m, args.t)]
     reports, hard_ok = _run_rows(rows, args.trials, args.seed, args.dist, args.workers)
     sys.stdout.write(csv_report(reports, args.seed))

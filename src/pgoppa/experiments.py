@@ -30,8 +30,9 @@ WORKERS_ENV = "PGOPPA_MAX_WORKERS"
 
 def success_prob_model(q: int, t: int, w: int) -> float:
     """Modeled probability 1 - q**-(t+1-w) that decoding w equal-magnitude
-    errors in a fresh degree-t code succeeds."""
-    return 1.0 - float(q) ** (-(t + 1 - w))
+    errors in a fresh degree-t code succeeds; 0 past t, where every
+    locator has degree above t (the formula reads 0 at w = t + 1)."""
+    return 1.0 - float(q) ** (-(t + 1 - w)) if w <= t else 0.0
 
 
 def binomial_sigma(p0: float, n: int) -> float:
@@ -256,6 +257,7 @@ def table_rows(
     """(p, m, t, w) rows of the built-in experiment grid."""
     rows: list[tuple[int, int, int, int]] = []
     for p, m, t in blocks if blocks is not None else TABLE_BLOCKS:
+        _check_characteristic(p, m)  # before p**m, which a huge m would take for ever
         if p == 2:
             rows.append((p, m, t, t))
             continue

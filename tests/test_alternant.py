@@ -107,6 +107,32 @@ def test_random_restricted_alternant_shape():
     assert all(1 <= x <= 2 for x in code.xi)
 
 
+@pytest.mark.parametrize("p,m,r", [(2, 3, 5), (3, 4, 1), (7, 1, 1), (3, 6, 1)])
+def test_drawn_code_passes_the_public_checks(p, m, r):
+    # random_restricted_alternant builds its code without __post_init__:
+    # each draw must equal the code the checked constructor builds from it,
+    # from the same draws in the same order as a replay of the stream
+    for seed in range(5):
+        rng, replay = SplitMix64(seed), SplitMix64(seed)
+        code = random_restricted_alternant(p, m, r, rng)
+        assert code == AlternantCode(code.field, code.L, code.xi, code.r)
+        q = p**m
+        assert code.L == tuple(replay.sample(range(1, q), q - 1))
+        assert code.xi == tuple(1 + v for v in replay.randranges([p - 1] * (q - 1)))
+        assert rng.state == replay.state
+
+
+@pytest.mark.parametrize("r", [0, 1.5, True])
+def test_bad_syndrome_length_raises_before_any_draw(r):
+    for draw in (lambda rng: random_restricted_alternant(3, 2, r, rng),
+                 lambda rng: feasibility_probe(3, 4, r, 5, rng)):
+        rng = SplitMix64(3001)
+        state = rng.state
+        with pytest.raises(ParamError, match="syndrome length"):
+            draw(rng)
+        assert rng.state == state
+
+
 def test_syndrome_zero_and_single():
     rng = SplitMix64(3001)
     code = random_restricted_alternant(3, 2, 4, rng)

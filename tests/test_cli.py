@@ -248,6 +248,15 @@ def test_sweep(capsys):
     assert ws[0] == 3
 
 
+def test_experiments_reject_a_huge_field_before_taking_its_size(capsys):
+    # 3**100000000 would take longer than any run to form; the field check comes first
+    for argv in (["table1", "--rows", "3,100000000,2", "--trials", "2", "--workers", "1"],
+                 ["sweep", "--p", "3", "--m", "100000000", "--t", "2", "--trials", "2"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: field size 3**100000000 exceeds 2**63\n"
+
+
 def test_alternant_probe_line(capsys):
     rc, out, _ = run_cli(capsys, "alternant-probe", "--p", "2", "--m", "2", "--r", "4",
                          "--trials", "400", "--seed", "6")

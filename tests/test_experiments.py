@@ -242,6 +242,17 @@ def test_success_prob_model_table_values():
         assert success_prob_model(q, 6, 6) == pytest.approx(1 - 1 / q)
 
 
+def test_success_prob_model_is_zero_past_t():
+    # no locator of degree at most t yields more than t errors, so no phi is
+    # tried and every trial fails; the formula itself went negative
+    assert success_prob_model(27, 2, 4) == 0.0
+    assert success_prob_model(27, 2, 3) == 0.0
+    for w in (3, 4):
+        rep = run_trials(TrialConfig(3, 3, 2, w, trials=4, seed=1), workers=1)
+        assert (rep.successes, rep.predicted, rep.ci_low, rep.ci_high) == (0, 0.0, 0.0, 0.0)
+        assert rep.csv_row() == f"3,3,2,{w},4,0,0.000000,0.000000,0.000000,0.000000"
+
+
 def test_sweep_weights_reproduce_table_grouping():
     assert sweep_weights(27, 8) == [8, 7, 6]
     assert sweep_weights(27, 7) == [7, 6, 5]
