@@ -4,7 +4,6 @@ locator assembly, root multiplicities, and verification."""
 
 from pgoppa import Poly, build_code, decode, sample_error
 from pgoppa.decoder import assemble_locator, find_roots_multiplicities, key_lattices
-from pgoppa.errors import DegreeBoundError
 from pgoppa.popov import degree_tableau, weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
@@ -25,15 +24,15 @@ print("\nsyndrome degree:", s.degree)
 
 # Step 2: the radicands u_k = x^k - phi*k*x^(k-1)/s have p-th roots mod g
 # root(x^k) - phi*k*root(x^(k-1)/s), so 2(p-1) roots give the key lattice of
-# every scale guess phi.  Reduce each and read locators off its rows.
+# every scale guess phi.  Reduce each and read locators off its rows: a row
+# whose pivot breaks the degree bound, p*deg(a_piv) + piv > t, gives None.
 for phi, basis in enumerate(key_lattices(code, s), start=1):
     reduced = weak_popov_reduce(basis)
     print(f"\nphi = {phi}: reduced degree tableau")
     print(degree_tableau(reduced))
     for row in reduced:
-        try:
-            sigma = assemble_locator(row, code.t)
-        except DegreeBoundError:
+        sigma = assemble_locator(row, code.t)
+        if sigma is None:
             continue
         mults = find_roots_multiplicities(sigma, code)
         errs = {j: (phi * mu) % p for j, mu in mults.items()}

@@ -11,7 +11,6 @@ from pgoppa.alternant import (
     try_build_alternant_lattice,
 )
 from pgoppa.decoder import assemble_locator
-from pgoppa.errors import DegreeBoundError
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
@@ -27,9 +26,8 @@ basis = try_build_alternant_lattice(code, s, phi=1)
 print("radicand is a square mod x^r:", basis is not None)
 reduced = weak_popov_reduce(basis)
 for row in reduced:
-    try:
-        sigma = assemble_locator(row, code.r)
-    except DegreeBoundError:
+    sigma = assemble_locator(row, code.r)
+    if sigma is None:
         continue
     recovered = recover_error_values(code, sigma, 1)
     if recovered == truth:

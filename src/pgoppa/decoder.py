@@ -2,11 +2,11 @@
 
 For each scale guess phi in 1..p-1 the syndrome yields radicands
 u_k = x**k - phi*k*x**(k-1)/s mod g whose p-th roots v_k define a p x p
-polynomial lattice; rows of its weak Popov form that satisfy the degree
-bounds assemble into locator candidates sigma = sum x**j a_j**p.  Roots of
-sigma on the support mark error positions, root multiplicities give the
-magnitudes (e_j = phi * mu_j), and every candidate is kept only if it
-reproduces the received syndrome exactly.
+polynomial lattice; each row of its weak Popov form whose pivot meets the
+degree bound, p*deg(a_piv) + piv <= t, assembles into a locator candidate
+sigma = sum x**j a_j**p.  Roots of sigma on the support mark error
+positions, root multiplicities give the magnitudes (e_j = phi * mu_j), and
+every candidate is kept only if it reproduces the received syndrome exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegreeBoundError, NotInvertibleError, check_integers
+from .errors import NotInvertibleError, ParamError, check_integers
 from .goppa import ErrorPattern, GoppaCode
 from .polyring import Poly, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
-from .popov import weak_popov_reduce
+from .popov import pivot_index, weak_popov_reduce
 
 
 @dataclass
@@ -75,18 +75,20 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     ]
 
 
-def assemble_locator(a: Sequence[Poly], t: int) -> Poly:
-    """sigma = sum x**j a_j**p (`_pth_power_compose`), made monic; rejects
-    rows breaking the degree bounds deg(a_j) <= (t - j) // p, all checked
-    before any power is taken."""
-    p = a[0].field.p
-    for j, aj in enumerate(a):
-        if aj.degree > (t - j) // p:
-            raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
-    sigma = _pth_power_compose(a)
-    if sigma.is_zero():
-        raise DegreeBoundError("zero locator")
-    return sigma.monic()
+def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
+    """sigma = sum x**j a_j**p (`_pth_power_compose`), made monic, or None if
+    the row is zero or breaks a bound deg(a_j) <= (t - j) // p.  As j < p,
+    p*deg(a_j) + j is largest at the row's pivot (ties go right), so one
+    comparison there decides every bound before any power is taken; a
+    nonzero row's p parts differ in degree mod p, so sigma is nonzero.
+    ParamError unless it is p polynomials over one field; ranks unchecked."""
+    f = a[0].field if a else None
+    if f is None or len(a) != f.p or any(aj.field is not f and aj.field != f for aj in a):
+        raise ParamError("a locator row must be p polynomials over one field")
+    piv = pivot_index(a)
+    if not piv or f.p * a[piv - 1].degree + piv - 1 > t:
+        return None
+    return _pth_power_compose(a).monic()
 
 
 def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
@@ -101,7 +103,9 @@ def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
 def locator_degree(e: Sequence[int], phi: int, p: int) -> int:
     """Least degree of a locator that yields error e from scale guess phi:
     a root multiplicity mu_j is congruent to e_j/phi (mod p) and at least 1
-    where e_j != 0, so the sum of e_j/phi lifted into 1..p-1."""
+    where e_j != 0, so the sum of e_j/phi lifted into 1..p-1.  ParamError
+    unless phi is an integer in [1, p)."""
+    check_integers((phi,), 1, p, "scale guesses")
     inv = pow(phi, -1, p)
     return sum(v * inv % p for v in e if v)
 
@@ -141,9 +145,8 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     for phi in tried:
         reduced = weak_popov_reduce(bases[phi - 1])
         for row in reduced:
-            try:
-                sigma = assemble_locator(row, code.t)
-            except DegreeBoundError:
+            sigma = assemble_locator(row, code.t)
+            if sigma is None:
                 continue
             mults = find_roots_multiplicities(sigma, code)
             if not mults:

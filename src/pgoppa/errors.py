@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer-range check
-that raises ParamError at the public boundaries."""
+"""Exception types (ParamError for bad input, NotInvertibleError for the
+decoder's early exit) and the integer-range check at the public boundaries."""
 
 from numbers import Integral
 from typing import Sequence
@@ -16,10 +16,6 @@ class ParamError(PgoppaError, ValueError):
 class NotInvertibleError(PgoppaError, ArithmeticError):
     """A residue has no inverse modulo the given polynomial; the decoder
     relies on this as an early-exit signal."""
-
-
-class DegreeBoundError(PgoppaError, ValueError):
-    """A candidate solution row violates the locator degree bounds."""
 
 
 def check_integers(values: Sequence, lo: int, hi: int, what: str) -> None:

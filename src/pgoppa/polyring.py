@@ -5,8 +5,8 @@ and the root finder (root multiplicities as the first non-vanishing Hasse
 derivative, every level a digit row against one evaluation matrix).
 
 Coefficients are stored low-to-high with no trailing zeros; the zero
-polynomial has degree NEG_INF, a sentinel ordered below every integer
-(so `decoder.assemble_locator`'s degree bound accepts a zero a_j).
+polynomial has degree NEG_INF, a sentinel ordered below every integer, so
+a zero polynomial meets every degree bound.
 """
 
 from __future__ import annotations

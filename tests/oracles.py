@@ -6,7 +6,6 @@ from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
 from pgoppa.decoder import decode
-from pgoppa.errors import DegreeBoundError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
@@ -236,20 +235,19 @@ def poly_pth_power(a: Poly) -> Poly:
     return Poly(fld, out)
 
 
-def assemble_locator_reference(a: Sequence[Poly], t: int) -> Poly:
+def assemble_locator_reference(a: Sequence[Poly], t: int) -> Poly | None:
     """sigma = sum x**j a_j**p as a sum of Poly terms, made monic, with the
-    degree bounds deg(a_j) <= (t - j) // p checked in order."""
+    degree bounds deg(a_j) <= (t - j) // p checked one entry at a time;
+    None for a row that breaks one, or whose sigma is zero."""
     f = a[0].field
     p = f.p
     sigma = Poly.zero(f)
     for j, aj in enumerate(a):
         if aj.degree > (t - j) // p:
-            raise DegreeBoundError(f"deg(a_{j}) = {aj.degree} exceeds {(t - j) // p}")
+            return None
         if aj:
             sigma = sigma + shift(poly_pth_power(aj), j)
-    if sigma.is_zero():
-        raise DegreeBoundError("zero locator")
-    return sigma.monic()
+    return sigma.monic() if sigma else None
 
 
 def random_irreducible_reference(t: int, field, rng) -> Poly:

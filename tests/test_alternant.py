@@ -15,7 +15,7 @@ from pgoppa.alternant import (
     try_build_alternant_lattice,
 )
 from pgoppa.decoder import assemble_locator, find_roots_multiplicities, key_lattices
-from pgoppa.errors import DegreeBoundError, NotInvertibleError, ParamError
+from pgoppa.errors import NotInvertibleError, ParamError
 from pgoppa.fields import make_field
 from pgoppa.goppa import build_code
 from pgoppa.polyring import Poly, inv_mod, pth_power_decompose
@@ -221,9 +221,8 @@ def test_end_to_end_feasible_binary_instances():
             reduced = weak_popov_reduce(basis)
             hit = False
             for row in reduced:
-                try:
-                    sigma = assemble_locator(row, r)
-                except DegreeBoundError:
+                sigma = assemble_locator(row, r)
+                if sigma is None:
                     continue
                 if recover_error_values(code, sigma, 1) == truth:
                     hit = True
