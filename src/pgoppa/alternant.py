@@ -7,15 +7,13 @@ formed where the syndrome uses it.  Locator roots are the inverses of
 support elements and magnitudes follow e_j = phi * mu_j / xi_j.
 Because x**r is not square-free, the radicands u_k must be p-th powers by
 coefficient support alone (every index not divisible by p must vanish on
-the truncation), which is rare; feasibility_probe measures how rare
-against the closed-form estimate.
+the truncation).
 
-A structural note the probe makes visible: for p >= 3 the radicand
-u_2 = x**2 + 2*phi*x/s always carries the nonzero coefficient 2*phi/s(0)
-at index 1, which is not a multiple of p and survives mod x**r whenever
-r >= 2, so there no invertible syndrome is ever feasible and the observed
-rate is exactly zero.  At r = 1 no index off the stride-p slice is left,
-and a trial is feasible exactly when s(0) != 0.
+The law (predicted_feasibility): on a full-length code with an error uniform
+over GF(p)^n, the lattice exists at phi = 1 with probability 1 - 1/q when
+p = 2 or r = 1, and never otherwise.  At p = 2 it is the split
+sigma = A**2 + x*B**2 of Patterson's binary decoder (N. J. Patterson, IEEE
+Trans. IT 21, 1975).  feasibility_probe checks the law by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -148,9 +146,11 @@ class ProbeReport:
 
 
 def predicted_feasibility(p: int, m: int, r: int) -> float:
-    """Closed-form estimate p**(-m*r*(p-1)**2/p) under the (optimistic)
-    assumption of uniformly distributed radicands."""
-    return float(p) ** (-(m * r * (p - 1) ** 2) / p)
+    """The exact rate of feasibility_probe: 1 - 1/q if p == 2 or r == 1, else 0.
+    - s(0) = sum_j e_j * xi_j * L_j is uniform on GF(q), and at r = 1 nothing else is tested.
+    - For p >= 3 and r >= 2, u_2 keeps 2*phi/s(0) at index 1, off the stride-p slice.
+    - For p = 2, sigma = A**2 + x*B**2 with sigma' = B**2, so x + 1/s = (A/B)**2."""
+    return 1.0 - float(p) ** -m if p == 2 or r == 1 else 0.0  # no p**m for a huge m
 
 
 def feasibility_probe(p: int, m: int, r: int, trials: int, rng) -> ProbeReport:
@@ -161,7 +161,7 @@ def feasibility_probe(p: int, m: int, r: int, trials: int, rng) -> ProbeReport:
     over GF(p)^n, success iff the syndrome is invertible mod x**r and every
     u_k is a p-th power there.  Non-invertible syndromes count as
     infeasible.  A 3-sigma binomial interval around the observed rate is
-    reported alongside the closed-form estimate.
+    reported alongside the exact law.
     """
     check_integers((trials,), 1, math.inf, "trials")
     feasible = 0

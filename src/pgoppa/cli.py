@@ -20,7 +20,6 @@ from .experiments import (
     sweep_weights,
     table_rows,
 )
-from .fields import _check_characteristic
 from .goppa import GoppaCode, build_code, sample_error, word_from_text, word_to_text
 from .rng import SplitMix64
 
@@ -137,7 +136,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_characteristic(args.p, args.m)  # before p**m
+    TrialConfig(args.p, args.m, args.t, 0).validate()  # before p**m; a t < 1 sweeps no w
     rows = [(args.p, args.m, args.t, w) for w in sweep_weights(args.p**args.m, args.t)]
     reports, hard_ok = _run_rows(rows, args.trials, args.seed, args.dist, args.workers)
     sys.stdout.write(csv_report(reports, args.seed))

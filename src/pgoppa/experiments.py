@@ -257,7 +257,7 @@ def table_rows(
     """(p, m, t, w) rows of the built-in experiment grid."""
     rows: list[tuple[int, int, int, int]] = []
     for p, m, t in blocks if blocks is not None else TABLE_BLOCKS:
-        _check_characteristic(p, m)  # before p**m, which a huge m would take for ever
+        TrialConfig(p, m, t, 0).validate()  # before p**m, which a huge m takes for ever; a t < 1 sweeps no w
         if p == 2:
             rows.append((p, m, t, t))
             continue

@@ -314,7 +314,7 @@ def _root_multiplicities(sigma: Poly, points: Sequence[int], bound: int = 0) -> 
     absent.
     """
     if sigma.is_zero():
-        raise ValueError("the zero polynomial has no root multiplicities")
+        raise ParamError("the zero polynomial has no root multiplicities")
     field = sigma.field
     p, m, t = field.p, field.m, max(bound, sigma.degree)
     if field.q <= _TABLE_LIMIT:

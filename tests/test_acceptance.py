@@ -6,7 +6,7 @@ determinism criterion can re-run the identical configurations and compare.
 Run with `pytest -s tests/test_acceptance.py` to watch the lines appear.
 """
 
-import warnings
+import math
 
 import pytest
 
@@ -185,18 +185,14 @@ def test_criterion_7_syndrome_equivalence():
     _announce(7, "syndrome equivalence", True, "1000 coefficient + 1000 kernel checks")
 
 
-def test_criterion_8_alternant_probe_soft():
+def test_criterion_8_alternant_probe():
+    # 3-sigma agreement with the exact law, 1 - 1/q at p = 2
     rng = SplitMix64(ACCEPTANCE_SEED + 8)
     report = feasibility_probe(2, 2, 4, 20000, rng)
-    within = report.predicted / 2 <= report.estimate <= report.predicted * 2
-    line = report.line()
-    if not within:
-        warnings.warn(
-            "alternant feasibility outside factor 2 of the closed-form estimate "
-            f"(soft bound; the estimate assumes uniform radicands): {line}",
-            stacklevel=1,
-        )
-    _announce(8, "alternant probe (soft)", True, f"{line}; within factor 2: {within}")
+    law = report.predicted
+    sigma = math.sqrt(law * (1.0 - law) / report.trials)
+    ok = abs(report.estimate - law) <= 3.0 * sigma
+    _announce(8, "alternant probe", ok, f"{report.line()}; z = {(report.estimate - law) / sigma:+.2f}")
 
 
 def test_criterion_9_determinism():

@@ -1,9 +1,12 @@
 """Alternant probe tests: syndrome paths, p-th-power detection mod x**r,
-the key-equation identity, end-to-end recovery on feasible instances, and
-the structural infeasibility in odd characteristic."""
+the key-equation identity, end-to-end recovery on feasible instances, the
+structural infeasibility in odd characteristic, and the probe's exact law."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pgoppa.alternant import (
     AlternantCode,
@@ -287,15 +290,22 @@ def test_lattice_equals_poly_built_reference(p, m):
     assert outcomes == {"not invertible", "infeasible", "feasible"}
 
 
-@pytest.mark.parametrize("coeffs", [None, (99, 1), (-1, 1)], ids=["over GF(27)", "rank 99", "rank -1"])
-@pytest.mark.parametrize("step, what", [("try_build_alternant_lattice", "syndrome"),
-                                        ("recover_error_values", "locator"),
-                                        ("find_roots_multiplicities", "locator"),
-                                        ("key_lattices", "syndrome")])
+OFF_FIELD = {None: "over GF(27)", (99, 1): "rank 99", (-1, 1): "rank -1"}
+POLY_STEPS = [("try_build_alternant_lattice", "syndrome"), ("recover_error_values", "locator"),
+              ("find_roots_multiplicities", "locator"), ("key_lattices", "syndrome")]
+
+
+@pytest.mark.parametrize(
+    "step, what, coeffs",
+    [(step, what, c) for step, what in POLY_STEPS for c in OFF_FIELD]
+    + [(step, what, ()) for step, what in POLY_STEPS if what == "locator"],
+    ids=lambda v: {**OFF_FIELD, (): "zero"}.get(v),
+)
 def test_a_polynomial_off_the_codes_field_is_rejected(step, what, coeffs):
     # a Poly over another field, or with a rank outside [0, q), used to give
     # a bare ValueError or IndexError, None, or a root map read from the
-    # wrong tables; each public step now names the argument in a ParamError
+    # wrong tables; each public step now names the argument in a ParamError.
+    # The zero locator has no root multiplicities, also a ParamError
     alternant = random_restricted_alternant(3, 2, 2, SplitMix64(1))
     goppa = build_code(3, 2, 2, rng=SplitMix64(2))
     assert goppa.field == alternant.field  # GF(9)
@@ -306,7 +316,7 @@ def test_a_polynomial_off_the_codes_field_is_rejected(step, what, coeffs):
         "find_roots_multiplicities": lambda: find_roots_multiplicities(poly, goppa),
         "key_lattices": lambda: key_lattices(goppa, poly),
     }[step]
-    with pytest.raises(ParamError, match=what):
+    with pytest.raises(ParamError, match="zero polynomial" if coeffs == () else what):
         call()
 
 
@@ -318,9 +328,52 @@ def test_non_invertible_syndrome_raises():
 
 
 def test_predicted_feasibility_values():
-    assert predicted_feasibility(2, 2, 4) == pytest.approx(0.0625)
-    assert predicted_feasibility(2, 1, 1) == pytest.approx(2 ** -0.5)
-    assert predicted_feasibility(3, 1, 1) == pytest.approx(3 ** (-4 / 3))
+    # the exact law: 1 - 1/q when p = 2 or r = 1, and 0 otherwise
+    assert predicted_feasibility(2, 2, 4) == 0.75
+    assert predicted_feasibility(2, 3, 5) == 0.875
+    assert predicted_feasibility(3, 4, 1) == 1 - 1 / 81
+    assert predicted_feasibility(7, 1, 1) == 1 - 1 / 7
+    assert predicted_feasibility(2, 1, 1) == 0.5
+    assert predicted_feasibility(5, 1, 2) == predicted_feasibility(3, 2, 3) == predicted_feasibility(7, 1, 9) == 0.0
+    assert predicted_feasibility(3, 100000000, 1) == 1.0  # 3**m is never formed
+
+
+# every field with p**n <= 6561 (n = q - 1), so the whole of GF(p)^n is enumerated
+LAW_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(pmr=st.sampled_from(LAW_FIELDS).flatmap(lambda pm: st.tuples(*map(st.just, pm), st.integers(1, 2 * pm[1] + 1))),
+       seed=st.integers(0, 2**32))
+@example(pmr=(3, 2, 1), seed=0)  # one example for each case of the law
+@example(pmr=(5, 1, 2), seed=0)
+@example(pmr=(2, 3, 7), seed=0)
+def test_the_law_counts_every_feasible_error(pmr, seed):
+    # over every e in GF(p)^n on a drawn code, the feasible errors number
+    # exactly law * p**n, for r in [1, 2m + 1]
+    p, m, r = pmr
+    code = random_restricted_alternant(p, m, r, SplitMix64(seed))
+    feasible = 0
+    for e in itertools.product(range(p), repeat=code.n):
+        try:
+            feasible += try_build_alternant_lattice(code, alternant_syndrome(code, e), 1) is not None
+        except NotInvertibleError:
+            pass
+    assert feasible / p**code.n == pytest.approx(predicted_feasibility(p, m, r), rel=0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), tail=st.lists(st.integers(0, 2**64), max_size=10))
+def test_a_binary_locator_splits_into_squares(m, tail):
+    # Patterson's split: over GF(2^m), sigma = A**2 + x*B**2 with sigma' = B**2,
+    # so sigma + x*sigma' = A**2, which is x + 1/s = (A/B)**2 for s = sigma'/sigma
+    f = make_field(2, m)
+    sigma = Poly(f, [1] + [c % f.q for c in tail])
+    a, b = pth_power_decompose(sigma)
+    x = Poly.x(f)
+    assert sigma == a * a + x * b * b
+    assert sigma.deriv() == b * b
+    assert sigma + x * sigma.deriv() == a * a
 
 
 def test_feasibility_probe_reporting():
@@ -329,7 +382,7 @@ def test_feasibility_probe_reporting():
     assert 0 <= report.feasible <= 600
     assert report.estimate == pytest.approx(report.feasible / 600)
     assert report.ci_low <= report.estimate <= report.ci_high
-    assert report.predicted == pytest.approx(0.0625)
+    assert report.predicted == 0.75
     fields = report.line().split()
     assert len(fields) == 9
     assert fields[:5] == ["2", "2", "4", "600", str(report.feasible)]

@@ -249,12 +249,18 @@ def test_sweep(capsys):
 
 
 def test_experiments_reject_a_huge_field_before_taking_its_size(capsys):
-    # 3**100000000 would take longer than any run to form; the field check comes first
-    for argv in (["table1", "--rows", "3,100000000,2", "--trials", "2", "--workers", "1"],
-                 ["sweep", "--p", "3", "--m", "100000000", "--t", "2", "--trials", "2"]):
+    # 3**100000000 would take longer than any run to form; the field check comes
+    # first.  A t < 1 sweeps no weight, so the block's own check must reject it,
+    # not a header-only CSV with exit status 0
+    huge = "error: field size 3**100000000 exceeds 2**63\n"
+    bad_t = "error: t and n must be integers in [1, inf)\n"
+    for argv, message in ((["table1", "--rows", "3,100000000,2", "--trials", "2", "--workers", "1"], huge),
+                          (["sweep", "--p", "3", "--m", "100000000", "--t", "2", "--trials", "2"], huge),
+                          (["table1", "--rows", "3,3,-5", "--trials", "2", "--workers", "1"], bad_t),
+                          (["sweep", "--p", "3", "--m", "3", "--t", "-5", "--trials", "2"], bad_t)):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (1, "")
-        assert err == "error: field size 3**100000000 exceeds 2**63\n"
+        assert err == message
 
 
 def test_alternant_probe_line(capsys):

@@ -20,7 +20,7 @@ OUTPUT_SHA256 = {
     "02_goppa_codes_and_syndromes.py": "0af998ad9eaf97002a87e20fda0cb5709b8cb84eeacc7a71e86881561402791f",
     "03_weak_popov_reduction.py": "29b3b1fe60589351579722e4710bbcec5865dbf056c84066732851a24bf30928",
     "04_decoding_walkthrough.py": "ffba3c2285593cfa106fa613d9173acdfeeea3cdb6767d4d5b3b128e91149829",
-    "06_alternant_feasibility.py": "ee833200d9a21a073ec204383948313563521a7d286fbe7212e3b286faf07e75",
+    "06_alternant_feasibility.py": "eb83abbff013a68fa12b98498d08dc5877f2c5aec1626230d514d0053b4425d8",
 }
 TIMED = {"05_success_rate_experiment.py"}
 
