@@ -7,6 +7,15 @@ degree bound, p*deg(a_piv) + piv <= t, assembles into a locator candidate
 sigma = sum x**j a_j**p.  Roots of sigma on the support mark error
 positions, root multiplicities give the magnitudes (e_j = phi * mu_j), and
 every candidate is kept only if it reproduces the received syndrome exactly.
+
+A decode of three or more guesses finds each guess's bounded space, the
+vectors with p*deg(a_j) + j <= t for every j, by one GF(q) elimination
+batched over the guesses (`polyring._bounded_rows`), and reduces a basis
+only where that space has dimension 2 or more.  The weak Popov form is
+reduced for that degree, so at dimension 1 its one degree-valid row spans
+the space; any spanning vector is c * row, its sigma c**p times the row's:
+the same monic sigma, the same candidates.  Fewer guesses reduce every
+basis, which is faster there.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .errors import NotInvertibleError, ParamError, check_integers
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _bounded_rows, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import pivot_index, weak_popov_reduce
 
 
@@ -52,10 +61,16 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     a_k = root(x**k) and b_k = k*root(x**(k-1)/s).  The code keeps its a_k
     from its first decode on; the x**(k-1)/s mod g are stacked and every
     b_k comes from one product, and the (p-1)**2 entries phi*b_k - a_k are
-    one expression on GF(p) digits.
+    one expression on GF(p) digits (`_key_columns`).
     Raises NotInvertibleError when s is not invertible mod g, and
     ParamError when s is not over the code's field with ranks in [0, q).
     """
+    return [_basis(code.g, col) for col in _key_columns(code, s).tolist()]
+
+
+def _key_columns(code: GoppaCode, s: Poly) -> np.ndarray:
+    """Entry 0 of rows 1..p-1 of every `key_lattices` basis, as a (p-1, p-1,
+    t) array of coefficient ranks: [phi - 1, k - 1] holds -v_k."""
     f = code.field
     _check_poly(s, f, "syndrome")
     p, t = f.p, code.t
@@ -66,13 +81,15 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     a_ranks = np.zeros((p - 1, t), dtype=np.int64)
     for row, ak in zip(a_ranks, a):
         row[: len(ak.coeffs)] = ak.coeffs
-    entries = (scales[:, None, None, None] * b - _digit_split(a_ranks, f)) % p @ p ** np.arange(f.m)
+    return (scales[:, None, None, None] * b - _digit_split(a_ranks, f)) % p @ p ** np.arange(f.m)
+
+
+def _basis(g: Poly, col: Sequence[Sequence[int]]) -> list[list[Poly]]:
+    """The key lattice (g, 0, ..., 0), (col[k-1], 0, .., 1, .., 0) as fresh rows."""
+    f = g.field
     zero, one = Poly.zero(f), Poly.one(f)
-    units = [[one if j == k else zero for j in range(1, p)] for k in range(1, p)]
-    return [
-        [[g] + [zero] * (p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)]
-        for col in entries.tolist()
-    ]
+    units = [[one if j == k else zero for j in range(1, f.p)] for k in range(1, f.p)]
+    return [[g] + [zero] * (f.p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)]
 
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
@@ -117,8 +134,9 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     each scale guess in `phis` (default 1..p-1) is tried even after a success
     (distinct phi can yield distinct valid codewords), every degree-valid row
     of each reduced basis is assembled and syndrome-checked, and candidates
-    are deduplicated in (phi ascending, row) discovery order.  ParamError
-    unless every scale guess is an integer in [1, p).
+    are deduplicated in (phi ascending, row) discovery order; with three or
+    more guesses, most rows come from one batched solve instead (module
+    docstring).  ParamError unless every scale guess is an integer in [1, p).
     """
     f = code.field
     p = f.p
@@ -137,14 +155,16 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
         )
         return DecodeOutcome([cand])
     try:
-        bases = key_lattices(code, s_poly)
+        columns = _key_columns(code, s_poly)[[phi - 1 for phi in tried]]
     except NotInvertibleError:
         return DecodeOutcome([])
+    solved = _bounded_rows(code.g, columns) if len(tried) >= 3 else [None] * len(tried)
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
-    for phi in tried:
-        reduced = weak_popov_reduce(bases[phi - 1])
-        for row in reduced:
+    for phi, col, rows in zip(tried, columns.tolist(), solved):
+        if rows is None:
+            rows = weak_popov_reduce(_basis(code.g, col))
+        for row in rows:
             sigma = assemble_locator(row, code.t)
             if sigma is None:
                 continue

@@ -5,11 +5,12 @@ from collections import Counter
 from typing import Sequence
 
 from pgoppa.alternant import AlternantCode
-from pgoppa.decoder import decode
+from pgoppa.decoder import Candidate, DecodeOutcome, assemble_locator, decode, find_roots_multiplicities, key_lattices
+from pgoppa.errors import NotInvertibleError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
 from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
-from pgoppa.popov import pivot_index
+from pgoppa.popov import pivot_index, weak_popov_reduce
 from pgoppa.rng import trial_stream
 
 
@@ -383,6 +384,53 @@ def per_root_key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
         [[g] + [zero] * (p - 1)] + [[bk.scale(phi) - ak] + e for ak, bk, e in zip(a, b, units)]
         for phi in range(1, p)
     ]
+
+
+def bounded_dimension(rows: Sequence[Sequence[Poly]], t: int) -> int:
+    """Dimension of the space of row-span vectors with p*deg(a_j) + j <= t
+    for every j, read off a weak Popov form: its rows are reduced for that
+    degree, so row r contributes the x**i * row_r with p*(deg_r + i) +
+    piv_r <= t, piv_r its 0-based pivot and deg_r that entry's degree."""
+    p = rows[0][0].field.p
+    total = 0
+    for row in rows:
+        piv = pivot_index(row) - 1
+        total += max(0, (t - piv) // p - row[piv].degree + 1)
+    return total
+
+
+def reference_decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:
+    """The full decode with every scale guess's basis reduced: each
+    degree-valid row of each weak Popov form assembled, root-found and
+    syndrome-checked, candidates deduplicated in (phi ascending, row)
+    order.  A zero syndrome gives the received word; a syndrome not
+    invertible mod g gives no candidate."""
+    f, n = code.field, code.n
+    p = f.p
+    s_vec = code.syndrome_from_word(received)
+    if not any(s_vec):
+        return DecodeOutcome([Candidate(tuple(received), ErrorPattern((0,) * n), 0, Poly.one(f))])
+    try:
+        bases = key_lattices(code, Poly(f, s_vec))
+    except NotInvertibleError:
+        return DecodeOutcome([])
+    outcome, seen = DecodeOutcome([]), set()
+    for phi, basis in enumerate(bases, start=1):
+        for row in weak_popov_reduce(basis):
+            sigma = assemble_locator(row, code.t)
+            if sigma is None:
+                continue
+            mults = find_roots_multiplicities(sigma, code)
+            e = [0] * n
+            for j, mu in mults.items():
+                e[j] = phi * mu % p
+            if not mults or code.syndrome_from_word(e) != s_vec:
+                continue
+            codeword = tuple((r - ev) % p for r, ev in zip(received, e))
+            if codeword not in seen:
+                seen.add(codeword)
+                outcome.candidates.append(Candidate(codeword, ErrorPattern(tuple(e)), phi, sigma))
+    return outcome
 
 
 def alternant_locator_from_error(code: AlternantCode, e: Sequence[int], phi: int) -> Poly:

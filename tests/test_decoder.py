@@ -17,16 +17,19 @@ from pgoppa.decoder import (
 from pgoppa.errors import NotInvertibleError, ParamError
 from pgoppa.fields import Field, make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
+from pgoppa.polyring import Poly, _bounded_rows, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
+from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
 from oracles import (
     assemble_locator_reference,
+    bounded_dimension,
     evaluate,
     locator_from_error,
     magnitude_profile,
     per_root_key_lattices,
     pow_mod,
+    reference_decode,
     reference_key_lattice,
     shift,
 )
@@ -679,3 +682,86 @@ def test_decode_rejects_entries_outside_prime_field():
         word[1] = bad
         with pytest.raises(ParamError):
             decode(code, word)
+
+
+# -- the bounded space: decode solves for it where it tries three or more
+# scale guesses, and reduces a basis only where its dimension is 2 or more
+
+# (p, m, t, irreducible g): p = 2 and 3 decode by the reduction alone, so
+# the property calls the solve directly; composite g; GF(5**4) has computed
+# lookups
+SOLVE_BLOCKS = [(2, 3, 2, True), (3, 2, 4, True), (3, 3, 4, False), (5, 2, 3, False), (5, 2, 4, True),
+                (7, 1, 3, True), (7, 2, 1, True), (5, 4, 3, True)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
+def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
+    # one row where the weak Popov form bounds a space of dimension 1, with
+    # the monic sigma of its one degree-valid row; None where it is 2 or
+    # more; never 0, as the unknowns outnumber the equations by one
+    p, m, t, irreducible = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
+    s = invertible_syndrome(code, rng)
+    solved = _bounded_rows(code.g, decoder._key_columns(code, s))
+    for basis, rows in zip(key_lattices(code, s), solved, strict=True):
+        reduced = weak_popov_reduce(basis)
+        d = bounded_dimension(reduced, t)
+        assert d >= 1
+        assert (rows is None) == (d >= 2)
+        if rows is not None:
+            sigmas = [assemble_locator(row, t) for row in reduced]
+            assert [assemble_locator(row, t) for row in rows] == [sg for sg in sigmas if sg is not None]
+
+
+# (p, m, t): every decode here tries p - 1 >= 4 scale guesses
+REFERENCE_BLOCKS = [(5, 2, 12), (7, 2, 8), (11, 1, 5), (5, 3, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REFERENCE_BLOCKS), st.sampled_from(["equal", "uniform"]), st.integers(0, 1), st.integers(0, 2**64 - 1))
+def test_decode_equals_the_reference_decode(block, dist, beyond, seed):
+    # candidate for candidate, in order, against reducing every basis, at
+    # w = t and at w = t + 1, where the list rarely holds the truth
+    p, m, t = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, rng=rng)
+    e = sample_error(code.n, t + beyond, dist, p, rng)
+    rx = corrupt(code.random_codeword(rng), e, p)
+    assert decode(code, rx).candidates == reference_decode(code, rx).candidates
+
+
+@pytest.mark.parametrize("block", [(5, 1, 1), (7, 1, 1), (5, 2, 1), (5, 1, 2), (7, 1, 3)])
+def test_decode_at_t_below_p_equals_the_reference_decode(block):
+    # t - 1 - t//p equations: none at t = 1, where a nonzero syndrome gives
+    # every scale guess a sigma x - L for one support point L: p - 1
+    # candidates
+    p, m, t = block
+    rng = SplitMix64(4300 + 10 * p + t)
+    for _ in range(4):
+        code = build_code(p, m, t, rng=rng)
+        for w, dist in [(t, "equal"), (t, "uniform"), (t + 1, "uniform")]:
+            rx = corrupt(code.random_codeword(rng), sample_error(code.n, w, dist, p, rng), p)
+            got = decode(code, rx).candidates
+            assert got == reference_decode(code, rx).candidates
+            if t == 1 and any(code.syndrome_from_word(rx)):
+                assert len(got) == p - 1
+
+
+def test_decode_reduces_only_a_guess_whose_bounded_space_has_dimension_two(monkeypatch):
+    # (5,2,12), w = t, magnitude 4: the bounded space of phi = 4 has
+    # dimension 2, and its reduced basis still holds the true locator
+    reduced = []
+    monkeypatch.setattr(decoder, "weak_popov_reduce", lambda rows: reduced.append(rows) or weak_popov_reduce(rows))
+    rng = SplitMix64(25)
+    code = build_code(5, 2, 12, rng=rng)
+    e = sample_error(code.n, 12, "equal", 5, rng)
+    cw = code.random_codeword(rng)
+    rx = corrupt(cw, e, 5)
+    got = decode(code, rx)
+    bases = key_lattices(code, Poly(code.field, code.syndrome_from_word(rx)))
+    assert reduced == [bases[3]]
+    assert bounded_dimension(weak_popov_reduce(bases[3]), 12) == 2
+    assert got.candidates == reference_decode(code, rx).candidates
+    assert [(c.codeword, c.phi) for c in got.candidates] == [(cw, 4)]
