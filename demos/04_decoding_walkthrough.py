@@ -42,7 +42,8 @@ for phi, basis in enumerate(key_lattices(code, s), start=1):
         print(f"  locator degree {sigma.degree}, roots {mults}, verifies: {verdict}")
 
 # The decode() wrapper does all of the above, tries every phi, verifies each
-# candidate against the syndrome, and deduplicates.  At p = 3 it reduces
+# candidate against the syndrome, and deduplicates; the rows of every phi go
+# through assembly, root finding and the check in one array pass.  At p = 3 it reduces
 # both bases as above; from p = 5 on it finds each phi's degree-valid row by
 # one linear solve over GF(q), batched over the phis, and reduces a basis
 # only where two or more independent rows meet the bounds.

@@ -122,8 +122,8 @@ def recover_error_values(code: AlternantCode, sigma: Poly, phi: int) -> dict[int
     check_integers((phi,), 1, p, "scale guess")
     _check_poly(sigma, f, "locator")
     xi = code.xi
-    mults = _root_multiplicities(sigma, tuple(f.inv(lj) for lj in code.L))
-    return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in mults.items()}
+    mults = _root_multiplicities(f, [sigma.coeffs], tuple(f.inv(lj) for lj in code.L))[0]
+    return {j: (phi * mu * pow(xi[j], p - 2, p)) % p for j, mu in enumerate(mults.tolist()) if mu}
 
 
 @dataclass(slots=True)

@@ -7,6 +7,9 @@ degree bound, p*deg(a_piv) + piv <= t, assembles into a locator candidate
 sigma = sum x**j a_j**p.  Roots of sigma on the support mark error
 positions, root multiplicities give the magnitudes (e_j = phi * mu_j), and
 every candidate is kept only if it reproduces the received syndrome exactly.
+The rows of every guess take these steps in one array pass: one stack of
+monic sigmas (`polyring._pth_power_compose`), one root finder call on it
+and one parity-check product with the stacked words r - e.
 
 A decode of three or more guesses finds each guess's bounded space, the
 vectors with p*deg(a_j) + j <= t for every j, by one GF(q) elimination
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import NotInvertibleError, ParamError, check_integers
 from .goppa import ErrorPattern, GoppaCode
 from .polyring import Poly, _bounded_rows, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
-from .popov import pivot_index, weak_popov_reduce
+from .popov import weak_popov_reduce
 
 
 @dataclass
@@ -93,28 +96,25 @@ def _basis(g: Poly, col: Sequence[Sequence[int]]) -> list[list[Poly]]:
 
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
-    """sigma = sum x**j a_j**p (`_pth_power_compose`), made monic, or None if
-    the row is zero or breaks a bound deg(a_j) <= (t - j) // p.  As j < p,
-    p*deg(a_j) + j is largest at the row's pivot (ties go right), so one
-    comparison there decides every bound before any power is taken; a
-    nonzero row's p parts differ in degree mod p, so sigma is nonzero.
-    ParamError unless it is p polynomials over one field; ranks unchecked."""
+    """sigma = sum x**j a_j**p, made monic, or None if the row is zero or
+    breaks a bound deg(a_j) <= (t - j) // p: `_pth_power_compose`'s one
+    pivot test and composition on one row.  ParamError unless it is p
+    polynomials over one field; ranks unchecked."""
     f = a[0].field if a else None
     if f is None or len(a) != f.p or any(aj.field is not f and aj.field != f for aj in a):
         raise ParamError("a locator row must be p polynomials over one field")
-    piv = pivot_index(a)
-    if not piv or f.p * a[piv - 1].degree + piv - 1 > t:
-        return None
-    return _pth_power_compose(a).monic()
+    kept, sigmas = _pth_power_compose([[aj.coeffs for aj in a]], t, f)
+    return Poly(f, sigmas[0].tolist()) if kept else None
 
 
 def find_roots_multiplicities(sigma: Poly, code: GoppaCode) -> dict[int, int]:
     """Map support index -> multiplicity of L_j as a root of sigma, in
-    ascending support order.  A locator has degree at most t, so every
-    sigma shares the evaluation matrix of the code's degree bound.
-    ParamError unless sigma is over the code's field with ranks in [0, q)."""
+    ascending support order: `_root_multiplicities` on one row, built for
+    the code's degree bound t, which no locator exceeds.  ParamError unless
+    sigma is over the code's field with ranks in [0, q)."""
     _check_poly(sigma, code.field, "locator")
-    return _root_multiplicities(sigma, code.L, code.t)
+    mults = _root_multiplicities(code.field, [sigma.coeffs], code.L, code.t)[0]
+    return {j: mu for j, mu in enumerate(mults.tolist()) if mu}
 
 
 def locator_degree(e: Sequence[int], phi: int, p: int) -> int:
@@ -132,11 +132,11 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
 
     A zero syndrome short-circuits to the received word itself.  Otherwise
     each scale guess in `phis` (default 1..p-1) is tried even after a success
-    (distinct phi can yield distinct valid codewords), every degree-valid row
-    of each reduced basis is assembled and syndrome-checked, and candidates
-    are deduplicated in (phi ascending, row) discovery order; with three or
-    more guesses, most rows come from one batched solve instead (module
-    docstring).  ParamError unless every scale guess is an integer in [1, p).
+    (distinct phi can yield distinct valid codewords): the degree-valid rows
+    of every guess, reduced or solved (module docstring), go through one
+    array pass, and candidates are deduplicated in (phi ascending, row)
+    discovery order.  Codeword entries are ints, whatever the word's dtype.
+    ParamError unless every scale guess is an integer in [1, p).
     """
     f = code.field
     p = f.p
@@ -145,42 +145,33 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     check_integers(tried, 1, p, "scale guesses")  # before sorting: "1" and 1 do not compare
     tried = sorted(set(tried))
     s_vec = code.syndrome_from_word(received)  # ParamError on a bad length or entry
+    word = np.asarray(received).astype(np.int64)  # unsigned entries would wrap in word - e
     s_poly = Poly(f, s_vec)
     if s_poly.is_zero():
-        cand = Candidate(
-            codeword=tuple(received),
-            error=ErrorPattern((0,) * n),
-            phi=0,
-            sigma=Poly.one(f),
-        )
-        return DecodeOutcome([cand])
+        return DecodeOutcome([Candidate(tuple(word.tolist()), ErrorPattern((0,) * n), 0, Poly.one(f))])
     try:
         columns = _key_columns(code, s_poly)[[phi - 1 for phi in tried]]
     except NotInvertibleError:
         return DecodeOutcome([])
     solved = _bounded_rows(code.g, columns) if len(tried) >= 3 else [None] * len(tried)
+    rows, guesses = [], []
+    for phi, col, found in zip(tried, columns.tolist(), solved):
+        found = found or [[entry.coeffs for entry in row] for row in weak_popov_reduce(_basis(code.g, col))]
+        rows += found
+        guesses += [phi] * len(found)
+    kept, sigmas = _pth_power_compose(rows, code.t, f)
+    errors = np.array(guesses, dtype=np.int64)[kept, None] * _root_multiplicities(f, sigmas, code.L, code.t) % p
+    if errors.shape[1] != n or not ((errors >= 0) & (errors < p)).all():
+        raise ParamError(f"error entries must be integers in [0, {p}), {n} of them")
+    words = (word - errors) % p  # e reproduces the syndrome iff r - e has none
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
-    for phi, col, rows in zip(tried, columns.tolist(), solved):
-        if rows is None:
-            rows = weak_popov_reduce(_basis(code.g, col))
-        for row in rows:
-            sigma = assemble_locator(row, code.t)
-            if sigma is None:
-                continue
-            mults = find_roots_multiplicities(sigma, code)
-            if not mults:
-                continue
-            e = [0] * n
-            for j, mu in mults.items():
-                e[j] = (phi * mu) % p
-            if code.syndrome_from_word(e) != s_vec:
-                continue
-            codeword = tuple((r - ev) % p for r, ev in zip(received, e))
-            if codeword in seen:
-                continue
+    for i in np.flatnonzero(~(code.Hbar @ words.T % p).any(axis=0)).tolist():
+        codeword = tuple(words[i].tolist())
+        if codeword not in seen:
             seen.add(codeword)
-            outcome.candidates.append(Candidate(codeword, ErrorPattern(tuple(e)), phi, sigma))
+            error = ErrorPattern(tuple(errors[i].tolist()))
+            outcome.candidates.append(Candidate(codeword, error, guesses[kept[i]], Poly(f, sigmas[i].tolist())))
     return outcome
 
 

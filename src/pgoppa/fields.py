@@ -180,7 +180,8 @@ class Field:
 
     def _build_tables(self) -> None:
         """Row tables (_mul[a][b] == a*b) from digit arithmetic: digit k of a*b
-        is sum_j b_j (a y**j)_k.  The array ops index the numpy tables."""
+        is sum_j b_j (a y**j)_k.  The array ops take entry a*q + b of the
+        raveled numpy tables."""
         p, m, q = self.p, self.m, self.q
         weights = p ** np.arange(m)
         digits = np.arange(q)[:, None] // weights % p
@@ -189,7 +190,8 @@ class Field:
         add = sum((digits[:, None, k] + digits[:, k]) % p * weights[k] for k in range(m))
         mul = sum(digits @ lifted[:, :, k].T % p * weights[k] for k in range(m))
         self._add, self._mul = add.tolist(), mul.tolist()
-        self._arrays = (lambda a, b: add[a, b]), (lambda a, b: mul[a, b])
+        flat_add, flat_mul = add.ravel(), mul.ravel()  # take() of a flat index beats a 2-D gather
+        self._arrays = (lambda a, b: flat_add.take(a * q + b)), (lambda a, b: flat_mul.take(a * q + b))
         self._neg = (-digits % p @ weights).tolist()
         self._inv = np.argmax(mul == 1, axis=1).tolist()
         self._ppow = [self.pow(a, p) for a in range(q)]

@@ -205,6 +205,17 @@ def _cancel(targets: Sequence[list[list[int]]], src: Sequence[Sequence[int]], co
             _row_addmul(dst, pairs, mul[coef[lead[-1]]], len(lead) - size, add)
 
 
+def _pivot(row: Sequence[Sequence[int]]) -> int:
+    """`popov.pivot_index` on trimmed coefficient lists: degrees are lengths minus one."""
+    best = 0
+    best_len = 1
+    for j, entry in enumerate(row, start=1):
+        if len(entry) >= best_len:
+            best_len = len(entry)
+            best = j
+    return best
+
+
 def _plus_scaled(field: Field, a: Sequence[int], c: int, b: Sequence[int]) -> Poly:
     """a + c * b, as a Poly."""
     out = list(a)
@@ -296,53 +307,62 @@ def _synthetic_division(gc: Sequence, points, field: Field) -> list[np.ndarray]:
     return rows
 
 
-def _root_multiplicities(sigma: Poly, points: Sequence[int], bound: int = 0) -> dict[int, int]:
-    """Map point index -> multiplicity of points[i] as a root of sigma.
+def _root_multiplicities(field: Field, sigmas, points: Sequence[int], bound: int = 0) -> np.ndarray:
+    """Entry [r, i] is the multiplicity of points[i] as a root of sigma_r,
+    or 0, for the rows sigma_r of a stack of nonzero polynomials (an array
+    or equal-length lists of coefficient ranks, low to high, zero-padded).
 
     The multiplicity at a is the first i with D**(i) sigma (a) != 0, D**(i)
     the i-th Hasse derivative (H. Hasse, J. reine angew. Math. 175, 1936):
     sigma = sum_i D**(i) sigma (a) (x - a)**i in any characteristic, where
     the ordinary derivatives of order p and above vanish.  Coefficient s of
     D**(i) sigma is C(s + i, i) * c_(s+i), a prime-subfield scaling of
-    c_(s+i)'s digits, so the levels are digit rows: level 0 goes through
-    `_evaluation_matrix` in one product, and every higher level at the
-    roots only in a second.  The matrix is built for degree max(bound,
-    deg sigma), so callers whose sigma stay under one bound share it; over
-    a field with q <= 512 it covers GF(q), the one the root screen uses,
-    so a new support builds none, and beyond it covers the points alone.
-    Keys come in ascending index order; points that are not roots are
-    absent.
+    c_(s+i)'s digits, so the levels of the stack are one product with
+    `_hasse_matrix`.  Level 0 goes through `_evaluation_matrix` in one
+    product, the higher levels in a second at the points that are a root of
+    some row; a value is zero iff its rank (a product with the digit
+    weights) is.  The matrix is built for degree max(bound, width - 1), so
+    callers under one bound share it; over a field with q <= 512 it covers
+    GF(q), the one the root screen uses, so a new support builds none, and
+    beyond it covers the points alone.  ParamError for a zero row or a rank
+    outside [0, q).
     """
-    if sigma.is_zero():
+    sigmas = np.asarray(sigmas, dtype=np.int64)
+    if not sigmas.any(axis=1).all():
         raise ParamError("the zero polynomial has no root multiplicities")
-    field = sigma.field
-    p, m, t = field.p, field.m, max(bound, sigma.degree)
+    if sigmas.size and not 0 <= sigmas.min() <= sigmas.max() < field.q:
+        raise ParamError(f"locator coefficients must be ranks in [0, {field.q})")
+    p, m, t, rows = field.p, field.m, max(bound, sigmas.shape[1] - 1), len(sigmas)
     if field.q <= _TABLE_LIMIT:
         evaluate, at = _evaluation_matrix(field, t, field.elements()), np.array(points, dtype=np.int64)
     else:
         evaluate, at = _evaluation_matrix(field, t, tuple(points)), np.arange(len(points))
-    digits = np.zeros((t + 1, m), dtype=np.int64)
-    digits[: len(sigma.coeffs)] = _digit_split(np.array(sigma.coeffs), field)
-    values = _fmod(digits.reshape(-1).astype(evaluate.dtype) @ evaluate, p).reshape(-1, m)
-    roots = np.flatnonzero(~values[at].any(axis=1))
-    if not len(roots):
-        return {}
-    scale, source = _hasse_scales(p, t)
-    levels = (scale[..., None] * digits[source] % p).reshape(t, -1).astype(evaluate.dtype)
-    values = _fmod(levels @ evaluate[:, (at[roots, None] * m + np.arange(m)).ravel()], p)
-    mults = values.reshape(t, len(roots), m).any(axis=2).argmax(axis=0) + 1
-    return dict(zip(roots.tolist(), mults.tolist()))
+    weights = (p ** np.arange(m)).astype(evaluate.dtype)  # zero tests only: exact in any float
+    digits = np.zeros((rows, t + 1, m), dtype=evaluate.dtype)
+    digits[:, : sigmas.shape[1]] = _digit_split(sigmas, field)
+    values = _fmod(digits.reshape(rows, (t + 1) * m) @ evaluate, p)
+    roots = (values.reshape(rows, evaluate.shape[1] // m, m) @ weights)[:, at] == 0
+    mults, cols = np.zeros(roots.shape, dtype=np.int64), np.flatnonzero(roots.any(axis=0))
+    if len(cols):
+        levels = _fmod(digits.reshape(rows, -1) @ _hasse_matrix(p, t, m, evaluate.dtype), p)
+        values = _fmod(levels.reshape(rows * t, -1) @ evaluate[:, (at[cols, None] * m + np.arange(m)).ravel()], p)
+        first = (values.reshape(rows, t, len(cols), m) @ weights != 0).argmax(axis=1) + 1
+        mults[:, cols] = np.where(roots[:, cols], first, 0)
+    return mults
 
 
 @lru_cache(maxsize=8)
-def _hasse_scales(p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(scale, source) for the Hasse derivatives of orders i = 1..t of a
-    polynomial of degree <= t: coefficient s of order i is scale[i-1, s]
-    times coefficient source[i-1, s], where scale is C(s + i, i) mod p and
-    zero past degree t, and source is min(s + i, t)."""
-    n = np.arange(1, t + 1)[:, None] + np.arange(t + 1)
-    scale = [[math.comb(k, i) % p if k <= t else 0 for k in row] for i, row in enumerate(n.tolist(), 1)]
-    return np.array(scale, dtype=np.int64).reshape(t, t + 1), np.minimum(n, t)
+def _hasse_matrix(p: int, t: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """GF(p) matrix, (t+1)m x t(t+1)m, of the Hasse derivatives of orders
+    i = 1..t on the digit rows of polynomials of degree <= t: C(s + i, i)
+    mod p takes digit k of coefficient s + i to digit k of coefficient s of
+    order i, column ((i-1)*(t+1) + s)*m + k.  A stack's levels thus come
+    out as rows in the layout of `_evaluation_matrix`'s, with no gather."""
+    out = np.zeros((t + 1, t, t + 1), dtype=dtype)
+    for k in range(1, t + 1):
+        for i in range(1, k + 1):
+            out[k, i - 1, k - i] = math.comb(k, i) % p
+    return np.kron(out.reshape(t + 1, -1), np.eye(m, dtype=dtype))
 
 
 def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
@@ -568,15 +588,31 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     return [Poly(fld, map(fld.pth_root, f.coeffs[k :: fld.p])) for k in range(fld.p)]
 
 
-def _pth_power_compose(a: Sequence[Poly]) -> Poly:
-    """sum x**k * a_k**p over a = (a_0, ..., a_{p-1}), the inverse of
-    `pth_power_decompose`: coefficient i of a_k, raised to the p-th power by
-    one `_ppow` lookup, is coefficient p*i + k, a slot no other term takes."""
-    f = a[0].field
-    out, ppow = [0] * (f.p * max(len(ak.coeffs) for ak in a)), f._ppow
-    for k, ak in enumerate(a):
-        out[k : k + f.p * len(ak.coeffs) : f.p] = [ppow[c] for c in ak.coeffs]
-    return Poly(f, out)
+def _pth_power_compose(rows: Sequence[Sequence[Sequence[int]]], t: int, field: Field) -> tuple[list[int], np.ndarray]:
+    """(kept, sigmas): the indices of the rows (a_0, ..., a_{p-1}) of trimmed
+    coefficient lists that are nonzero and meet every bound deg(a_k) <=
+    (t - k) // p, and a row of t + 1 ranks of each one's monic sigma = sum
+    x**k * a_k**p, the inverse of `pth_power_decompose`.  As k < p,
+    p*deg(a_k) + k is largest at the row's pivot (ties go right), so one
+    comparison there decides every bound before any power is taken, and is
+    the degree of sigma, nonzero as the p parts differ in degree mod p.
+    Coefficient i of a_k, raised to the p-th power by one `_ppow` lookup,
+    is coefficient p*i + k, a slot no other term takes."""
+    p, ppow = field.p, field._ppow
+    kept, sigmas, scales = [], [], []
+    for r, a in enumerate(rows):
+        piv = _pivot(a) - 1
+        top = p * (len(a[piv]) - 1) + piv
+        if piv < 0 or top > t:
+            continue
+        sigma = [0] * (t + 1)
+        for k, ak in enumerate(a):
+            sigma[k : k + p * len(ak) : p] = [ppow[c] for c in ak]
+        kept.append(r)
+        sigmas.append(sigma)
+        scales.append(field._inv[sigma[top]])
+    stack = np.array(sigmas, dtype=np.int64).reshape(len(kept), t + 1)
+    return kept, _elementwise(field)[1](stack, np.array(scales, dtype=np.int64)[:, None])
 
 
 def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:
@@ -626,12 +662,13 @@ def _pth_roots(rows: np.ndarray, inverse: np.ndarray, field: Field) -> np.ndarra
     return _fmod(v @ inverse.T, field.p).astype(np.int64).reshape(len(rows), -1, field.m)
 
 
-def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[Poly]] | None]:
+def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | None]:
     """For each stack columns[b] of residues c_1..c_{p-1} mod a monic g of
     degree t (ranks padded to t): the vectors (a_0, ..., a_{p-1}) spanned
     by (g, 0, ..., 0) and the (c_k, 0, .., 1, .., 0) with p*deg(a_j) + j <= t
-    for every j, as [row], a row of p Polys spanning them, where they form a
-    space of dimension 1, and None where it is 2 or more.
+    for every j, as [row], a row of p trimmed coefficient lists spanning
+    them, where they form a space of dimension 1, and None where it is 2
+    or more.
 
     The unknowns are the coefficients of a_k, k >= 1, deg(a_k) <= (t-k)//p,
     their columns x**i c_k mod g each a shift and a mul/add step from the
@@ -682,7 +719,10 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[Poly]] | None]
             if n >= 0:
                 k, i = unknowns[n]
                 row[k + 1][i] = c
-        out.append([[Poly(f, c) for c in row]])
+        for c in row:  # trimmed, as `_pivot` reads degrees off lengths
+            while c and not c[-1]:
+                c.pop()
+        out.append([row])
     return out
 
 

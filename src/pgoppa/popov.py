@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polyring import Poly, _cancel
+from .polyring import Poly, _cancel, _pivot
 
 
 def pivot_index(row: Sequence[Poly]) -> int:
@@ -32,17 +32,6 @@ def degree_tableau(rows: Sequence[Sequence[Poly]]) -> str:
             cells.append(f"[{d}]" if j == piv else f" {d} ")
         lines.append(" ".join(cells))
     return "\n".join(lines)
-
-
-def _pivot(row: Sequence[Sequence[int]]) -> int:
-    """pivot_index on coefficient lists: degrees are lengths minus one."""
-    best = 0
-    best_len = 1
-    for j, entry in enumerate(row, start=1):
-        if len(entry) >= best_len:
-            best_len = len(entry)
-            best = j
-    return best
 
 
 def weak_popov_reduce(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:

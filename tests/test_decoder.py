@@ -2,6 +2,7 @@
 solution, locator assembly and root extraction, and end-to-end decoding
 across characteristics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from pgoppa.decoder import (
 from pgoppa.errors import NotInvertibleError, ParamError
 from pgoppa.fields import Field, make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _bounded_rows, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
+from pgoppa.polyring import Poly, _bounded_rows, _pth_power_compose, _root_multiplicities, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
@@ -697,12 +698,14 @@ SOLVE_BLOCKS = [(2, 3, 2, True), (3, 2, 4, True), (3, 3, 4, False), (5, 2, 3, Fa
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
 def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
-    # one row where the weak Popov form bounds a space of dimension 1, with
-    # the monic sigma of its one degree-valid row; None where it is 2 or
-    # more; never 0, as the unknowns outnumber the equations by one
+    # one row where the weak Popov form bounds a space of dimension 1, as p
+    # trimmed coefficient lists of ranks, with the monic sigma of its one
+    # degree-valid row; None where it is 2 or more; never 0, as the
+    # unknowns outnumber the equations by one
     p, m, t, irreducible = block
     rng = SplitMix64(seed)
     code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
+    f = code.field
     s = invertible_syndrome(code, rng)
     solved = _bounded_rows(code.g, decoder._key_columns(code, s))
     for basis, rows in zip(key_lattices(code, s), solved, strict=True):
@@ -711,8 +714,13 @@ def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
         assert d >= 1
         assert (rows is None) == (d >= 2)
         if rows is not None:
-            sigmas = [assemble_locator(row, t) for row in reduced]
-            assert [assemble_locator(row, t) for row in rows] == [sg for sg in sigmas if sg is not None]
+            assert len(rows) == 1 and len(rows[0]) == p
+            for c in rows[0]:
+                assert type(c) is list and (not c or c[-1]) and all(type(x) is int and 0 <= x < f.q for x in c)
+            kept, sigmas = _pth_power_compose(rows, t, f)
+            want_kept, want = _pth_power_compose([[e.coeffs for e in row] for row in reduced], t, f)
+            assert kept == [0] and len(want_kept) == 1
+            assert sigmas.tolist() == want.tolist()
 
 
 # (p, m, t): every decode here tries p - 1 >= 4 scale guesses
@@ -765,3 +773,40 @@ def test_decode_reduces_only_a_guess_whose_bounded_space_has_dimension_two(monke
     assert bounded_dimension(weak_popov_reduce(bases[3]), 12) == 2
     assert got.candidates == reference_decode(code, rx).candidates
     assert [(c.codeword, c.phi) for c in got.candidates] == [(cw, 4)]
+
+
+def test_decode_drops_a_wrong_guess_whose_sigma_has_roots():
+    # (7,2,24), w = t, magnitude 1: every guess has a bounded space of
+    # dimension 1, and the sigma of phi = 4 vanishes at support points with
+    # multiplicities summing to 4, but its error fails the syndrome check;
+    # the list is the truth alone, as reducing every basis gives
+    rng = SplitMix64(44)
+    code = build_code(7, 2, 24, rng=rng)
+    e = sample_error(code.n, 24, ("equal", 1), 7, rng)
+    cw = code.random_codeword(rng)
+    rx = corrupt(cw, e, 7)
+    s_vec = code.syndrome_from_word(rx)
+    solved = _bounded_rows(code.g, decoder._key_columns(code, Poly(code.field, s_vec)))
+    kept, sigmas = _pth_power_compose([found[0] for found in solved], 24, code.field)
+    mults = _root_multiplicities(code.field, sigmas, code.L, 24)
+    assert kept == list(range(6)) and mults.sum(axis=1).tolist() == [24, 0, 0, 4, 0, 0]
+    assert code.syndrome_from_word((4 * mults[3] % 7).tolist()) != s_vec
+    got = decode(code, rx).candidates
+    assert [(c.codeword, c.phi) for c in got] == [(cw, 1)]
+    assert got == reference_decode(code, rx).candidates
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64, np.int8, np.int64, None],
+                         ids=["uint8", "uint16", "uint64", "int8", "int64", "list"])
+def test_decode_gives_int_codewords_for_any_integer_word(dtype):
+    # an unsigned word once wrapped in r - e and gave non-codewords; a
+    # corrupted word and a codeword (the zero-syndrome short circuit)
+    rng = SplitMix64(3)
+    code = build_code(7, 2, 24, rng=rng)
+    cw = code.random_codeword(rng)
+    rx = corrupt(cw, sample_error(code.n, 24, "equal", 7, rng), 7)
+    for word in (rx, cw):
+        got = decode(code, list(word) if dtype is None else np.array(word, dtype=dtype)).candidates
+        assert got and got == decode(code, list(word)).candidates
+        for c in got:
+            assert code.contains(c.codeword) and all(type(v) is int for v in c.codeword)

@@ -395,7 +395,55 @@ def test_root_multiplicities_equal_scan_from_multiplicity_p_on(field, extra, see
     assert all(evaluate(d, a) == 0 for d in derivatives[1:] for a in points[:3])
     want = {j: mu for j, a in enumerate(points) if (mu := root_multiplicity(sigma, a))}
     assert all(want[j] >= mu for j, mu in enumerate((p, p + 1, 2 * p)))
-    assert _root_multiplicities(sigma, points, sigma.degree + extra) == want
+    mults = _root_multiplicities(f, [sigma.coeffs], points, sigma.degree + extra)[0].tolist()
+    assert {j: mu for j, mu in enumerate(mults) if mu} == want
+
+
+STACK_FIELDS = [(2, 3), (3, 2), (7, 2), (5, 4)]  # GF(5**4) has no lookup tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(1, 9), st.integers(0, 2**64 - 1))
+def test_batched_root_multiplicities_equal_one_row_calls_and_division(field, t, seed):
+    # a stack of mixed degrees padded to t + 1: constant rows, rows with no
+    # root in GF(q), random rows, and (x - a)**k, k up to t, times a
+    # cofactor; each row equals its one-row call, whose matrix is built for
+    # its own degree, and repeated division at every point
+    f = make_field(*field)
+    rng = SplitMix64(seed)
+    points = rng.sample(range(f.q), min(f.q, 12))
+    sigmas = []
+    for _ in range(1 + rng.randrange(6)):
+        kind = rng.randrange(4)
+        if kind == 0 or (kind == 1 and t < 2):
+            sigma = Poly(f, (1 + rng.randrange(f.q - 1),))
+        elif kind == 1:
+            sigma = random_irreducible(2 + rng.randrange(t - 1), f, rng)
+        elif kind == 2:
+            sigma = Poly(f, [rng.randrange(f.q) for _ in range(rng.randrange(t + 1))] + [1 + rng.randrange(f.q - 1)])
+        else:
+            k = 1 + rng.randrange(t)
+            sigma = Poly(f, [rng.randrange(f.q) for _ in range(rng.randrange(t - k + 1))] + [1])
+            a = points[rng.randrange(len(points))]
+            for _ in range(k):
+                sigma = sigma * Poly(f, (f.neg(a), 1))
+        sigmas.append(sigma)
+    stack = np.zeros((len(sigmas), t + 1), dtype=np.int64)
+    for row, sigma in zip(stack, sigmas):
+        row[: len(sigma.coeffs)] = sigma.coeffs
+    got = _root_multiplicities(f, stack, points, t)
+    assert got.shape == (len(sigmas), len(points)) and got.dtype == np.int64
+    for row, sigma in zip(got.tolist(), sigmas):
+        assert row == _root_multiplicities(f, [sigma.coeffs], points)[0].tolist()
+        assert row == [root_multiplicity(sigma, a) for a in points]
+
+
+def test_root_multiplicities_reject_a_zero_row_and_a_rank_past_q():
+    f = make_field(3, 2)
+    assert _root_multiplicities(f, np.zeros((0, 3), dtype=np.int64), range(9), 2).shape == (0, 9)
+    for stack, message in [([[1, 1], [0, 0]], "zero polynomial"), ([[1, 9]], r"ranks in \[0, 9\)"), ([[-1, 1]], "ranks")]:
+        with pytest.raises(ParamError, match=message):
+            _root_multiplicities(f, stack, range(9), 2)
 
 
 @pytest.mark.parametrize("t, dtype", [(64, np.float32), (65, np.float64)])
