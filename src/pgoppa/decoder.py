@@ -155,14 +155,12 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
         return DecodeOutcome([])
     solved = _bounded_rows(code.g, columns) if len(tried) >= 3 else [None] * len(tried)
     rows, guesses = [], []
-    for phi, col, found in zip(tried, columns.tolist(), solved):
-        found = found or [[entry.coeffs for entry in row] for row in weak_popov_reduce(_basis(code.g, col))]
+    for phi, col, found in zip(tried, columns, solved):
+        found = found or [[entry.coeffs for entry in row] for row in weak_popov_reduce(_basis(code.g, col.tolist()))]
         rows += found
         guesses += [phi] * len(found)
     kept, sigmas = _pth_power_compose(rows, code.t, f)
     errors = np.array(guesses, dtype=np.int64)[kept, None] * _root_multiplicities(f, sigmas, code.L, code.t) % p
-    if errors.shape[1] != n or not ((errors >= 0) & (errors < p)).all():
-        raise ParamError(f"error entries must be integers in [0, {p}), {n} of them")
     words = (word - errors) % p  # e reproduces the syndrome iff r - e has none
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()

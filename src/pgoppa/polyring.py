@@ -668,7 +668,7 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
     by (g, 0, ..., 0) and the (c_k, 0, .., 1, .., 0) with p*deg(a_j) + j <= t
     for every j, as [row], a row of p trimmed coefficient lists spanning
     them, where they form a space of dimension 1, and None where it is 2
-    or more.
+    or more.  `columns` is read, never written.
 
     The unknowns are the coefficients of a_k, k >= 1, deg(a_k) <= (t-k)//p,
     their columns x**i c_k mod g each a shift and a mul/add step from the
@@ -677,6 +677,16 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
     more than equations, so the dimension is never 0.  One Gauss-Jordan
     elimination over GF(q) runs on all stacks at once, each pivot scaled to
     -1, so a space of dimension 1 is its one free column, read at the pivots.
+
+    The system is held unknown-major, a[unknown, stack, coefficient], one
+    contiguous array with the equation rows first, so step j reads column j
+    as a[j] and updates the contiguous block a[j:] whole; only on a step
+    where some stack holds no pivot are the others gathered.  Held
+    stack-major, every step worked on strided views and copied them back.
+    A stack's pivot row is its row with the largest entry at j among those
+    that hold no pivot yet.  Which row it is changes no output: column j
+    takes a pivot exactly when it is independent of the columns before it,
+    and the vector with a 1 at the one free column is unique.
     """
     f = g.field
     add, mul = _elementwise(f)
@@ -689,24 +699,32 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
         up[..., 1:] = c[..., :-1]
         shifts.append(add(up, mul(c[..., -1:], top)))
     eqs = t - 1 - t // p
-    # a[stack, coefficient, unknown], the equations' coefficients first
-    a = np.stack(shifts, axis=1)[:, [i for k, i in unknowns], [k for k, i in unknowns]]
-    a = a.transpose(0, 2, 1)[:, np.r_[t // p + 1 : t, : t // p + 1]]
+    # a[unknown, stack, coefficient], the equations' coefficients first;
+    # take() copies into C order, where a fancy index on axis 2 would not
+    a = np.stack(shifts)[[i for k, i in unknowns], :, [k for k, i in unknowns]]
+    a = a.take(np.r_[t // p + 1 : t, : t // p + 1], axis=2)
     pivots = np.full((stacks, eqs), -1)  # the unknown each equation row is the pivot of
-    for j in range(len(unknowns)):
-        live = (a[:, :eqs, j] != 0) & (pivots < 0)
-        on = np.flatnonzero(live.any(axis=1))
-        if not len(on):
-            continue
+    every = np.arange(stacks)
+    for j in range(len(unknowns) if eqs else 0):  # t = 1: no equation, one unknown
+        live = a[j, :, :eqs] * (pivots < 0)  # rows that hold a pivot masked out
+        dst = live.argmax(axis=1)
+        lead = live[every, dst]  # 0 where a stack holds no pivot at unknown j
+        if lead.all():
+            hit, on = every, slice(None)
+        else:  # gather the stacks that hold one
+            hit = lead.nonzero()[0]
+            if not len(hit):
+                continue
+            on, lead, dst = hit, lead[hit], dst[hit]
         # an equation row that holds no pivot yet is zero at every earlier
         # unknown, so adding multiples of it changes unknowns j onwards only
-        sub, k, dst = a[on, :, j:], np.arange(len(on)), live[on].argmax(axis=1)
-        scale = np.array([f._neg[f._inv[c]] for c in sub[k, dst, 0].tolist()], dtype=np.int64)
-        pivot = mul(sub[k, dst], scale[:, None])  # its entry j is -1
-        sub = add(sub, mul(sub[:, :, :1], pivot[:, None, :]))  # the pivot's own row drops to 0
-        sub[k, dst] = pivot
-        a[on, :, j:] = sub
-        pivots[on, dst] = j
+        sub, k = a[j:, on], every[: len(hit)]
+        scale = np.array([f._neg[f._inv[c]] for c in lead.tolist()], dtype=np.int64)
+        pivot = mul(sub[:, k, dst], scale)  # its entry 0, at unknown j, is -1
+        sub = add(sub, mul(sub[:1], pivot[..., None]))  # the pivot's own row drops to 0
+        sub[:, k, dst] = pivot
+        a[j:, on] = sub
+        pivots[hit, dst] = j
     out = []
     for b, rows in enumerate(pivots.tolist()):
         free = set(range(len(unknowns))).difference(rows)
@@ -714,8 +732,8 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
             out.append(None)
             continue
         j = free.pop()
-        row = [a[b, eqs:, j].tolist()] + [[0] * n for n in sizes]
-        for n, c in [(j, 1), *zip(rows, a[b, :eqs, j].tolist())]:
+        row = [a[j, b, eqs:].tolist()] + [[0] * n for n in sizes]
+        for n, c in [(j, 1), *zip(rows, a[j, b, :eqs].tolist())]:
             if n >= 0:
                 k, i = unknowns[n]
                 row[k + 1][i] = c

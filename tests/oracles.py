@@ -4,12 +4,14 @@ here so tests can check the package against them."""
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from pgoppa.alternant import AlternantCode
 from pgoppa.decoder import Candidate, DecodeOutcome, assemble_locator, decode, find_roots_multiplicities, key_lattices
 from pgoppa.errors import NotInvertibleError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
+from pgoppa.polyring import Poly, _elementwise, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
 from pgoppa.popov import pivot_index, weak_popov_reduce
 from pgoppa.rng import trial_stream
 
@@ -397,6 +399,74 @@ def bounded_dimension(rows: Sequence[Sequence[Poly]], t: int) -> int:
         piv = pivot_index(row) - 1
         total += max(0, (t - piv) // p - row[piv].degree + 1)
     return total
+
+
+def bounded_rows_reference(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | None]:
+    """`polyring._bounded_rows` as a stack-major elimination, a[stack,
+    coefficient, unknown], which gathers the stacks that hold a pivot on
+    every step; the solve must return exactly its lists.
+
+    For each stack columns[b] of residues c_1..c_{p-1} mod a monic g of
+    degree t (ranks padded to t): the vectors (a_0, ..., a_{p-1}) spanned
+    by (g, 0, ..., 0) and the (c_k, 0, .., 1, .., 0) with p*deg(a_j) + j <= t
+    for every j, as [row], a row of p trimmed coefficient lists spanning
+    them, where they form a space of dimension 1, and None where it is 2
+    or more.
+
+    The unknowns are the coefficients of a_k, k >= 1, deg(a_k) <= (t-k)//p,
+    their columns x**i c_k mod g each a shift and a mul/add step from the
+    last; a_0 = sum a_k c_k mod g, whose coefficients t//p + 1 .. t - 1 must
+    vanish, the rest riding along as passive rows.  There is one unknown
+    more than equations, so the dimension is never 0.  One Gauss-Jordan
+    elimination over GF(q) runs on all stacks at once, each pivot scaled to
+    -1, so a space of dimension 1 is its one free column, read at the pivots.
+    """
+    f = g.field
+    add, mul = _elementwise(f)
+    p, t, stacks = f.p, g.degree, len(columns)
+    sizes = [(t - k) // p + 1 for k in range(1, p)]  # coefficients of a_k; none once k > t
+    unknowns = [(k, i) for i in range(sizes[0]) for k, n in enumerate(sizes) if n > i]
+    top, shifts = np.array([f._neg[c] for c in g.coeffs[:t]], dtype=np.int64), [columns]
+    for _ in range(1, sizes[0]):  # x * c: up one place, its x**t replaced by -(g - x**t)
+        c, up = shifts[-1], np.zeros_like(columns)
+        up[..., 1:] = c[..., :-1]
+        shifts.append(add(up, mul(c[..., -1:], top)))
+    eqs = t - 1 - t // p
+    # a[stack, coefficient, unknown], the equations' coefficients first
+    a = np.stack(shifts, axis=1)[:, [i for k, i in unknowns], [k for k, i in unknowns]]
+    a = a.transpose(0, 2, 1)[:, np.r_[t // p + 1 : t, : t // p + 1]]
+    pivots = np.full((stacks, eqs), -1)  # the unknown each equation row is the pivot of
+    for j in range(len(unknowns)):
+        live = (a[:, :eqs, j] != 0) & (pivots < 0)
+        on = np.flatnonzero(live.any(axis=1))
+        if not len(on):
+            continue
+        # an equation row that holds no pivot yet is zero at every earlier
+        # unknown, so adding multiples of it changes unknowns j onwards only
+        sub, k, dst = a[on, :, j:], np.arange(len(on)), live[on].argmax(axis=1)
+        scale = np.array([f._neg[f._inv[c]] for c in sub[k, dst, 0].tolist()], dtype=np.int64)
+        pivot = mul(sub[k, dst], scale[:, None])  # its entry j is -1
+        sub = add(sub, mul(sub[:, :, :1], pivot[:, None, :]))  # the pivot's own row drops to 0
+        sub[k, dst] = pivot
+        a[on, :, j:] = sub
+        pivots[on, dst] = j
+    out = []
+    for b, rows in enumerate(pivots.tolist()):
+        free = set(range(len(unknowns))).difference(rows)
+        if len(free) > 1:
+            out.append(None)
+            continue
+        j = free.pop()
+        row = [a[b, eqs:, j].tolist()] + [[0] * n for n in sizes]
+        for n, c in [(j, 1), *zip(rows, a[b, :eqs, j].tolist())]:
+            if n >= 0:
+                k, i = unknowns[n]
+                row[k + 1][i] = c
+        for c in row:  # trimmed, as `_pivot` reads degrees off lengths
+            while c and not c[-1]:
+                c.pop()
+        out.append([row])
+    return out
 
 
 def reference_decode(code: GoppaCode, received: Sequence[int]) -> DecodeOutcome:

@@ -4,7 +4,7 @@ across characteristics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pgoppa import decoder, modp
 from pgoppa.decoder import (
@@ -25,6 +25,7 @@ from pgoppa.rng import SplitMix64
 from oracles import (
     assemble_locator_reference,
     bounded_dimension,
+    bounded_rows_reference,
     evaluate,
     locator_from_error,
     magnitude_profile,
@@ -721,6 +722,49 @@ def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
             want_kept, want = _pth_power_compose([[e.coeffs for e in row] for row in reduced], t, f)
             assert kept == [0] and len(want_kept) == 1
             assert sigmas.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
+def test_bounded_rows_equal_the_stack_major_reference(block, seed):
+    # the same lists, None in the same places, as the stack-major
+    # elimination, with crafted stacks in one call next to the key columns
+    # of a drawn syndrome: all zero, c_2 = c_1 and a zero residue c_k.
+    # Their free columns come before the last one, and the all-zero
+    # stack's space has dimension 2 or more wherever there is an equation,
+    # so every such example runs a step where only some stacks hold a pivot
+    p, m, t, irreducible = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
+    drawn = decoder._key_columns(code, invertible_syndrome(code, rng))
+    zero, twin, gap = np.zeros_like(drawn[0]), drawn[0].copy(), drawn[-1].copy()
+    twin[1:2] = twin[0]  # c_2 = c_1 where p >= 3
+    gap[rng.randrange(p - 1)] = 0
+    stacks = list(drawn)
+    for crafted in (zero, twin, gap):
+        stacks.insert(rng.randrange(len(stacks) + 1), crafted)
+    columns = np.stack(stacks)
+    eqs = t - 1 - t // p
+    assume(eqs == 0 or columns[:, 0, t // p + 1 :].any())  # some stack holds a pivot at unknown 0
+    solved = _bounded_rows(code.g, columns)
+    assert solved == bounded_rows_reference(code.g, columns)
+    if eqs:
+        assert solved[next(b for b, c in enumerate(stacks) if c is zero)] is None
+
+
+@pytest.mark.parametrize("block", [(5, 2, 12, 25), (5, 4, 3, 3), (7, 2, 1, 3)])
+def test_bounded_rows_leave_their_columns_unchanged(block):
+    # decode reads its key columns again to build the basis of a guess it
+    # reduces, so a solve that wrote through them would corrupt that
+    # fallback without an error; columns passed whole and as views
+    p, m, t, seed = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng)
+    columns = decoder._key_columns(code, invertible_syndrome(code, rng))
+    before = columns.copy()
+    for view in (columns, columns[1:], columns[::-1], columns[..., ::-1]):
+        _bounded_rows(code.g, view)
+        assert np.array_equal(columns, before)
 
 
 # (p, m, t): every decode here tries p - 1 >= 4 scale guesses
