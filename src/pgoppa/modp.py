@@ -1,65 +1,41 @@
 """Dense exact linear algebra over Z/pZ, on numpy int64 arrays.
 
-p is assumed prime (inverses via Fermat).  Results are reduced to [0, p).
-Elimination defers its reductions mod p, so its intermediate entries stay
-below min(rows, cols) * (p-1)**2 + p in absolute value; `rref_mod_p` raises
-`ParamError` when that bound reaches 2**63, where int64 would overflow.
+p is assumed prime.  Results are reduced to [0, p).  Both functions run
+`polyring._eliminate` over GF(p), the elimination the decoder's bounded
+solve runs over GF(q); its field arithmetic is exact for every prime p.
+polyring imports this module, so it is reached as `polyring._eliminate`
+when called.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParamError
-
-
-def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.  Returns (rref, pivot column list).
-
-    A step updates only columns from the pivot's on (the pivot row is 0 mod
-    p before it) and reduces only the pivot column and row."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    if min(rows, cols) * (p - 1) ** 2 + p >= 1 << 63:
-        raise ParamError(f"a {rows} x {cols} elimination mod {p} would overflow int64")
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = a[:, c] % p
-        nz = np.flatnonzero(col[r:])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-            col[[r, pr]] = col[[pr, r]]
-        a[r, c:] = a[r, c:] % p * pow(int(col[r]), p - 2, p) % p
-        col[r] = 0
-        others = np.flatnonzero(col)
-        if others.size:
-            a[others, c:] -= np.outer(col[others], a[r, c:])
-        pivots.append(c)
-        r += 1
-    return a % p, pivots
+from . import polyring
+from .fields import make_field
 
 
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right null space, one basis vector per row."""
-    a, pivots = rref_mod_p(mat, p)
-    free = [c for c in range(a.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
-    basis[:, free] = np.eye(len(free), dtype=np.int64)
-    basis[:, pivots] = -a[: len(pivots), free].T % p
+    """Basis of the right null space, one basis vector per row: for each
+    free column, in order, the vector that is 1 there and 0 at the other
+    free columns.  `mat` is read, never written."""
+    rows, cols = np.shape(mat)
+    a = (np.asarray(mat, dtype=np.int64) % p).T.copy()[:, None]  # a[column, 1 stack, row]
+    pivots = polyring._eliminate(a, rows, make_field(p, 1))[0]
+    free = sorted(set(range(cols)).difference(pivots.tolist()))
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    held = pivots >= 0
+    basis[:, pivots[held]] = a[free, 0][:, held]
     return basis
 
 
 def inv_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
-    """Matrix inverse mod p, or None if singular."""
-    a = np.array(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    aug, pivots = rref_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), p)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    """Matrix inverse mod p, or None if singular.  The kernel of [A | -I]
+    holds the (x, Ax): its free columns are the last n exactly when A is
+    invertible, and then basis vector i is (column i of A**-1, e_i)."""
+    n = len(mat)
+    basis = kernel_mod_p(np.hstack([np.asarray(mat, dtype=np.int64), -np.eye(n, dtype=np.int64)]), p)
+    if not np.array_equal(basis[:, n:], np.eye(n)):
         return None
-    return aug[:, n:]
+    return basis[:, :n].T

@@ -662,6 +662,50 @@ def _pth_roots(rows: np.ndarray, inverse: np.ndarray, field: Field) -> np.ndarra
     return _fmod(v @ inverse.T, field.p).astype(np.int64).reshape(len(rows), -1, field.m)
 
 
+def _eliminate(a: np.ndarray, eqs: int, field: Field) -> np.ndarray:
+    """Gauss-Jordan elimination over `field`, in place, of all stacks of
+    a[unknown, stack, row] at once; rows below `eqs` are equations, the
+    rest passive.  Returns pivots[stack, row], the unknown an equation row
+    is the pivot of, or -1.  Pivots are scaled to -1 and cleared from every
+    other row, so a[j] at a free unknown j holds the kernel vector that is
+    1 at j and 0 at the other free unknowns: its entry at pivots[r] in
+    equation row r, and a passive row's value on it in that row.
+
+    Step j reads unknown j as a[j] and updates the contiguous block a[j:]
+    whole, gathering stacks only where some hold no pivot at j.  A stack's
+    pivot row is its live row with the largest entry at j; which row it is
+    changes no kernel vector, as those are unique.  The loop ends once
+    every equation row holds a pivot.
+    """
+    add, mul = _elementwise(field)
+    stacks = a.shape[1]
+    pivots = np.full((stacks, eqs), -1)
+    every = np.arange(stacks)
+    for j in range(len(a) if eqs else 0):  # no equation: every unknown free
+        live = a[j, :, :eqs] * (pivots < 0)  # rows that hold a pivot masked out
+        dst = live.argmax(axis=1)
+        lead = live[every, dst]  # 0 where a stack holds no pivot at unknown j
+        if lead.all():
+            hit, on = every, slice(None)
+        else:  # gather the stacks that hold one
+            hit = lead.nonzero()[0]
+            if not len(hit):
+                if pivots.min() >= 0:
+                    break
+                continue
+            on, lead, dst = hit, lead[hit], dst[hit]
+        # an equation row that holds no pivot yet is zero at every earlier
+        # unknown, so adding multiples of it changes unknowns j onwards only
+        sub, k = a[j:, on], every[: len(hit)]
+        scale = np.array([field._neg[field._inv[c]] for c in lead.tolist()], dtype=np.int64)
+        pivot = mul(sub[:, k, dst], scale)  # its entry 0, at unknown j, is -1
+        sub = add(sub, mul(sub[:1], pivot[..., None]))  # the pivot's own row drops to 0
+        sub[:, k, dst] = pivot
+        a[j:, on] = sub
+        pivots[hit, dst] = j
+    return pivots
+
+
 def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | None]:
     """For each stack columns[b] of residues c_1..c_{p-1} mod a monic g of
     degree t (ranks padded to t): the vectors (a_0, ..., a_{p-1}) spanned
@@ -674,23 +718,18 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
     their columns x**i c_k mod g each a shift and a mul/add step from the
     last; a_0 = sum a_k c_k mod g, whose coefficients t//p + 1 .. t - 1 must
     vanish, the rest riding along as passive rows.  There is one unknown
-    more than equations, so the dimension is never 0.  One Gauss-Jordan
-    elimination over GF(q) runs on all stacks at once, each pivot scaled to
-    -1, so a space of dimension 1 is its one free column, read at the pivots.
+    more than equations, so the dimension is never 0.  One `_eliminate`
+    over GF(q) runs on all stacks at once, so a space of dimension 1 is
+    its one free column, read at the pivots into p lists.
 
     The system is held unknown-major, a[unknown, stack, coefficient], one
-    contiguous array with the equation rows first, so step j reads column j
-    as a[j] and updates the contiguous block a[j:] whole; only on a step
-    where some stack holds no pivot are the others gathered.  Held
-    stack-major, every step worked on strided views and copied them back.
-    A stack's pivot row is its row with the largest entry at j among those
-    that hold no pivot yet.  Which row it is changes no output: column j
-    takes a pivot exactly when it is independent of the columns before it,
-    and the vector with a 1 at the one free column is unique.
+    contiguous array with the equation rows first, so each step of the
+    elimination updates a contiguous block; held stack-major, every step
+    worked on strided views and copied them back.
     """
     f = g.field
     add, mul = _elementwise(f)
-    p, t, stacks = f.p, g.degree, len(columns)
+    p, t = f.p, g.degree
     sizes = [(t - k) // p + 1 for k in range(1, p)]  # coefficients of a_k; none once k > t
     unknowns = [(k, i) for i in range(sizes[0]) for k, n in enumerate(sizes) if n > i]
     top, shifts = np.array([f._neg[c] for c in g.coeffs[:t]], dtype=np.int64), [columns]
@@ -703,28 +742,7 @@ def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | 
     # take() copies into C order, where a fancy index on axis 2 would not
     a = np.stack(shifts)[[i for k, i in unknowns], :, [k for k, i in unknowns]]
     a = a.take(np.r_[t // p + 1 : t, : t // p + 1], axis=2)
-    pivots = np.full((stacks, eqs), -1)  # the unknown each equation row is the pivot of
-    every = np.arange(stacks)
-    for j in range(len(unknowns) if eqs else 0):  # t = 1: no equation, one unknown
-        live = a[j, :, :eqs] * (pivots < 0)  # rows that hold a pivot masked out
-        dst = live.argmax(axis=1)
-        lead = live[every, dst]  # 0 where a stack holds no pivot at unknown j
-        if lead.all():
-            hit, on = every, slice(None)
-        else:  # gather the stacks that hold one
-            hit = lead.nonzero()[0]
-            if not len(hit):
-                continue
-            on, lead, dst = hit, lead[hit], dst[hit]
-        # an equation row that holds no pivot yet is zero at every earlier
-        # unknown, so adding multiples of it changes unknowns j onwards only
-        sub, k = a[j:, on], every[: len(hit)]
-        scale = np.array([f._neg[f._inv[c]] for c in lead.tolist()], dtype=np.int64)
-        pivot = mul(sub[:, k, dst], scale)  # its entry 0, at unknown j, is -1
-        sub = add(sub, mul(sub[:1], pivot[..., None]))  # the pivot's own row drops to 0
-        sub[:, k, dst] = pivot
-        a[j:, on] = sub
-        pivots[hit, dst] = j
+    pivots = _eliminate(a, eqs, f)
     out = []
     for b, rows in enumerate(pivots.tolist()):
         free = set(range(len(unknowns))).difference(rows)
