@@ -7,18 +7,17 @@ degree bound, p*deg(a_piv) + piv <= t, assembles into a locator candidate
 sigma = sum x**j a_j**p.  Roots of sigma on the support mark error
 positions, root multiplicities give the magnitudes (e_j = phi * mu_j), and
 every candidate is kept only if it reproduces the received syndrome exactly.
-The rows of every guess take these steps in one array pass: one stack of
-monic sigmas (`polyring._pth_power_compose`), one root finder call on it
-and one parity-check product with the stacked words r - e.
 
-A decode of three or more guesses finds each guess's bounded space, the
-vectors with p*deg(a_j) + j <= t for every j, by one GF(q) elimination
-batched over the guesses (`polyring._bounded_rows`), and reduces a basis
-only where that space has dimension 2 or more.  The weak Popov form is
-reduced for that degree, so at dimension 1 its one degree-valid row spans
-the space; any spanning vector is c * row, its sigma c**p times the row's:
-the same monic sigma, the same candidates.  Fewer guesses reduce every
-basis, which is faster there.
+A decode of three or more guesses solves for each guess's bounded space,
+the vectors with p*deg(a_j) + j <= t for every j: the phi-free parts of
+-v_k = phi*b_k - a_k are shifted by x**i once, then every guess's system
+is formed and one GF(q) elimination runs on all (`polyring._bounded_system`,
+`_bounded_rows`).  The weak Popov form is reduced for that degree, so at
+dimension 1 the kernel vector is c times its one degree-valid row, with
+the same monic sigma.  A basis is reduced at dimension 2 or more, and in
+decodes of fewer guesses, where that is faster.  Every row then takes one
+array pass: a stack of monic sigmas (`_pth_power_compose`), one root
+finder call and one parity-check product with the stacked words r - e.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import NotInvertibleError, ParamError, check_integers
 from .goppa import ErrorPattern, GoppaCode
-from .polyring import Poly, _bounded_rows, _check_poly, _digit_split, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
+from .polyring import Poly, _bounded_rows, _bounded_system, _check_poly, _pth_power_compose, _pth_roots, _root_multiplicities, _shifts_mod, inv_mod, pth_power_decompose, pth_root_mod
 from .popov import weak_popov_reduce
 
 
@@ -61,38 +60,38 @@ def key_lattices(code: GoppaCode, s: Poly) -> list[list[list[Poly]]]:
     Row 0 of each is (g, 0, ..., 0); row k is (-v_k, 0, .., 1, .., 0) with
     v_k**p == x**k - phi*k*x**(k-1)/s (mod g).  The p-th root mod a
     square-free g is additive and fixes GF(p), so -v_k = phi*b_k - a_k with
-    a_k = root(x**k) and b_k = k*root(x**(k-1)/s).  The code keeps its a_k
-    from its first decode on; the x**(k-1)/s mod g are stacked and every
-    b_k comes from one product, and the (p-1)**2 entries phi*b_k - a_k are
-    one expression on GF(p) digits (`_key_columns`).
+    a_k = root(x**k) and b_k = k*root(x**(k-1)/s), phi-free GF(p) digits
+    (`_key_parts`): the code keeps its a_k from its first decode on, and
+    every b_k comes from one product.  The solve shifts them before it
+    applies phi (`polyring._bounded_system`); a basis applies it at once.
     Raises NotInvertibleError when s is not invertible mod g, and
     ParamError when s is not over the code's field with ranks in [0, q).
     """
-    return [_basis(code.g, col) for col in _key_columns(code, s).tolist()]
+    _check_poly(s, code.field, "syndrome")
+    return _bases(code.g, *_key_parts(code, s), range(1, code.field.p))
 
 
-def _key_columns(code: GoppaCode, s: Poly) -> np.ndarray:
-    """Entry 0 of rows 1..p-1 of every `key_lattices` basis, as a (p-1, p-1,
-    t) array of coefficient ranks: [phi - 1, k - 1] holds -v_k."""
+def _key_parts(code: GoppaCode, s: Poly) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the (p-1, t, m) GF(p) digits of the code's a_k and of b_k."""
     f = code.field
-    _check_poly(s, f, "syndrome")
-    p, t = f.p, code.t
-    g = code.g
     inverse, a = code.pth_roots(pth_root_mod)
-    scales = np.arange(1, p)  # k, and phi, in 1..p-1
-    b = _pth_roots(_shifts_mod(inv_mod(s, g), g, p - 1), inverse, f) * scales[:, None, None]
-    a_ranks = np.zeros((p - 1, t), dtype=np.int64)
-    for row, ak in zip(a_ranks, a):
-        row[: len(ak.coeffs)] = ak.coeffs
-    return (scales[:, None, None, None] * b - _digit_split(a_ranks, f)) % p @ p ** np.arange(f.m)
+    return a, _pth_roots(_shifts_mod(inv_mod(s, code.g), code.g, f.p - 1), inverse, f) * np.arange(1, f.p)[:, None, None] % f.p
 
 
-def _basis(g: Poly, col: Sequence[Sequence[int]]) -> list[list[Poly]]:
-    """The key lattice (g, 0, ..., 0), (col[k-1], 0, .., 1, .., 0) as fresh rows."""
+def _bases(g: Poly, a: np.ndarray, b: np.ndarray, phis: Sequence[int]) -> list[list[list[Poly]]]:
+    """The key lattice (g, 0, ..., 0), (phi*b_k - a_k, 0, .., 1, .., 0) of
+    each phi in phis, from `_key_parts`, as fresh rows."""
     f = g.field
     zero, one = Poly.zero(f), Poly.one(f)
     units = [[one if j == k else zero for j in range(1, f.p)] for k in range(1, f.p)]
-    return [[g] + [zero] * (f.p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)]
+    columns = (np.array(phis, dtype=np.int64)[:, None, None, None] * b - a) % f.p @ f.p ** np.arange(f.m)
+    return [[[g] + [zero] * (f.p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)] for col in columns.tolist()]
+
+
+def _padded(rows: Sequence[Sequence[Poly]], width: int) -> np.ndarray:
+    """Rows of polynomials as a (rows, entries, >= width) array of ranks, zero-padded."""
+    width = max([width] + [len(e.coeffs) for row in rows for e in row])
+    return np.array([[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in rows], dtype=np.int64)
 
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
@@ -103,7 +102,7 @@ def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
     f = a[0].field if a else None
     if f is None or len(a) != f.p or any(aj.field is not f and aj.field != f for aj in a):
         raise ParamError("a locator row must be p polynomials over one field")
-    kept, sigmas = _pth_power_compose([[aj.coeffs for aj in a]], t, f)
+    kept, sigmas = _pth_power_compose(_padded([a], 1), t, f)
     return Poly(f, sigmas[0].tolist()) if kept else None
 
 
@@ -135,8 +134,9 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     (distinct phi can yield distinct valid codewords): the degree-valid rows
     of every guess, reduced or solved (module docstring), go through one
     array pass, and candidates are deduplicated in (phi ascending, row)
-    discovery order.  Codeword entries are ints, whatever the word's dtype.
-    ParamError unless every scale guess is an integer in [1, p).
+    discovery order, by a stable sort of the verified rows.  Codeword
+    entries are ints, whatever the word's dtype.  ParamError unless every
+    scale guess is an integer in [1, p).
     """
     f = code.field
     p = f.p
@@ -150,21 +150,23 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
     if s_poly.is_zero():
         return DecodeOutcome([Candidate(tuple(word.tolist()), ErrorPattern((0,) * n), 0, Poly.one(f))])
     try:
-        columns = _key_columns(code, s_poly)[[phi - 1 for phi in tried]]
+        a, b = _key_parts(code, s_poly)
     except NotInvertibleError:
         return DecodeOutcome([])
-    solved = _bounded_rows(code.g, columns) if len(tried) >= 3 else [None] * len(tried)
-    rows, guesses = [], []
-    for phi, col, found in zip(tried, columns, solved):
-        found = found or [[entry.coeffs for entry in row] for row in weak_popov_reduce(_basis(code.g, col.tolist()))]
-        rows += found
-        guesses += [phi] * len(found)
-    kept, sigmas = _pth_power_compose(rows, code.t, f)
+    solved, found = [False] * len(tried), np.zeros((0, p, 1), dtype=np.int64)  # fewer guesses reduce every basis
+    if len(tried) >= 3:
+        solved, found = _bounded_rows(_bounded_system(code.mul_x, a, b, tried, f), f)
+    left = [phi for phi, ok in zip(tried, solved) if not ok]
+    guesses = [phi for phi, ok in zip(tried, solved) if ok] + [phi for phi in left for _ in range(p)]
+    if left:  # the solved rows, then the reduced ones, composed at once
+        rows = _padded([row for basis in _bases(code.g, a, b, left) for row in weak_popov_reduce(basis)], found.shape[2])
+        found = np.concatenate([np.pad(found, [(0, 0), (0, 0), (0, rows.shape[2] - found.shape[2])]), rows]) if len(found) else rows
+    kept, sigmas = _pth_power_compose(found, code.t, f)
     errors = np.array(guesses, dtype=np.int64)[kept, None] * _root_multiplicities(f, sigmas, code.L, code.t) % p
     words = (word - errors) % p  # e reproduces the syndrome iff r - e has none
     outcome = DecodeOutcome([])
     seen: set[tuple[int, ...]] = set()
-    for i in np.flatnonzero(~(code.Hbar @ words.T % p).any(axis=0)).tolist():
+    for i in sorted(np.flatnonzero(~(code.Hbar @ words.T % p).any(axis=0)).tolist(), key=lambda i: guesses[kept[i]]):
         codeword = tuple(words[i].tolist())
         if codeword not in seen:
             seen.add(codeword)

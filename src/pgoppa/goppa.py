@@ -3,8 +3,8 @@
 A code is determined by a support L of distinct field elements and a
 monic square-free generator g with g(L_i) != 0.  The trace expansion over
 GF(p) of the parity-check matrix is cached eagerly; the codeword kernel
-basis and the p-th-root data (`pth_roots`) are made on first use.  Support
-order is part of the code identity and of the serialized form.
+basis, the p-th-root data (`pth_roots`) and x's matrix mod g (`mul_x`) are
+made on first use.  Support order is part of the code and its file form.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .polyring import (
     _digit_split,
     _elementwise,
     _frobenius_inverse,
+    _mul_x_matrix,
     _synthetic_division,
     inv_mod,
     is_square_free,
@@ -98,7 +99,7 @@ def _check_shape(q: int, m: int, t: int, n: int) -> None:
 class GoppaCode:
     """Immutable Goppa code with a cached GF(p) parity-check matrix."""
 
-    __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel", "_frobenius", "_roots")
+    __slots__ = ("field", "L", "g", "n", "t", "Hbar", "_kernel", "_frobenius", "_roots", "_mul_x")
 
     def __init__(self, field: Field, support: Sequence[int], g: Poly):
         if g.field != field:
@@ -125,7 +126,7 @@ class GoppaCode:
         self.n = n
         self.t = t
         self.Hbar = self._expand_trace(self._build_parity_check())
-        self._kernel = self._roots = None
+        self._kernel = self._roots = self._mul_x = None
         self._frobenius = None  # g's p-Frobenius matrix, when build_code has it
 
     # -- parity checks -------------------------------------------------------
@@ -187,16 +188,24 @@ class GoppaCode:
             self._kernel = modp.kernel_mod_p(self.Hbar, self.field.p)
         return self._kernel
 
-    def pth_roots(self, root) -> tuple[np.ndarray, list[Poly]]:
-        """(F**-1, [a_1, ..., a_{p-1}]): the inverse p-Frobenius matrix mod g
-        and the roots a_k = root(x**k, g, inverse=F**-1), made on first use by
-        `root`, a function like `pth_root_mod`.  F is the screen's matrix when
-        build_code had one, and is built from g otherwise."""
+    def pth_roots(self, root) -> tuple[np.ndarray, np.ndarray]:
+        """(F**-1, a): the inverse p-Frobenius matrix mod g and the (p-1, t, m)
+        GF(p) digits of the roots a_k = root(x**k, g, inverse=F**-1), made on
+        first use by `root`, a function like `pth_root_mod`.  F is the screen's
+        matrix when build_code had one, and is built from g otherwise."""
         if self._roots is None:
             f, g = self.field, self.g
             inverse = _frobenius_inverse(g, self._frobenius)
-            self._roots = inverse, [root(Poly.monomial(f, k), g, inverse=inverse) for k in range(1, f.p)]
+            roots = [root(Poly.monomial(f, k), g, inverse=inverse).coeffs for k in range(1, f.p)]
+            self._roots = inverse, _digit_split(np.array([r + (0,) * (self.t - len(r)) for r in roots]), f)
         return self._roots
+
+    @property
+    def mul_x(self) -> np.ndarray:
+        """g's `_mul_x_matrix`, made on first use: by a decode that solves."""
+        if self._mul_x is None:
+            self._mul_x = _mul_x_matrix(self.field, np.array([self.g.coeffs]))[0]
+        return self._mul_x
 
     @property
     def dimension(self) -> int:

@@ -406,30 +406,39 @@ def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return np.eye(a.shape[-1]) if power is None else power
 
 
+def _mul_x_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
+    """GF(p) matrices C, C @ digits(f) = digits(x*f mod g), for each monic row
+    g of gc (as in `_frobenius_matrix`), in `_exact_products`' dtype for side
+    m*t; the last block, -y**k * (g - x**t), takes m*t field products."""
+    p, m = field.p, field.m
+    rows, dim = gc.shape[0], m * (gc.shape[1] - 1)
+    top = _elementwise(field)[1](np.array([field.neg(p**k) for k in range(m)])[:, None], gc[:, None, :-1])
+    mul_x = np.zeros((rows, dim, dim), dtype=_exact_products(p, dim)[0])
+    mul_x[:, np.arange(m, dim), np.arange(dim - m)] = 1
+    mul_x[:, :, -m:] = _digit_split(top, field).transpose(0, 2, 3, 1).reshape(rows, dim, m)
+    return mul_x
+
+
 def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     """GF(p) matrices of y -> y**p on GF(q)[x]/g, one for each monic row
     g = sum gc[k, i] x**i of gc, stacked as a float (K, m*t, m*t) array.
 
-    Coordinate j*m + k is digit k of the coefficient of x**j.  With C the
-    matrix of multiplication by x (its last block, -y**k * (g - x**t), takes
-    m*t field products), block j of the result is (C**p)**j applied to the
-    digits of (y**k)**p, k < m: while j*p < t, those digits placed at
-    x**(j*p), with no product.  `_exact_products` picks the dtype (float32
-    while one product, m*t*(p-1)**2, stays below 2**24, as everywhere on
-    the experiment grid, where it is below 12,000) and how many blocks the
-    recurrence takes between reductions mod p; all of F is reduced at the
-    end, and ParamError is raised where not even float64 holds one product.
+    Coordinate j*m + k is digit k of the coefficient of x**j.  Block j is
+    (C**p)**j, C g's `_mul_x_matrix`, applied to the digits of (y**k)**p,
+    k < m: while j*p < t, those digits placed at x**(j*p), with no product.
+    `_exact_products` picks the dtype (float32 while one product,
+    m*t*(p-1)**2, stays below 2**24, as everywhere on the experiment grid,
+    where it is below 12,000) and how many blocks the recurrence takes
+    between reductions mod p; all of F is reduced at the end, and
+    ParamError is raised where not even float64 holds one product.
     """
     p, m = field.p, field.m
     rows, t = gc.shape[0], gc.shape[1] - 1
     dim = m * t
     dtype, every = _exact_products(p, dim)
     ys = [p**k for k in range(m)]  # the ranks of y**k
-    top = _elementwise(field)[1](np.array([field.neg(y) for y in ys])[:, None], gc[:, None, :t])
     eye = np.eye(dim, dtype=dtype)
-    mul_x = np.empty((rows, dim, dim), dtype=dtype)
-    mul_x[:, :, :-m] = eye[:, m:]
-    mul_x[:, :, -m:] = _digit_split(top, field).transpose(0, 2, 3, 1).reshape(rows, dim, m)
+    mul_x = _mul_x_matrix(field, gc)
     if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
         mul_xp = _power_mod(mul_x, p, p)
     else:  # block i of C**p, column k: digits of y**k x**(p + i) mod g
@@ -588,31 +597,22 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
     return [Poly(fld, map(fld.pth_root, f.coeffs[k :: fld.p])) for k in range(fld.p)]
 
 
-def _pth_power_compose(rows: Sequence[Sequence[Sequence[int]]], t: int, field: Field) -> tuple[list[int], np.ndarray]:
-    """(kept, sigmas): the indices of the rows (a_0, ..., a_{p-1}) of trimmed
-    coefficient lists that are nonzero and meet every bound deg(a_k) <=
-    (t - k) // p, and a row of t + 1 ranks of each one's monic sigma = sum
-    x**k * a_k**p, the inverse of `pth_power_decompose`.  As k < p,
-    p*deg(a_k) + k is largest at the row's pivot (ties go right), so one
-    comparison there decides every bound before any power is taken, and is
-    the degree of sigma, nonzero as the p parts differ in degree mod p.
-    Coefficient i of a_k, raised to the p-th power by one `_ppow` lookup,
-    is coefficient p*i + k, a slot no other term takes."""
-    p, ppow = field.p, field._ppow
-    kept, sigmas, scales = [], [], []
-    for r, a in enumerate(rows):
-        piv = _pivot(a) - 1
-        top = p * (len(a[piv]) - 1) + piv
-        if piv < 0 or top > t:
-            continue
-        sigma = [0] * (t + 1)
-        for k, ak in enumerate(a):
-            sigma[k : k + p * len(ak) : p] = [ppow[c] for c in ak]
-        kept.append(r)
-        sigmas.append(sigma)
-        scales.append(field._inv[sigma[top]])
-    stack = np.array(sigmas, dtype=np.int64).reshape(len(kept), t + 1)
-    return kept, _elementwise(field)[1](stack, np.array(scales, dtype=np.int64)[:, None])
+def _pth_power_compose(rows: np.ndarray, t: int, field: Field) -> tuple[list[int], np.ndarray]:
+    """(kept, sigmas): which rows (a_0, ..., a_{p-1}) of a (rows, p, width >= 1)
+    array of zero-padded ranks are nonzero and meet every deg(a_k) <= (t-k)//p,
+    and t + 1 ranks of each one's monic sigma = sum x**k * a_k**p, in one
+    array pass.  A nonzero a_k[i] lands, p-th powered by `_ppow`, at x**(p*i
+    + k), no other term's slot; the top slot, at the row's pivot, decides
+    every bound before any power is taken and is the degree of sigma."""
+    p, width = field.p, rows.shape[2]
+    top = ((rows != 0) * (p * np.arange(width) + np.arange(1, p + 1)[:, None])).max(axis=(1, 2)) - 1  # -1: zero row
+    kept = np.flatnonzero((top >= 0) & (top <= t))
+    live = rows[kept]
+    r, k, i = live.nonzero()
+    sigmas = np.zeros((len(kept), t + 1), dtype=np.int64)
+    sigmas[r, p * i + k] = [field._ppow[c] for c in live[r, k, i].tolist()]
+    scales = [field._inv[c] for c in sigmas[np.arange(len(kept)), top[kept]].tolist()]
+    return kept.tolist(), _elementwise(field)[1](sigmas, np.array(scales, dtype=np.int64)[:, None])
 
 
 def _frobenius_inverse(g: Poly, frob: np.ndarray | None = None) -> np.ndarray:
@@ -684,20 +684,20 @@ def _eliminate(a: np.ndarray, eqs: int, field: Field) -> np.ndarray:
     for j in range(len(a) if eqs else 0):  # no equation: every unknown free
         live = a[j, :, :eqs] * (pivots < 0)  # rows that hold a pivot masked out
         dst = live.argmax(axis=1)
-        lead = live[every, dst]  # 0 where a stack holds no pivot at unknown j
-        if lead.all():
-            hit, on = every, slice(None)
+        lead = live[every, dst].tolist()  # 0 where a stack holds no pivot at unknown j
+        if all(lead):
+            hit, on, k = every, slice(None), every
         else:  # gather the stacks that hold one
-            hit = lead.nonzero()[0]
+            hit = np.flatnonzero(lead)
             if not len(hit):
                 if pivots.min() >= 0:
                     break
                 continue
-            on, lead, dst = hit, lead[hit], dst[hit]
+            on, lead, dst, k = hit, [c for c in lead if c], dst[hit], every[: len(hit)]
         # an equation row that holds no pivot yet is zero at every earlier
         # unknown, so adding multiples of it changes unknowns j onwards only
-        sub, k = a[j:, on], every[: len(hit)]
-        scale = np.array([field._neg[field._inv[c]] for c in lead.tolist()], dtype=np.int64)
+        sub = a[j:, on]
+        scale = np.array([field._neg[field._inv[c]] for c in lead], dtype=np.int64)
         pivot = mul(sub[:, k, dst], scale)  # its entry 0, at unknown j, is -1
         sub = add(sub, mul(sub[:1], pivot[..., None]))  # the pivot's own row drops to 0
         sub[:, k, dst] = pivot
@@ -706,60 +706,49 @@ def _eliminate(a: np.ndarray, eqs: int, field: Field) -> np.ndarray:
     return pivots
 
 
-def _bounded_rows(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | None]:
-    """For each stack columns[b] of residues c_1..c_{p-1} mod a monic g of
-    degree t (ranks padded to t): the vectors (a_0, ..., a_{p-1}) spanned
-    by (g, 0, ..., 0) and the (c_k, 0, .., 1, .., 0) with p*deg(a_j) + j <= t
-    for every j, as [row], a row of p trimmed coefficient lists spanning
-    them, where they form a space of dimension 1, and None where it is 2
-    or more.  `columns` is read, never written.
+@lru_cache(maxsize=8)
+def _solve_layout(p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The solve's unknowns, a_k[i] for i <= (t-k)//p, k = 1..p-1, i-major:
+    `take` indices into `_bounded_system`'s digit rows, [shift, part, k - 1,
+    coefficient], equations first, and flat indices into a solved row."""
+    i, k = np.nonzero(np.arange((t - 1) // p + 1)[:, None] <= (t - np.arange(1, p)) // p)
+    at = (i * 2 * (p - 1) + k)[:, None] * t + np.arange(t // p + 1, t // p + 1 + t) % t
+    return np.stack([at, at + (p - 1) * t])[:, :, None], (k + 1) * (t // p + 1) + i
 
-    The unknowns are the coefficients of a_k, k >= 1, deg(a_k) <= (t-k)//p,
-    their columns x**i c_k mod g each a shift and a mul/add step from the
-    last; a_0 = sum a_k c_k mod g, whose coefficients t//p + 1 .. t - 1 must
-    vanish, the rest riding along as passive rows.  There is one unknown
-    more than equations, so the dimension is never 0.  One `_eliminate`
-    over GF(q) runs on all stacks at once, so a space of dimension 1 is
-    its one free column, read at the pivots into p lists.
 
-    The system is held unknown-major, a[unknown, stack, coefficient], one
-    contiguous array with the equation rows first, so each step of the
-    elimination updates a contiguous block; held stack-major, every step
-    worked on strided views and copied them back.
-    """
-    f = g.field
-    add, mul = _elementwise(f)
-    p, t = f.p, g.degree
-    sizes = [(t - k) // p + 1 for k in range(1, p)]  # coefficients of a_k; none once k > t
-    unknowns = [(k, i) for i in range(sizes[0]) for k, n in enumerate(sizes) if n > i]
-    top, shifts = np.array([f._neg[c] for c in g.coeffs[:t]], dtype=np.int64), [columns]
-    for _ in range(1, sizes[0]):  # x * c: up one place, its x**t replaced by -(g - x**t)
-        c, up = shifts[-1], np.zeros_like(columns)
-        up[..., 1:] = c[..., :-1]
-        shifts.append(add(up, mul(c[..., -1:], top)))
-    eqs = t - 1 - t // p
-    # a[unknown, stack, coefficient], the equations' coefficients first;
-    # take() copies into C order, where a fancy index on axis 2 would not
-    a = np.stack(shifts)[[i for k, i in unknowns], :, [k for k, i in unknowns]]
-    a = a.take(np.r_[t // p + 1 : t, : t // p + 1], axis=2)
-    pivots = _eliminate(a, eqs, f)
-    out = []
-    for b, rows in enumerate(pivots.tolist()):
-        free = set(range(len(unknowns))).difference(rows)
-        if len(free) > 1:
-            out.append(None)
-            continue
-        j = free.pop()
-        row = [a[j, b, eqs:].tolist()] + [[0] * n for n in sizes]
-        for n, c in [(j, 1), *zip(rows, a[j, b, :eqs].tolist())]:
-            if n >= 0:
-                k, i = unknowns[n]
-                row[k + 1][i] = c
-        for c in row:  # trimmed, as `_pivot` reads degrees off lengths
-            while c and not c[-1]:
-                c.pop()
-        out.append([row])
-    return out
+def _bounded_system(mul_x: np.ndarray, a: np.ndarray, b: np.ndarray, phis: Sequence[int], field: Field) -> np.ndarray:
+    """`_bounded_rows`' system for the key columns phi*b_k - a_k mod g, each
+    phi in phis, from the (p-1, t, m) GF(p) digits of a_k and b_k (read only).
+    Unknown (k, i)'s column is phi*(x**i b_k) - x**i a_k mod g: the 2(p-1)
+    digit rows shift first, one float product with mul_x (g's `_mul_x_matrix`)
+    each, then every guess goes straight into a[unknown, stack, coefficient]."""
+    p, m, t = field.p, field.m, a.shape[1]
+    shifts, mul_x = [np.concatenate([a, b]).reshape(2 * (p - 1), t * m).astype(mul_x.dtype)], mul_x.T
+    for _ in range((t - 1) // p):
+        shifts.append(_fmod(shifts[-1] @ mul_x, p))
+    a, b = np.stack(shifts).reshape(-1, m).take(_solve_layout(p, t)[0], axis=0)  # [unknown, 1, coefficient, digit]
+    return _fmod(np.array(phis, dtype=a.dtype)[:, None, None] * b - a, p).astype(np.int64) @ p ** np.arange(m)
+
+
+def _bounded_rows(a: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(solved, rows) for a `_bounded_system` a, columns c_1..c_{p-1} mod g of
+    degree t: solved[stack] is True where the (a_0, ..., a_{p-1}) spanned by
+    (g, 0, ..., 0) and the (c_k, 0, .., 1, .., 0) with p*deg(a_j) + j <= t
+    for every j form a space of dimension 1, not 2 or more, and rows[r], (p,
+    t//p + 1) ranks, spans the r-th such space.  a_0 = sum a_k c_k mod g
+    must vanish at x**(t//p + 1) .. x**(t - 1), the equations; there is one
+    unknown more, so d = 1 where all hold a pivot after one `_eliminate`, in
+    place on a, and a[free] is every such stack's kernel vector at once."""
+    p, t = field.p, a.shape[2]
+    eqs, width = t - 1 - t // p, t // p + 1
+    pivots = _eliminate(a, eqs, field)
+    solved = (pivots >= 0).all(axis=1)
+    free = len(a) * (len(a) - 1) // 2 - pivots[solved].sum(axis=1)  # the unknowns' sum less the pivots'
+    values, x = a[free, solved], np.ones((len(free), len(a)), dtype=np.int64)
+    x[np.arange(len(free))[:, None], pivots[solved]] = values[:, :eqs]
+    rows = np.zeros((len(free), p * width), dtype=np.int64)
+    rows[:, :width], rows[:, _solve_layout(p, t)[1]] = values[:, eqs:], x
+    return solved, rows.reshape(-1, p, width)
 
 
 def pth_root_mod(z: Poly, g: Poly, *, inverse: np.ndarray | None = None) -> Poly:

@@ -401,10 +401,32 @@ def bounded_dimension(rows: Sequence[Sequence[Poly]], t: int) -> int:
     return total
 
 
+def bounded_system_reference(g: Poly, columns: np.ndarray) -> np.ndarray:
+    """The unknown-major system a[unknown, stack, coefficient] that
+    `polyring._bounded_system` builds, from the combined key columns: each
+    stack columns[b] of residues c_1..c_{p-1} mod a monic g of degree t
+    (ranks padded to t) shifted by x**i in GF(q) arithmetic, the shifts
+    stacked and the unknowns' columns picked by a fancy index, then the
+    coefficients reordered by take(), the equations' t//p + 1 .. t - 1
+    first and the passive 0 .. t//p after."""
+    f = g.field
+    add, mul = _elementwise(f)
+    p, t = f.p, g.degree
+    sizes = [(t - k) // p + 1 for k in range(1, p)]  # coefficients of a_k; none once k > t
+    unknowns = [(k, i) for i in range(sizes[0]) for k, n in enumerate(sizes) if n > i]
+    top, shifts = np.array([f._neg[c] for c in g.coeffs[:t]], dtype=np.int64), [columns]
+    for _ in range(1, sizes[0]):  # x * c: up one place, its x**t replaced by -(g - x**t)
+        c, up = shifts[-1], np.zeros_like(columns)
+        up[..., 1:] = c[..., :-1]
+        shifts.append(add(up, mul(c[..., -1:], top)))
+    a = np.stack(shifts)[[i for k, i in unknowns], :, [k for k, i in unknowns]]
+    return a.take(np.r_[t // p + 1 : t, : t // p + 1], axis=2)
+
+
 def bounded_rows_reference(g: Poly, columns: np.ndarray) -> list[list[list[list[int]]] | None]:
     """`polyring._bounded_rows` as a stack-major elimination, a[stack,
     coefficient, unknown], which gathers the stacks that hold a pivot on
-    every step; the solve must return exactly its lists.
+    every step; the solve's rows, trimmed into lists, must equal its lists.
 
     For each stack columns[b] of residues c_1..c_{p-1} mod a monic g of
     degree t (ranks padded to t): the vectors (a_0, ..., a_{p-1}) spanned

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pgoppa import decoder, modp
+from pgoppa import decoder, goppa, modp
 from pgoppa.decoder import (
     assemble_locator,
     decode,
@@ -18,7 +18,17 @@ from pgoppa.decoder import (
 from pgoppa.errors import NotInvertibleError, ParamError
 from pgoppa.fields import Field, make_field
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _bounded_rows, _pth_power_compose, _root_multiplicities, inv_mod, pth_power_decompose, pth_root_mod, random_irreducible
+from pgoppa.polyring import (
+    Poly,
+    _bounded_rows,
+    _bounded_system,
+    _pth_power_compose,
+    _root_multiplicities,
+    inv_mod,
+    pth_power_decompose,
+    pth_root_mod,
+    random_irreducible,
+)
 from pgoppa.popov import weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
@@ -26,6 +36,7 @@ from oracles import (
     assemble_locator_reference,
     bounded_dimension,
     bounded_rows_reference,
+    bounded_system_reference,
     evaluate,
     locator_from_error,
     magnitude_profile,
@@ -278,7 +289,8 @@ def test_decoder_roots_equal_roots_built_from_g():
     for code in codes:
         f, g = code.field, code.g
         inverse, a = code.pth_roots(pth_root_mod)
-        assert a == [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, f.p)]
+        assert a.shape == (f.p - 1, code.t, f.m)
+        assert [Poly(f, row.tolist()) for row in a @ f.p ** np.arange(f.m)] == [pth_root_mod(Poly.monomial(f, k), g) for k in range(1, f.p)]
         for _ in range(5):
             z = Poly(f, [rng.randrange(f.q) for _ in range(2 * code.t)])
             assert pth_root_mod(z, g, inverse=inverse) == pth_root_mod(z, g)
@@ -696,47 +708,99 @@ SOLVE_BLOCKS = [(2, 3, 2, True), (3, 2, 4, True), (3, 3, 4, False), (5, 2, 3, Fa
                 (7, 1, 3, True), (7, 2, 1, True), (5, 4, 3, True)]
 
 
+def key_columns(code, s, phis):
+    """Entry 0 of rows 1..p-1 of each phi's `key_lattices` basis, as a
+    (len(phis), p-1, t) array of ranks, zero-padded."""
+    bases, t = key_lattices(code, s), code.t
+    cols = [[row[0].coeffs + (0,) * (t - len(row[0].coeffs)) for row in bases[phi - 1][1:]] for phi in phis]
+    return np.array(cols, dtype=np.int64).reshape(len(phis), code.field.p - 1, t)
+
+
+def solve_all(code, s):
+    """The solve over every scale guess of syndrome s, as decode runs it."""
+    f = code.field
+    a, b = decoder._key_parts(code, s)
+    return _bounded_rows(_bounded_system(code.mul_x, a, b, range(1, f.p), f), f)
+
+
+def as_lists(solved, rows):
+    """`_bounded_rows`' (solved, rows) in `oracles.bounded_rows_reference`'s
+    form: [row] of p trimmed coefficient lists per solved stack, else None."""
+    found, out = iter(rows.tolist()), []
+    for ok in solved.tolist():
+        row = next(found) if ok else None
+        for c in row or ():
+            while c and not c[-1]:
+                c.pop()
+        out.append(row and [row])
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
-def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
-    # one row where the weak Popov form bounds a space of dimension 1, as p
-    # trimmed coefficient lists of ranks, with the monic sigma of its one
-    # degree-valid row; None where it is 2 or more; never 0, as the
-    # unknowns outnumber the equations by one
+@given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1), st.data())
+def test_bounded_system_equals_the_rank_shift_reference(block, seed, data):
+    # the system built by shifting the two phi-free digit parts, then
+    # forming phi*b - a, equals the one built by shifting each guess's
+    # combined rank columns in GF(q) arithmetic, for any set of guesses
     p, m, t, irreducible = block
     rng = SplitMix64(seed)
     code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
     f = code.field
     s = invertible_syndrome(code, rng)
-    solved = _bounded_rows(code.g, decoder._key_columns(code, s))
-    for basis, rows in zip(key_lattices(code, s), solved, strict=True):
+    a, b = decoder._key_parts(code, s)
+    phis = sorted(data.draw(st.sets(st.integers(1, p - 1), min_size=1)))
+    system = _bounded_system(code.mul_x, a, b, phis, f)
+    want = bounded_system_reference(code.g, key_columns(code, s, phis))
+    assert system.dtype == np.int64 and system.flags.c_contiguous
+    assert np.array_equal(system, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
+def test_bounded_rows_follow_the_dimension_of_the_reduced_basis(block, seed):
+    # one row where the weak Popov form bounds a space of dimension 1, as p
+    # zero-padded coefficient rows of ranks within the bounds, with the
+    # monic sigma of its one degree-valid row; none where it is 2 or more;
+    # never 0, as the unknowns outnumber the equations by one
+    p, m, t, irreducible = block
+    rng = SplitMix64(seed)
+    code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
+    f = code.field
+    s = invertible_syndrome(code, rng)
+    solved, rows = solve_all(code, s)
+    assert solved.dtype == bool and rows.dtype == np.int64
+    assert rows.shape == (solved.sum(), p, t // p + 1)
+    assert ((0 <= rows) & (rows < f.q)).all()
+    for k in range(1, p):
+        assert not rows[:, k, max(0, (t - k) // p + 1) :].any()  # deg(a_k) <= (t - k) // p
+    found = iter(rows)
+    for basis, ok in zip(key_lattices(code, s), solved.tolist(), strict=True):
         reduced = weak_popov_reduce(basis)
         d = bounded_dimension(reduced, t)
         assert d >= 1
-        assert (rows is None) == (d >= 2)
-        if rows is not None:
-            assert len(rows) == 1 and len(rows[0]) == p
-            for c in rows[0]:
-                assert type(c) is list and (not c or c[-1]) and all(type(x) is int and 0 <= x < f.q for x in c)
-            kept, sigmas = _pth_power_compose(rows, t, f)
-            want_kept, want = _pth_power_compose([[e.coeffs for e in row] for row in reduced], t, f)
-            assert kept == [0] and len(want_kept) == 1
-            assert sigmas.tolist() == want.tolist()
+        assert ok == (d == 1)
+        if ok:
+            kept, sigmas = _pth_power_compose(next(found)[None], t, f)
+            want = [sigma for sigma in map(lambda row: assemble_locator(row, t), reduced) if sigma is not None]
+            assert kept == [0] and len(want) == 1
+            assert Poly(f, sigmas[0].tolist()) == want[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SOLVE_BLOCKS), st.integers(0, 2**64 - 1))
 def test_bounded_rows_equal_the_stack_major_reference(block, seed):
-    # the same lists, None in the same places, as the stack-major
-    # elimination, with crafted stacks in one call next to the key columns
-    # of a drawn syndrome: all zero, c_2 = c_1 and a zero residue c_k.
-    # Their free columns come before the last one, and the all-zero
-    # stack's space has dimension 2 or more wherever there is an equation,
-    # so every such example runs a step where only some stacks hold a pivot
+    # the same rows, none in the same places, as the stack-major
+    # elimination, with crafted stacks in one system next to the key
+    # columns of a drawn syndrome, all built by the rank-shift reference:
+    # all zero, c_2 = c_1 and a zero residue c_k.  Their free columns come
+    # before the last one, and the all-zero stack's space has dimension 2
+    # or more wherever there is an equation, so every such example runs a
+    # step where only some stacks hold a pivot
     p, m, t, irreducible = block
     rng = SplitMix64(seed)
     code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng, irreducible_only=irreducible)
-    drawn = decoder._key_columns(code, invertible_syndrome(code, rng))
+    f = code.field
+    drawn = key_columns(code, invertible_syndrome(code, rng), range(1, p))
     zero, twin, gap = np.zeros_like(drawn[0]), drawn[0].copy(), drawn[-1].copy()
     twin[1:2] = twin[0]  # c_2 = c_1 where p >= 3
     gap[rng.randrange(p - 1)] = 0
@@ -746,7 +810,7 @@ def test_bounded_rows_equal_the_stack_major_reference(block, seed):
     columns = np.stack(stacks)
     eqs = t - 1 - t // p
     assume(eqs == 0 or columns[:, 0, t // p + 1 :].any())  # some stack holds a pivot at unknown 0
-    solved = _bounded_rows(code.g, columns)
+    solved = as_lists(*_bounded_rows(bounded_system_reference(code.g, columns), f))
     assert solved == bounded_rows_reference(code.g, columns)
     if eqs:
         assert solved[next(b for b, c in enumerate(stacks) if c is zero)] is None
@@ -754,21 +818,50 @@ def test_bounded_rows_equal_the_stack_major_reference(block, seed):
 
 @pytest.mark.parametrize("block", [(5, 2, 12, 25), (5, 4, 3, 3), (7, 2, 1, 3)])
 def test_bounded_rows_leave_their_columns_unchanged(block):
-    # decode reads its key columns again to build the basis of a guess it
-    # reduces, so a solve that wrote through them would corrupt that
-    # fallback without an error; columns passed whole and as views
+    # the solve's inputs are the code's own a_k digits and mul_x, which
+    # every later decode reads again, and the b_k digits; a solve that wrote
+    # through them would corrupt those decodes without an error.  Inputs
+    # passed whole and as views; the system is a new array, which the
+    # elimination may overwrite
     p, m, t, seed = block
     rng = SplitMix64(seed)
     code = build_code(p, m, t, 40 if p**m > 512 else None, rng=rng)
-    columns = decoder._key_columns(code, invertible_syndrome(code, rng))
-    before = columns.copy()
-    for view in (columns, columns[1:], columns[::-1], columns[..., ::-1]):
-        _bounded_rows(code.g, view)
-        assert np.array_equal(columns, before)
+    f = code.field
+    a, b = decoder._key_parts(code, invertible_syndrome(code, rng))
+    mul_x = code.mul_x
+    before = a.copy(), b.copy(), mul_x.copy()
+    for view in (np.s_[:], np.s_[::-1], np.s_[..., ::-1]):
+        system = _bounded_system(mul_x, a[view], b[view], range(1, p), f)
+        assert not any(np.shares_memory(system, x) for x in (a, b, mul_x))
+        _bounded_rows(system, f)
+        assert all(np.array_equal(x, y) for x, y in zip((a, b, mul_x), before))
+    for _ in range(3):
+        rx = corrupt(code.random_codeword(rng), sample_error(code.n, t, "uniform", p, rng), p)
+        decode(code, rx)
+        assert code.pth_roots(pth_root_mod)[1] is a and code.mul_x is mul_x
+        assert all(np.array_equal(x, y) for x, y in zip((a, mul_x), before[::2]))
 
 
-# (p, m, t): every decode here tries p - 1 >= 4 scale guesses
-REFERENCE_BLOCKS = [(5, 2, 12), (7, 2, 8), (11, 1, 5), (5, 3, 6)]
+def test_decode_builds_mul_x_only_where_it_solves(monkeypatch):
+    # decodes of one or two scale guesses reduce every basis and never
+    # build the code's multiplication-by-x matrix; the first decode of
+    # three or more builds it once, and later ones reuse it
+    built = []
+    real = goppa._mul_x_matrix
+    monkeypatch.setattr(goppa, "_mul_x_matrix", lambda field, gc: built.append(len(gc)) or real(field, gc))
+    rng = SplitMix64(47)
+    for p, m, t in [(3, 3, 6), (5, 2, 6)]:
+        code = build_code(p, m, t, rng=rng)
+        for phis in ([1], [1, 2], None, None):
+            rx = corrupt(code.random_codeword(rng), sample_error(code.n, 2, "uniform", p, rng), p)
+            decode(code, rx, phis)
+        assert (code._mul_x is None) == (p == 3)
+    assert built == [1]
+
+
+# (p, m, t, n): every decode here tries p - 1 >= 4 scale guesses; GF(5**4)
+# has computed lookups, so a short support
+REFERENCE_BLOCKS = [(5, 2, 12, None), (7, 2, 8, None), (11, 1, 5, None), (5, 3, 6, None), (5, 4, 3, 40)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -776,9 +869,9 @@ REFERENCE_BLOCKS = [(5, 2, 12), (7, 2, 8), (11, 1, 5), (5, 3, 6)]
 def test_decode_equals_the_reference_decode(block, dist, beyond, seed):
     # candidate for candidate, in order, against reducing every basis, at
     # w = t and at w = t + 1, where the list rarely holds the truth
-    p, m, t = block
+    p, m, t, n = block
     rng = SplitMix64(seed)
-    code = build_code(p, m, t, rng=rng)
+    code = build_code(p, m, t, n, rng=rng)
     e = sample_error(code.n, t + beyond, dist, p, rng)
     rx = corrupt(code.random_codeword(rng), e, p)
     assert decode(code, rx).candidates == reference_decode(code, rx).candidates
@@ -830,8 +923,9 @@ def test_decode_drops_a_wrong_guess_whose_sigma_has_roots():
     cw = code.random_codeword(rng)
     rx = corrupt(cw, e, 7)
     s_vec = code.syndrome_from_word(rx)
-    solved = _bounded_rows(code.g, decoder._key_columns(code, Poly(code.field, s_vec)))
-    kept, sigmas = _pth_power_compose([found[0] for found in solved], 24, code.field)
+    solved, found = solve_all(code, Poly(code.field, s_vec))
+    assert solved.all()
+    kept, sigmas = _pth_power_compose(found, 24, code.field)
     mults = _root_multiplicities(code.field, sigmas, code.L, 24)
     assert kept == list(range(6)) and mults.sum(axis=1).tolist() == [24, 0, 0, 4, 0, 0]
     assert code.syndrome_from_word((4 * mults[3] % 7).tolist()) != s_vec

@@ -22,6 +22,7 @@ from pgoppa.polyring import (
     _fmod,
     _frobenius_inverse,
     _frobenius_matrix,
+    _mul_x_matrix,
     _rabin_screen,
     _root_free,
     _root_multiplicities,
@@ -644,6 +645,49 @@ def test_frobenius_matrix_is_pth_power():
                 z = Poly(f, [rng.randrange(f.q) for _ in range(3)])
                 image = (frob @ np.array(frobenius_digits(z, 3))) % p
                 assert image.tolist() == frobenius_digits(pow_mod(z, p, g), 3)
+
+
+def test_mul_x_matrix_is_multiplication_by_x():
+    # C @ digits(f) == digits(x*f mod g) against Poly arithmetic, for an
+    # irreducible g and a composite one stacked in one call: tabled fields,
+    # the computed GF(5**4) and GF(3**6), and t = 1, where C is one block
+    rng = SplitMix64(4701)
+    for p, m, t in [(3, 3, 5), (7, 2, 24), (5, 4, 3), (3, 6, 4), (7, 1, 1), (2, 3, 1), (5, 2, 2)]:
+        f = make_field(p, m)
+        gs = [random_irreducible(t, f, rng)]
+        if t > 1:
+            gs.append(random_irreducible(1, f, rng) * random_irreducible(t - 1, f, rng))
+            assert is_square_free(gs[1]) and not is_irreducible(gs[1])
+        mul_x = _mul_x_matrix(f, np.array([g.coeffs for g in gs]))
+        assert mul_x.shape == (len(gs), m * t, m * t) and mul_x.dtype == _exact_products(p, m * t)[0]
+        for g, c in zip(gs, mul_x.astype(np.int64)):
+            for _ in range(10):
+                z = Poly(f, [rng.randrange(f.q) for _ in range(t)])
+                assert (c @ frobenius_digits(z, t) % p).tolist() == frobenius_digits(Poly.x(f) * z % g, t)
+
+
+def test_frobenius_matrix_is_pinned():
+    # F for an irreducible and a composite g in one call, its dtype and
+    # bytes pinned as `_frobenius_matrix` gave them before it took C from
+    # `_mul_x_matrix`: tabled fields, computed ones, t = 1, and p = 67,
+    # where C**p is taken by squaring
+    rng = SplitMix64(4700)
+    pins = {
+        (3, 3, 5): "28a6f60e4b5d673b",
+        (7, 2, 24): "3d596a7b0c95a364",
+        (5, 4, 3): "225268ab2a6dcd7b",
+        (3, 6, 4): "2148a5c4f439f8cf",
+        (7, 1, 1): "80b8fd6d60fa85fd",
+        (11, 1, 2): "89dd549a8d69dad1",
+        (67, 1, 3): "723245ddbc650c60",
+    }
+    for (p, m, t), digest in pins.items():
+        f = make_field(p, m)
+        g = random_irreducible(t, f, rng)
+        other = random_irreducible(1, f, rng) * random_irreducible(t - 1, f, rng) if t > 1 else g
+        frob = _frobenius_matrix(f, np.array([g.coeffs, other.coeffs]))
+        assert frob.dtype == np.float32
+        assert hashlib.sha256(frob.tobytes()).hexdigest()[:16] == digest
 
 
 def test_frobenius_inverse_is_a_power_with_elimination_fallback(monkeypatch):
