@@ -275,10 +275,15 @@ def inv_mod(f: Poly, g: Poly) -> Poly:
 
 
 def is_square_free(g: Poly) -> bool:
-    """True iff g has no repeated factor.  A vanishing derivative means g
-    is a p-th power, hence not square-free.  g's coefficients must be
-    ranks in [0, q)."""
+    """True iff g has no repeated factor.  g's coefficients must be ranks
+    in [0, q)."""
     check_integers(g.coeffs, 0, g.field.q, "polynomial coefficients")
+    return _square_free(g)
+
+
+def _square_free(g: Poly) -> bool:
+    """`is_square_free` on coefficients already checked.  A vanishing
+    derivative means g is a p-th power, hence not square-free."""
     d = g.deriv()
     if d.is_zero():
         return False
@@ -366,8 +371,10 @@ def _hasse_matrix(p: int, t: int, m: int, dtype: np.dtype) -> np.ndarray:
 
 
 def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
-    """GF(p) coordinates of an array of element ranks, along a new last axis."""
-    return ranks[..., None] // field.p ** np.arange(field.m) % field.p
+    """GF(p) coordinates of an int64 array of element ranks, along a new
+    last axis: the field's digit split, a take from its digit table when
+    q <= 512 and floor division beyond."""
+    return field._digits(ranks)
 
 
 def _fmod(x: np.ndarray, p: int) -> np.ndarray:
@@ -378,13 +385,16 @@ def _fmod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+_EXACT_BITS = {np.float32: 24, np.float64: 53}  # a float dtype's integers are exact below 2**bits
+
+
 def _exact_products(p: int, dim: int) -> tuple[type, int]:
     """(dtype, k): a reduced GF(p) value takes k products in a row by
     reduced matrices of side dim before it needs `_fmod`, its entries then
     at most (p-1) * (dim*(p-1))**k, exact below 2**24 in float32 (taken
     where it holds one product) and 2**53 in float64; ParamError where
     neither holds one."""
-    for dtype, bits in ((np.float32, 24), (np.float64, 53)):
+    for dtype, bits in _EXACT_BITS.items():
         k, bound = 0, p - 1
         while k < bits and bound * dim * (p - 1) < 1 << bits:
             k, bound = k + 1, bound * dim * (p - 1)
@@ -394,16 +404,38 @@ def _exact_products(p: int, dim: int) -> tuple[type, int]:
 
 
 def _power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a**e mod p by repeated squaring in a's float dtype, exact under the
-    bound `_frobenius_matrix` enforces."""
-    base, power = a, None
+    """a**e mod p for a reduced a, by repeated squaring in a's float dtype,
+    exact under the bound `_frobenius_matrix` enforces.  Each operand
+    carries a bound on its entries, p - 1 when reduced and side * b * c for
+    a product of operands bounded by b and c; `_fmod` runs on an operand
+    only where the next product could leave the dtype's exact range
+    (`_EXACT_BITS`), and on the result."""
+    limit, side = 1 << _EXACT_BITS[a.dtype.type], a.shape[-1]
+
+    def fit(x: np.ndarray, bound: int, other: int) -> int:
+        """x's bound, x reduced in place first where its product with an
+        operand bounded by other could be inexact."""
+        if bound < p or side * bound * other < limit:
+            return bound
+        _fmod(x, p)
+        return p - 1
+
+    base, power, bb, pb = a, None, p - 1, 0
     while e:
         if e & 1:
-            power = base if power is None else _fmod(power @ base, p)
+            if power is None:
+                power, pb = base, bb
+            else:
+                if pb < bb:  # the larger bound first: its reduction may spare the other's
+                    bb = fit(base, bb, pb)
+                pb = fit(power, pb, bb)
+                bb = fit(base, bb, pb)
+                power, pb = power @ base, side * pb * bb
         e >>= 1
         if e:
-            base = _fmod(base @ base, p)
-    return np.eye(a.shape[-1]) if power is None else power
+            bb = fit(base, bb, bb)
+            base, bb = base @ base, side * bb * bb
+    return np.eye(side) if power is None else power if pb < p else _fmod(power, p)
 
 
 def _mul_x_matrix(field: Field, gc: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pgoppa.decoder import Candidate, DecodeOutcome, assemble_locator, decode, f
 from pgoppa.errors import NotInvertibleError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _elementwise, _euclid, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
+from pgoppa.polyring import Poly, _elementwise, _euclid, _fmod, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
 from pgoppa.popov import pivot_index, weak_popov_reduce
 from pgoppa.rng import trial_stream
 
@@ -210,6 +210,20 @@ def pow_mod(a: Poly, e: int, g: Poly) -> Poly:
         acc = (acc * acc) % g
         e >>= 1
     return result
+
+
+def power_mod_reference(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a**e mod p by repeated squaring in a's float dtype, every product
+    reduced by `_fmod`: the reference for `polyring._power_mod`, which
+    reduces only where a product could be inexact."""
+    base, power = a, None
+    while e:
+        if e & 1:
+            power = base if power is None else _fmod(power @ base, p)
+        e >>= 1
+        if e:
+            base = _fmod(base @ base, p)
+    return np.eye(a.shape[-1]) if power is None else power
 
 
 def rabin_irreducible(g: Poly) -> bool:

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pgoppa import modp, polyring
 from pgoppa.errors import NotInvertibleError, ParamError
@@ -41,6 +41,7 @@ from oracles import (
     ext_gcd,
     poly_pth_power,
     pow_mod,
+    power_mod_reference,
     rabin_irreducible,
     root_multiplicity,
     random_irreducible_reference,
@@ -601,6 +602,48 @@ def test_lazy_reduction_equals_eager_at_its_edges(p, m, t, dtype, k, degrees):
             for _ in range(e):
                 ref = a.astype(np.int64) @ ref % p
             assert power.dtype == dtype and np.array_equal(power, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 31]),
+    side=st.integers(1, 300),
+    stack=st.sampled_from([0, 1, 3]),
+    e=st.integers(0, 300),
+    wide=st.booleans(),
+    full=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# with p <= 31 and side <= 300 `_exact_products` always picks float32;
+# wide takes float64, whose range defers more reductions
+@example(p=31, side=300, stack=3, e=300, wide=False, full=True, seed=0)
+@example(p=31, side=300, stack=0, e=255, wide=True, full=True, seed=0)
+def test_power_mod_equals_reducing_every_product(p, side, stack, e, wide, full, seed):
+    # a single matrix (stack 0) or a stack of them, reduced: random or all
+    # p - 1, the largest reduced matrix.  The power, reduced only where a
+    # product could leave the dtype's exact range, equals the power reduced
+    # after every product, in array and dtype, and leaves a as it was
+    dtype = np.float64 if wide else _exact_products(p, side)[0]
+    shape = (side, side) if stack == 0 else (stack, side, side)
+    a = np.full(shape, p - 1) if full else np.random.default_rng(seed).integers(0, p, shape)
+    a = a.astype(dtype)
+    kept = a.copy()
+    power, want = polyring._power_mod(a, e, p), power_mod_reference(kept.copy(), e, p)
+    assert power.dtype == want.dtype and np.array_equal(power, want)
+    assert np.array_equal(a, kept)
+
+
+def test_digit_split_is_coeffs_rank_by_rank():
+    # every rank of tabled fields, GF(2**9) the largest table (512 x 9), and
+    # drawn ranks of the computed GF(3**6) and GF(5**4); 1-D, 3-D and empty
+    rng = SplitMix64(4800)
+    for p, m in [(7, 1), (3, 5), (7, 3), (2, 9), (3, 6), (5, 4)]:
+        f = make_field(p, m)
+        ranks = np.arange(f.q) if f.q <= 512 else np.array([rng.randrange(f.q) for _ in range(300)])
+        for shaped in (ranks, ranks[: len(ranks) // 6 * 6].reshape(2, 3, -1), ranks[:0], ranks[:0].reshape(0, 3, 0)):
+            digits = _digit_split(shaped, f)
+            assert digits.dtype == np.int64 and digits.shape == shaped.shape + (m,)
+            assert digits.reshape(-1, m).tolist() == [list(f.coeffs(int(a))) for a in shaped.ravel()]
 
 
 def test_public_verdicts_reject_out_of_range_coefficients(monkeypatch):
