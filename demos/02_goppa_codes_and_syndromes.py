@@ -4,7 +4,8 @@ the t x n matrix over GF(q) and its trace expansion over GF(p)."""
 
 import numpy as np
 
-from pgoppa import build_code, sample_error
+from pgoppa import Poly, build_code, sample_error
+from pgoppa.polyring import inv_mod
 from pgoppa.rng import SplitMix64
 
 rng = SplitMix64(2024)
@@ -15,12 +16,16 @@ print("generator g =", code.g)
 print("code dimension (kernel of the GF(p) parity check):", code.dimension)
 
 # The syndrome of a word can be computed two independent ways: the rational
-# sum  s_e = sum e_i/(x - L_i) mod g, or the parity-check product H @ e,
-# which the code takes over GF(p) as Hbar @ e, folding each coefficient's
-# m digits back into a GF(q) rank.
+# sum  s_e = sum e_i/(x - L_i) mod g, built here from one inverse mod g per
+# error position, or the parity-check product H @ e, the code's own way,
+# which it takes over GF(p) as Hbar @ e, folding each coefficient's m digits
+# back into a GF(q) rank.
 e = sample_error(code.n, 5, "uniform", 3, rng)
 print("\nerror pattern:", {i: v for i, v in enumerate(e.values) if v})
-s_poly = code.syndrome_poly(e.values)
+f = code.field
+s_poly = Poly.zero(f)
+for i in e.support:
+    s_poly = s_poly + inv_mod(Poly(f, (f.neg(code.L[i]), 1)), code.g).scale(e.values[i])
 s_vec = code.syndrome_from_word(e.values)
 print("rational-sum syndrome:", s_poly)
 print("H @ e:               ", s_vec)

@@ -1,5 +1,5 @@
-"""Square-free Goppa codes over GF(p): construction, Patterson-style
-decoding through weak Popov lattice reduction, and experiment tooling."""
+"""Square-free Goppa codes over GF(p): construction, Patterson-style decoding
+from key lattices, solved or weak-Popov reduced, and experiment tooling."""
 
 __version__ = "0.1.0"
 

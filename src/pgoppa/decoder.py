@@ -88,10 +88,13 @@ def _bases(g: Poly, a: np.ndarray, b: np.ndarray, phis: Sequence[int]) -> list[l
     return [[[g] + [zero] * (f.p - 1)] + [[Poly(f, c)] + e for c, e in zip(col, units)] for col in columns.tolist()]
 
 
-def _padded(rows: Sequence[Sequence[Poly]], width: int) -> np.ndarray:
-    """Rows of polynomials as a (rows, entries, >= width) array of ranks, zero-padded."""
-    width = max([width] + [len(e.coeffs) for row in rows for e in row])
-    return np.array([[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in rows], dtype=np.int64)
+def _padded(rows: Sequence[Sequence[Poly]], t: int, p: int) -> np.ndarray:
+    """Rows of p polynomials as (rows, p, max(t, 0)//p + 1) zero-padded ranks, the
+    solve's shape.  A row with a longer entry breaks deg(a_j) <= (t - j)//p and
+    comes out as zeros: `_pth_power_compose` drops it either way."""
+    width = max(t, 0) // p + 1
+    out = [[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in rows]
+    return np.array([r if all(len(e) == width for e in r) else [(0,) * width] * p for r in out], dtype=np.int64)
 
 
 def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
@@ -102,7 +105,7 @@ def assemble_locator(a: Sequence[Poly], t: int) -> Poly | None:
     f = a[0].field if a else None
     if f is None or len(a) != f.p or any(aj.field is not f and aj.field != f for aj in a):
         raise ParamError("a locator row must be p polynomials over one field")
-    kept, sigmas = _pth_power_compose(_padded([a], 1), t, f)
+    kept, sigmas = _pth_power_compose(_padded([a], t, f.p), t, f)
     return Poly(f, sigmas[0].tolist()) if kept else None
 
 
@@ -153,14 +156,13 @@ def decode(code: GoppaCode, received: Sequence[int], phis: Iterable[int] | None 
         a, b = _key_parts(code, s_poly)
     except NotInvertibleError:
         return DecodeOutcome([])
-    solved, found = [False] * len(tried), np.zeros((0, p, 1), dtype=np.int64)  # fewer guesses reduce every basis
+    solved, found = [False] * len(tried), np.zeros((0, p, code.t // p + 1), dtype=np.int64)  # fewer guesses reduce every basis
     if len(tried) >= 3:
         solved, found = _bounded_rows(_bounded_system(code.mul_x, a, b, tried, f), f)
     left = [phi for phi, ok in zip(tried, solved) if not ok]
     guesses = [phi for phi, ok in zip(tried, solved) if ok] + [phi for phi in left for _ in range(p)]
     if left:  # the solved rows, then the reduced ones, composed at once
-        rows = _padded([row for basis in _bases(code.g, a, b, left) for row in weak_popov_reduce(basis)], found.shape[2])
-        found = np.concatenate([np.pad(found, [(0, 0), (0, 0), (0, rows.shape[2] - found.shape[2])]), rows]) if len(found) else rows
+        found = np.concatenate([found, _padded([row for basis in _bases(code.g, a, b, left) for row in weak_popov_reduce(basis)], code.t, p)])
     kept, sigmas = _pth_power_compose(found, code.t, f)
     errors = np.array(guesses, dtype=np.int64)[kept, None] * _root_multiplicities(f, sigmas, code.L, code.t) % p
     words = (word - errors) % p  # e reproduces the syndrome iff r - e has none
@@ -201,7 +203,7 @@ def verify_sign_convention() -> int:
             residue = residue - a[k] * basis[k][0]
         return (residue % code.g).is_zero()
 
-    bases = key_lattices(code, code.syndrome_poly(error.values))
+    bases = key_lattices(code, Poly(f, code.syndrome_from_word(error.values)))
     results = {-1: contains(bases[0]), +1: contains(bases[-1])}
     if not results[-1] or results[+1]:
         raise AssertionError(f"radicand sign check: holds under {results}, expected only -1")

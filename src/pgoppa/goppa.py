@@ -1,10 +1,10 @@
 """Goppa codes over GF(p): construction, parity checks, syndromes, sampling.
 
-A code is determined by a support L of distinct field elements and a
-monic square-free generator g with g(L_i) != 0.  The trace expansion over
-GF(p) of the parity-check matrix is cached eagerly; the codeword kernel
-basis, the p-th-root data (`pth_roots`) and x's matrix mod g (`mul_x`) are
-made on first use.  Support order is part of the code and its file form.
+A code is determined by a support L of distinct field elements, in order,
+and a monic square-free generator g with g(L_i) != 0.  Hbar, the parity
+check's trace expansion over GF(p), is cached eagerly and gives every
+syndrome; the kernel basis, the p-th-root data (`pth_roots`) and x's
+matrix mod g (`mul_x`) are made on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .polyring import (
     _frobenius_inverse,
     _mul_x_matrix,
     _synthetic_division,
-    inv_mod,
     random_irreducible,
 )
 
@@ -153,16 +152,6 @@ class GoppaCode:
         return digits.transpose(0, 2, 1).reshape(self.field.m * self.t, self.n)
 
     # -- syndromes -------------------------------------------------------------
-
-    def syndrome_poly(self, e: Sequence[int]) -> Poly:
-        """sum of e_i / (x - L_i) mod g, by per-position modular inversion."""
-        f = self.field
-        acc = Poly.zero(f)
-        for i, ei in enumerate(e):
-            if ei:
-                term = inv_mod(Poly(f, (f.neg(self.L[i]), 1)), self.g)
-                acc = acc + term.scale(ei)
-        return acc
 
     def syndrome_from_word(self, word: Sequence[int]) -> list[int]:
         """The syndrome coefficients, low to high, as GF(q) ranks: Hbar @ word

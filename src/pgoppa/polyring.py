@@ -106,9 +106,6 @@ class Poly:
         r, q = self._cancel_by(other, [list(self.coeffs), []], [self.field.neg(1)])
         return Poly(self.field, q), Poly(self.field, r)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return Poly(self.field, self._cancel_by(other, [list(self.coeffs)])[0])
 
@@ -274,15 +271,8 @@ def inv_mod(f: Poly, g: Poly) -> Poly:
     return Poly(g.field, u)
 
 
-def is_square_free(g: Poly) -> bool:
-    """True iff g has no repeated factor.  g's coefficients must be ranks
-    in [0, q)."""
-    check_integers(g.coeffs, 0, g.field.q, "polynomial coefficients")
-    return _square_free(g)
-
-
 def _square_free(g: Poly) -> bool:
-    """`is_square_free` on coefficients already checked.  A vanishing
+    """True iff g has no repeated factor; its ranks unchecked.  A vanishing
     derivative means g is a p-th power, hence not square-free."""
     d = g.deriv()
     if d.is_zero():
@@ -630,7 +620,7 @@ def pth_power_decompose(f: Poly) -> list[Poly]:
 
 
 def _pth_power_compose(rows: np.ndarray, t: int, field: Field) -> tuple[list[int], np.ndarray]:
-    """(kept, sigmas): which rows (a_0, ..., a_{p-1}) of a (rows, p, width >= 1)
+    """(kept, sigmas): which rows (a_0, ..., a_{p-1}) of a (rows, p, t//p + 1)
     array of zero-padded ranks are nonzero and meet every deg(a_k) <= (t-k)//p,
     and t + 1 ranks of each one's monic sigma = sum x**k * a_k**p, in one
     array pass.  A nonzero a_k[i] lands, p-th powered by `_ppow`, at x**(p*i

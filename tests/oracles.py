@@ -354,6 +354,18 @@ def parity_check(code: GoppaCode) -> list[list[int]]:
     return sum(digits[:, k] * f.p**k for k in range(f.m)).tolist()
 
 
+def syndrome_poly(code: GoppaCode, e: Sequence[int]) -> Poly:
+    """sum of e_i / (x - L_i) mod g, by per-position modular inversion: the
+    definitional syndrome, independent of the parity check code.Hbar."""
+    f = code.field
+    acc = Poly.zero(f)
+    for i, ei in enumerate(e):
+        if ei:
+            term = inv_mod(Poly(f, (f.neg(code.L[i]), 1)), code.g)
+            acc = acc + term.scale(ei)
+    return acc
+
+
 def locator_from_error(code: GoppaCode, e: ErrorPattern, phi: int) -> Poly:
     """Direct product prod (x - L_i)**(e_i/phi), exponents lifted to 0..p-1."""
     f = code.field

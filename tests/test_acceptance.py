@@ -24,7 +24,7 @@ from pgoppa.polyring import Poly, pth_root_mod, random_irreducible
 from pgoppa.popov import pivot_index, weak_popov_reduce
 from pgoppa.rng import SplitMix64
 
-from oracles import det_fraction_free, locator_from_error, matmul, pow_mod, reference_weak_popov_reduce
+from oracles import det_fraction_free, locator_from_error, matmul, pow_mod, reference_weak_popov_reduce, syndrome_poly
 
 ACCEPTANCE_SEED = 20240811
 
@@ -103,7 +103,7 @@ def test_criterion_4_key_equation_suite():
         error = sample_error(code.n, rng.randrange(code.n + 1), "uniform", p, rng)
         phi = 1 + rng.randrange(p - 1)
         sigma = locator_from_error(code, error, phi)
-        s = code.syndrome_poly(error.values)
+        s = syndrome_poly(code, error.values)
         if (sigma.deriv().scale(phi) % code.g) != ((sigma * s) % code.g):
             failures += 1
         checked += 1
@@ -170,7 +170,7 @@ def test_criterion_7_syndrome_equivalence():
     code = build_code(3, 3, 8, rng=rng)
     for _ in range(1000):
         e = sample_error(code.n, rng.randrange(code.n + 1), "uniform", 3, rng)
-        coeffs = list(code.syndrome_poly(e.values).coeffs)
+        coeffs = list(syndrome_poly(code, e.values).coeffs)
         coeffs += [0] * (code.t - len(coeffs))
         assert coeffs == code.syndrome_from_word(e.values), "syndrome paths disagree"
     import numpy as np

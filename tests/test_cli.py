@@ -173,9 +173,9 @@ def test_gen_composite_flag(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "gen", "--p", "3", "--m", "3", "--t", "4",
                        "--seed", "2", "--square-free-composite", "-o", str(code_path))
     assert rc == 0
-    from pgoppa.polyring import is_square_free
+    from pgoppa.polyring import _square_free
 
-    assert is_square_free(GoppaCode.load(code_path).g)
+    assert _square_free(GoppaCode.load(code_path).g)
 
 
 def test_table1_csv_and_determinism(capsys):

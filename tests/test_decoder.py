@@ -45,6 +45,7 @@ from oracles import (
     reference_decode,
     reference_key_lattice,
     shift,
+    syndrome_poly,
 )
 from test_popov import PROPERTY_FIELDS
 
@@ -111,7 +112,7 @@ def test_key_equation_identity_random():
         e = sample_error(code.n, rng.randrange(code.n + 1), "uniform", p, rng)
         phi = 1 + rng.randrange(p - 1)
         sigma = locator_from_error(code, e, phi)
-        s = code.syndrome_poly(e.values)
+        s = syndrome_poly(code, e.values)
         assert (sigma.deriv().scale(phi) % code.g) == ((sigma * s) % code.g)
         checked += 1
 
@@ -150,7 +151,7 @@ def test_key_lattice_defining_property():
             continue
         p = code.field.p
         e = sample_error(code.n, min(2, code.n), "uniform", p, rng)
-        s = code.syndrome_poly(e.values)
+        s = syndrome_poly(code, e.values)
         if s.is_zero():
             continue
         phi = 1 + rng.randrange(p - 1)
@@ -170,7 +171,7 @@ def test_key_lattice_binary_shape():
     rng = SplitMix64(2005)
     code = build_code(2, 4, 3, rng=rng)
     e = sample_error(code.n, 2, ("equal", 1), 2, rng)
-    s = code.syndrome_poly(e.values)
+    s = syndrome_poly(code, e.values)
     bases = key_lattices(code, s)
     assert len(bases) == 1
     basis = bases[0]
@@ -197,7 +198,7 @@ def test_true_solution_lies_in_lattice():
         e = sample_error(code.n, w, ("equal", phi), p, rng)
         sigma = locator_from_error(code, e, phi)
         assert sigma.degree == w
-        s = code.syndrome_poly(e.values)
+        s = syndrome_poly(code, e.values)
         if s.is_zero():
             continue
         try:
@@ -210,7 +211,7 @@ def test_true_solution_lies_in_lattice():
             residue = residue - a[k] * basis[k][0]
         assert (residue % code.g).is_zero()
         # reconstruct the multiplier vector and check the product row by row
-        lam = residue // code.g
+        lam = divmod(residue, code.g)[0]
         combo = [lam] + a[1:]
         product = [Poly.zero(code.field) for _ in range(p)]
         for i, ci in enumerate(combo):
@@ -384,6 +385,54 @@ def test_assemble_locator_matches_poly_sum(data):
     assert sigma == expected
 
 
+@pytest.mark.parametrize("p, m, t", [(3, 3, 6), (5, 2, 6), (7, 2, 12)])
+def test_padded_rows_compose_as_padded_to_their_longest_entry(p, m, t):
+    # _padded gives every row the solve's (p, t//p + 1) shape and zeroes a
+    # row with a longer entry, which breaks a degree bound; composing rows
+    # padded to their longest entry instead must keep the same rows and
+    # give the same sigmas.  Reduced key lattices, then random rows where
+    # every other row has an entry of length t//p + 2
+    rng = SplitMix64(4900 + p)
+    code = build_code(p, m, t, rng=rng)
+    f, width = code.field, t // p + 1
+    rows = []
+    while len(rows) < 12 * p:
+        e = sample_error(code.n, 1 + rng.randrange(2 * t // p), "uniform", p, rng)
+        try:
+            rows += [row for basis in key_lattices(code, syndrome_poly(code, e.values)) for row in weak_popov_reduce(basis)]
+        except NotInvertibleError:
+            continue
+    for r in range(40):
+        lengths = [rng.randrange(max(0, (t - j) // p + 2)) for j in range(p)]
+        if r % 2:
+            lengths[rng.randrange(p)] = width + 1
+        rows.append([Poly(f, [rng.randrange(f.q) for _ in range(n - 1)] + [1 + rng.randrange(f.q - 1)]) if n else Poly.zero(f) for n in lengths])
+    long = [max(len(e.coeffs) for e in row) > width for row in rows]
+    padded = decoder._padded(rows, t, p)
+    assert padded.shape == (len(rows), p, width)
+    assert not padded[long].any()
+    kept, sigmas = _pth_power_compose(padded, t, f)
+    wide = max(len(e.coeffs) for row in rows for e in row)
+    want_kept, want_sigmas = _pth_power_compose(np.array([[e.coeffs + (0,) * (wide - len(e.coeffs)) for e in row] for row in rows]), t, f)
+    assert any(long) and kept and not set(kept) & set(np.flatnonzero(long).tolist())
+    assert kept == want_kept and np.array_equal(sigmas, want_sigmas)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_assemble_locator_at_t_below_one(p):
+    # t = 0 admits only a nonzero constant a_0, whose sigma is 1; t = -1
+    # admits no row.  Both pad to width 1
+    f = make_field(p, 1)
+    zero = Poly.zero(f)
+    for c in range(1, p):
+        const, x = Poly(f, (c,)), Poly(f, (0, c))
+        for t, row in [(0, [const] + [zero] * (p - 1)), (0, [zero, const] + [zero] * (p - 2)), (0, [x] + [zero] * (p - 1)),
+                       (-1, [const] + [zero] * (p - 1)), (0, [zero] * p), (-1, [zero] * p)]:
+            assert decoder._padded([row], t, p).shape == (1, p, 1)
+            assert assemble_locator(row, t) == assemble_locator_reference(row, t)
+        assert assemble_locator([const] + [zero] * (p - 1), 0) == Poly.one(f)
+
+
 @pytest.mark.parametrize("length", [0, 2, 4])
 def test_assemble_locator_rejects_a_row_of_the_wrong_length(length):
     # a row over GF(3) has exactly 3 entries, one per residue of j mod 3
@@ -441,7 +490,7 @@ def scan_roots(sigma, code):
         lin = Poly(f, (f.neg(lj), 1))
         h = sigma
         while evaluate(h, lj) == 0:
-            h = h // lin
+            h = divmod(h, lin)[0]
             out[j] = out.get(j, 0) + 1
     return out
 

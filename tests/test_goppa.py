@@ -23,10 +23,10 @@ from pgoppa.goppa import (
     word_from_text,
     word_to_text,
 )
-from pgoppa.polyring import Poly, _frobenius_matrix, is_irreducible, is_square_free, pth_root_mod, random_irreducible
+from pgoppa.polyring import Poly, _frobenius_matrix, _square_free, is_irreducible, pth_root_mod, random_irreducible
 from pgoppa.rng import SplitMix64
 
-from oracles import evaluate, magnitude_profile, parity_check
+from oracles import evaluate, magnitude_profile, parity_check, syndrome_poly
 
 
 @pytest.fixture(scope="module")
@@ -124,13 +124,13 @@ def test_syndrome_paths_agree(code338):
     rng = SplitMix64(50)
     for _ in range(300):
         e = sample_error(code338.n, rng.randrange(code338.n + 1), "uniform", 3, rng)
-        via_poly = padded_coeffs(code338.syndrome_poly(e.values), code338.t)
+        via_poly = padded_coeffs(syndrome_poly(code338, e.values), code338.t)
         via_matrix = code338.syndrome_from_word(e.values)
         assert via_poly == via_matrix
 
 
 def test_syndrome_zero_pattern(code338):
-    assert code338.syndrome_poly((0,) * code338.n).is_zero()
+    assert syndrome_poly(code338, (0,) * code338.n).is_zero()
 
 
 def test_syndrome_single_error(code338):
@@ -140,7 +140,7 @@ def test_syndrome_single_error(code338):
     e = [0] * code338.n
     e[5] = 1
     expected = inv_mod(Poly(f, (f.neg(code338.L[5]), 1)), code338.g)
-    assert code338.syndrome_poly(e) == expected
+    assert syndrome_poly(code338, e) == expected
 
 
 def test_syndrome_linearity(code338):
@@ -149,9 +149,7 @@ def test_syndrome_linearity(code338):
         e1 = sample_error(code338.n, 5, "uniform", 3, rng)
         e2 = sample_error(code338.n, 7, "uniform", 3, rng)
         esum = tuple((a + b) % 3 for a, b in zip(e1.values, e2.values))
-        assert code338.syndrome_poly(esum) == code338.syndrome_poly(
-            e1.values
-        ) + code338.syndrome_poly(e2.values)
+        assert syndrome_poly(code338, esum) == syndrome_poly(code338, e1.values) + syndrome_poly(code338, e2.values)
 
 
 def test_trace_construction_equivalence(code338):
@@ -188,7 +186,7 @@ def test_syndrome_from_word_matches_syndrome_poly(data):
     code = data.draw(st.sampled_from(syndrome_codes()))
     p = code.field.p
     word = data.draw(st.lists(st.integers(0, p - 1), min_size=code.n, max_size=code.n))
-    assert code.syndrome_from_word(word) == padded_coeffs(code.syndrome_poly(word), code.t)
+    assert code.syndrome_from_word(word) == padded_coeffs(syndrome_poly(code, word), code.t)
 
 
 def test_word_of_wrong_length_or_entry_is_rejected():
@@ -239,7 +237,7 @@ def test_trace_degenerate_extension():
     # m = 1: the GF(p) matrix is the GF(q) one, column j the syndrome of e_j
     code = build_code(5, 1, 1, n=4, rng=SplitMix64(54))
     units = [[int(i == j) for i in range(code.n)] for j in range(code.n)]
-    assert code.Hbar.T.tolist() == [padded_coeffs(code.syndrome_poly(u), code.t) for u in units]
+    assert code.Hbar.T.tolist() == [padded_coeffs(syndrome_poly(code, u), code.t) for u in units]
 
 
 def test_random_codeword_membership(code338):
@@ -311,7 +309,7 @@ def test_square_free_composite_generator():
     rng = SplitMix64(60)
     for _ in range(10):
         code = build_code(3, 3, 4, rng=rng, irreducible_only=False)
-        assert is_square_free(code.g)
+        assert _square_free(code.g)
         assert code.g.degree == 4
         assert all(evaluate(code.g, a) != 0 for a in code.L)
 
