@@ -7,10 +7,10 @@ what the on-disk formats use, so no wrapper type is needed.
 
 Every field has the same lookups (_add[a][b], _mul[a][b], _neg[a], _inv[a],
 _ppow[a] == a**p, _proot[a]) and numpy array ops, int64 ranks in and out:
-_arrays (add, mul) and _digits, the digit split of a rank array into its
-coordinates along a new last axis.  Tables built from the digit arithmetic
-when q <= 512 (the split a take from the (q, m) digit table), entries
-computed from it when read beyond.  No discrete-log or Zech tables; q <= 2**63, so ranks fit int64.
+_arrays (add, mul), _neg_inv (-1/a of nonzero ranks) and _digits, the digit
+split of a rank array into its coordinates along a new last axis.  Tables
+built from the digit arithmetic when q <= 512 (the split and -1/a takes from
+the tables), entries computed from it when read beyond.  No discrete-log or Zech tables; q <= 2**63, so ranks fit int64.
 
 Field operations do not check their arguments: a rank outside [0, q)
 gives an IndexError or a wrong answer.  Ranks are checked where they
@@ -79,7 +79,7 @@ class _Computed:
 class Field:
     """Immutable GF(p^m) context; all element operations are pure."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_ppow", "_proot", "_arrays", "_digits")
+    __slots__ = ("p", "m", "q", "modulus", "_red", "_add", "_mul", "_neg", "_inv", "_ppow", "_proot", "_arrays", "_neg_inv", "_digits")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -195,15 +195,16 @@ class Field:
         flat_add, flat_mul = add.ravel(), mul.ravel()  # take() of a flat index beats a 2-D gather
         self._arrays = (lambda a, b: flat_add.take(a * q + b)), (lambda a, b: flat_mul.take(a * q + b))
         self._digits = lambda ranks: digits.take(ranks, axis=0)
-        self._neg = (-digits % p @ weights).tolist()
-        self._inv = np.argmax(mul == 1, axis=1).tolist()
+        neg, inv = -digits % p @ weights, np.argmax(mul == 1, axis=1)
+        self._neg, self._inv, neg_inv = neg.tolist(), inv.tolist(), neg.take(inv)
+        self._neg_inv = lambda ranks: neg_inv.take(ranks)
         self._ppow = [self.pow(a, p) for a in range(q)]
         self._proot = np.argsort(self._ppow).tolist()  # the inverse permutation
 
     def _computed_lookups(self) -> None:
         """Lookups computed by the digit arithmetic when read, array ops
-        that apply add and mul elementwise on Python ints, cast to int64, and
-        the digit split by int64 floor division."""
+        that apply add, mul and -1/a elementwise on Python ints, cast to
+        int64, and the digit split by int64 floor division."""
         self._add = _Computed(_Computed, self._add_raw)  # _add[a] is the row of a
         self._mul = _Computed(_Computed, self._mul_raw)
         self._neg = _Computed(lambda a: self.from_coeffs(-c for c in self.coeffs(a)))
@@ -212,6 +213,8 @@ class Field:
         self._proot = _Computed(lambda a: self.pow(a, self.p ** (self.m - 1)))
         add, mul = np.frompyfunc(self._add_raw, 2, 1), np.frompyfunc(self._mul_raw, 2, 1)
         self._arrays = (lambda a, b: add(a, b).astype(np.int64)), (lambda a, b: mul(a, b).astype(np.int64))
+        neg_inv = np.frompyfunc(lambda a: self._neg[self._inv[a]], 1, 1)
+        self._neg_inv = lambda ranks: neg_inv(ranks).astype(np.int64)
         weights = self.p ** np.arange(self.m)
         self._digits = lambda ranks: ranks[..., None] // weights % self.p
 

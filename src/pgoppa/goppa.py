@@ -27,6 +27,7 @@ from .polyring import (
     _elementwise,
     _frobenius_inverse,
     _mul_x_matrix,
+    _neg_inverse,
     _synthetic_division,
     random_irreducible,
 )
@@ -95,6 +96,14 @@ def _check_shape(q: int, m: int, t: int, n: int) -> None:
         raise ParamError(f"dimension bound violated: n - m*t = {n - m * t}")
 
 
+def _check_size(field: Field, t: int, n: int) -> None:
+    """`_check_shape`, then ParamError unless Hbar @ word stays exact in
+    int64 for length-n words mod p."""
+    _check_shape(field.q, field.m, t, n)
+    if n * (field.p - 1) ** 2 + field.p >= 1 << 63:
+        raise ParamError(f"syndromes of length-{n} words mod {field.p} would overflow int64")
+
+
 class GoppaCode:
     """Immutable Goppa code with a cached GF(p) parity-check matrix."""
 
@@ -111,22 +120,38 @@ class GoppaCode:
             raise ParamError("generator must be monic")
         if len(set(support)) != n:
             raise ParamError("support elements must be distinct")
-        _check_shape(field.q, field.m, t, n)
-        if n * (field.p - 1) ** 2 + field.p >= 1 << 63:  # the bound on Hbar @ word in int64
-            raise ParamError(f"syndromes of length-{n} words mod {field.p} would overflow int64")
+        _check_size(field, t, n)
         # before any table lookup: an out-of-range rank would index past the tables
         check_integers(support, 0, field.q, "support elements")
         check_integers(g.coeffs, 0, field.q, "generator coefficients")
         if not is_square_free(g):  # the ranks were checked above
             raise ParamError("generator must be square-free")
+        self._fill(field, support, g, None)
+
+    @classmethod
+    def _drawn(cls, field: Field, support: list[int], g: Poly, frobenius: np.ndarray | None) -> "GoppaCode":
+        """The code of an irreducible g from `random_irreducible`, with its
+        screen's p-Frobenius matrix (None at t = 1), on a sample of field
+        elements.  `GoppaCode(...)`, and through it `from_text`/`load` and
+        `build_code`'s composite draw, checks every property of g and the
+        support.  Here g is drawn monic and in range, Rabin's test proves it
+        square-free (it divides x**(q**t) - x) and a sample is distinct and
+        in range, so only `_check_size` and the parity check's root check run."""
+        _check_size(field, g.degree, len(support))
+        code = cls.__new__(cls)
+        code._fill(field, support, g, frobenius)
+        return code
+
+    def _fill(self, field: Field, support: Sequence[int], g: Poly, frobenius: np.ndarray | None) -> None:
+        """Set every slot from checked parts; Hbar is built here."""
         self.field = field
         self.L = tuple(support)
         self.g = g
-        self.n = n
-        self.t = t
+        self.n = len(support)
+        self.t = g.degree
         self.Hbar = self._expand_trace(self._build_parity_check())
         self._kernel = self._roots = self._mul_x = None
-        self._frobenius = None  # g's p-Frobenius matrix, when build_code has it
+        self._frobenius = frobenius  # g's p-Frobenius matrix, when build_code has it
 
     # -- parity checks -------------------------------------------------------
 
@@ -143,8 +168,7 @@ class GoppaCode:
         *quotient, values = _synthetic_division(self.g.coeffs, self.L, f)
         if not values.all():
             raise ParamError("support must avoid the roots of the generator")
-        scale = np.array([f.neg(f.inv(int(v))) for v in values])
-        return _elementwise(f)[1](np.array(quotient[::-1]), scale)
+        return _elementwise(f)[1](np.array(quotient[::-1]), _neg_inverse(values, f))
 
     def _expand_trace(self, h: np.ndarray) -> np.ndarray:
         """mt x n matrix over GF(p): each GF(q) row becomes m coordinate rows."""
@@ -293,9 +317,7 @@ def build_code(
             f"support of size {target} impossible: only {len(candidates)} usable elements"
         )
     support = rng.sample(candidates, target)
-    code = GoppaCode(field, support, g)
-    code._frobenius = frob
-    return code
+    return GoppaCode._drawn(field, support, g, frob) if irreducible_only else GoppaCode(field, support, g)
 
 
 def word_to_text(word: Sequence[int]) -> str:

@@ -367,6 +367,12 @@ def _digit_split(ranks: np.ndarray, field: Field) -> np.ndarray:
     return field._digits(ranks)
 
 
+def _neg_inverse(ranks: np.ndarray, field: Field) -> np.ndarray:
+    """-1/a for each a of an int64 array of nonzero ranks, unchecked: the
+    field's array op, a take from its tables when q <= 512."""
+    return field._neg_inv(ranks)
+
+
 def _fmod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p, in place, for a float temporary x of exact integers below
     2**24 (float32) or 2**53; several times cheaper than float %."""
@@ -445,43 +451,61 @@ def _frobenius_matrix(field: Field, gc: np.ndarray) -> np.ndarray:
     """GF(p) matrices of y -> y**p on GF(q)[x]/g, one for each monic row
     g = sum gc[k, i] x**i of gc, stacked as a float (K, m*t, m*t) array.
 
-    Coordinate j*m + k is digit k of the coefficient of x**j.  Block j is
-    (C**p)**j, C g's `_mul_x_matrix`, applied to the digits of (y**k)**p,
-    k < m: while j*p < t, those digits placed at x**(j*p), with no product.
+    Coordinate j*m + k is digit k of the coefficient of x**j, so column
+    j*m + k is the image (y**k)**p * x**(j*p) mod g.  The residues x**(j*p)
+    mod g come one per block: while j*p < t the monomial itself, then each
+    the last times C**p, C g's `_mul_x_matrix`.  One product with
+    `_frobenius_constants` then scales every residue by each (y**k)**p.
     `_exact_products` picks the dtype (float32 while one product,
     m*t*(p-1)**2, stays below 2**24, as everywhere on the experiment grid,
     where it is below 12,000) and how many blocks the recurrence takes
-    between reductions mod p; all of F is reduced at the end, and
-    ParamError is raised where not even float64 holds one product.
+    between reductions mod p, and ParamError is raised where not even
+    float64 holds one product.
     """
     p, m = field.p, field.m
     rows, t = gc.shape[0], gc.shape[1] - 1
     dim = m * t
     dtype, every = _exact_products(p, dim)
-    ys = [p**k for k in range(m)]  # the ranks of y**k
-    eye = np.eye(dim, dtype=dtype)
     mul_x = _mul_x_matrix(field, gc)
     if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
         mul_xp = _power_mod(mul_x, p, p)
     else:  # block i of C**p, column k: digits of y**k x**(p + i) mod g
         mul_xp, low = np.empty_like(mul_x), max(t - p, 0) * m
-        mul_xp[:, :, :low] = eye[:, p * m :]
+        mul_xp[:, :, :low] = np.eye(dim, dtype=dtype)[:, p * m :]
         tail = [mul_x[:, :, -m:]]  # x**t, ..., x**(t + p - 1)
         while len(tail) < p:
             tail.append(_fmod(mul_x @ tail[-1], p))
         mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
+    first = -(-t // p)  # blocks j < first have j*p < t: their residue is x**(j*p)
     out = np.zeros((rows, dim, dim), dtype=dtype)
-    first = -(-t // p)  # blocks j < first have j*p < t
+    constants = _frobenius_constants(field, dtype)
     js = np.arange(first)
-    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = _digit_split(np.array([field._ppow[y] for y in ys]), field).T
-    block = out[:, :, (first - 1) * m : first * m]
+    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = constants[0].reshape(m, m).T  # [d, k]: digit d of (y**k)**p
+    residues = np.empty((rows, t - first, dim), dtype=dtype)  # digits of x**(j*p) mod g, j >= first
+    residue = out[:, :, (first - 1) * m, None]
     for j in range(first, t):
-        block = mul_xp @ block
+        residue = mul_xp @ residue
         if (j + 1 - first) % every == 0:
-            block = _fmod(block, p)
-        out[:, :, j * m : (j + 1) * m] = block
-    _fmod(out[:, :, first * m :], p)
+            residue = _fmod(residue, p)
+        residues[:, j - first] = residue[:, :, 0]
+    # [row, j, i, k, d]: digit d of (y**k)**p times coefficient i of block j's residue
+    images = _fmod(_fmod(residues, p).reshape(rows, t - first, t, m) @ constants, p).reshape(rows, t - first, t, m, m)
+    out.reshape(rows, t, m, t, m)[:, :, :, first:] = images.transpose(0, 2, 4, 1, 3)
     return out
+
+
+@lru_cache(maxsize=8)
+def _frobenius_constants(field: Field, dtype: np.dtype) -> np.ndarray:
+    """GF(p) matrix, m x m*m, of multiplication by the constants (y**k)**p,
+    k < m: row l, column k*m + d holds digit d of y**l * (y**k)**p, so a
+    row of digits times it gives the digits of each of its m products.
+    Read-only, as every call shares it."""
+    p, m = field.p, field.m
+    constants = np.array([field._ppow[p**k] for k in range(m)])
+    products = _elementwise(field)[1](p ** np.arange(m)[:, None], constants)  # [l, k]
+    matrix = _digit_split(products, field).reshape(m, m * m).astype(dtype)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=8)

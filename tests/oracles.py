@@ -11,7 +11,20 @@ from pgoppa.decoder import Candidate, DecodeOutcome, assemble_locator, decode, f
 from pgoppa.errors import NotInvertibleError
 from pgoppa.experiments import TrialConfig
 from pgoppa.goppa import ErrorPattern, GoppaCode, build_code, sample_error
-from pgoppa.polyring import Poly, _elementwise, _euclid, _fmod, inv_mod, poly_gcd, pth_power_decompose, pth_root_mod
+from pgoppa.polyring import (
+    Poly,
+    _digit_split,
+    _elementwise,
+    _euclid,
+    _exact_products,
+    _fmod,
+    _mul_x_matrix,
+    _power_mod,
+    inv_mod,
+    poly_gcd,
+    pth_power_decompose,
+    pth_root_mod,
+)
 from pgoppa.popov import pivot_index, weak_popov_reduce
 from pgoppa.rng import trial_stream
 
@@ -224,6 +237,42 @@ def power_mod_reference(a: np.ndarray, e: int, p: int) -> np.ndarray:
         if e:
             base = _fmod(base @ base, p)
     return np.eye(a.shape[-1]) if power is None else power
+
+
+def frobenius_matrix_reference(field, gc: np.ndarray) -> np.ndarray:
+    """`polyring._frobenius_matrix` by its m-wide block recurrence: block j,
+    the m columns (y**k)**p * x**(j*p) mod g, is (C**p)**j applied to the
+    digits of each (y**k)**p, placed at x**(j*p) while j*p < t and otherwise
+    the last block times C**p.  The reference for the one-residue-per-block
+    form, whose values, dtype and bytes must equal these."""
+    p, m = field.p, field.m
+    rows, t = gc.shape[0], gc.shape[1] - 1
+    dim = m * t
+    dtype, every = _exact_products(p, dim)
+    ys = [p**k for k in range(m)]  # the ranks of y**k
+    eye = np.eye(dim, dtype=dtype)
+    mul_x = _mul_x_matrix(field, gc)
+    if p > 2 * t * p.bit_length():  # p - 1 thin products would cost more than squaring
+        mul_xp = _power_mod(mul_x, p, p)
+    else:  # block i of C**p, column k: digits of y**k x**(p + i) mod g
+        mul_xp, low = np.empty_like(mul_x), max(t - p, 0) * m
+        mul_xp[:, :, :low] = eye[:, p * m :]
+        tail = [mul_x[:, :, -m:]]  # x**t, ..., x**(t + p - 1)
+        while len(tail) < p:
+            tail.append(_fmod(mul_x @ tail[-1], p))
+        mul_xp[:, :, low:] = np.concatenate(tail[max(p - t, 0) :], axis=-1)
+    out = np.zeros((rows, dim, dim), dtype=dtype)
+    first = -(-t // p)  # blocks j < first have j*p < t
+    js = np.arange(first)
+    out.reshape(rows, t, m, t, m)[:, js * p, :, js, :] = _digit_split(np.array([field._ppow[y] for y in ys]), field).T
+    block = out[:, :, (first - 1) * m : first * m]
+    for j in range(first, t):
+        block = mul_xp @ block
+        if (j + 1 - first) % every == 0:
+            block = _fmod(block, p)
+        out[:, :, j * m : (j + 1) * m] = block
+    _fmod(out[:, :, first * m :], p)
+    return out
 
 
 def rabin_irreducible(g: Poly) -> bool:

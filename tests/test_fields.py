@@ -10,7 +10,7 @@ import pytest
 
 from pgoppa.errors import ParamError
 from pgoppa.fields import Field, _default_modulus, ints_from_text, is_prime, make_field
-from pgoppa.polyring import Poly, _elementwise, is_irreducible
+from pgoppa.polyring import Poly, _elementwise, _neg_inverse, is_irreducible
 
 
 def brute_mul(a, b, p, m, modulus):
@@ -329,3 +329,29 @@ def test_prime_field_tables_match_digit_arithmetic(p, m):
         assert f._add_raw(a, f._neg[a]) == 0
         assert a == 0 or f._mul_raw(a, f._inv[a]) == 1
         assert f.pow(f._proot[a], p) == a
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 4), (7, 3), (2, 9)])
+def test_negated_inverse_of_every_rank_on_tabled_fields(p, m):
+    f = make_field(p, m)
+    ranks = np.arange(1, f.q, dtype=np.int64)
+    expected = [f.neg(f.inv(a)) for a in range(1, f.q)]
+    out = _neg_inverse(ranks, f)
+    assert out.dtype == np.int64 and out.tolist() == expected
+    # any shape: a 2-D array comes back in its shape
+    square = ranks[: (f.q - 1) // 2 * 2].reshape(2, -1)
+    assert _neg_inverse(square, f).tolist() == [expected[: square.shape[1]], expected[square.shape[1] : 2 * square.shape[1]]]
+
+
+@pytest.mark.parametrize("p, m", [(3, 6), (5, 4), (2**31 - 1, 1), (7, 3)])
+def test_negated_inverse_of_drawn_ranks_in_any_shape(p, m):
+    # the computed GF(3**6), GF(5**4) and GF(2**31 - 1), and a tabled field
+    f = make_field(p, m)
+    rng = random.Random(p * m)
+    ranks = np.array([rng.randrange(1, f.q) for _ in range(24)], dtype=np.int64)
+    expected = [f.neg(f.inv(int(a))) for a in ranks]
+    for shape in ((24,), (4, 6), (0,), (3, 0)):
+        drawn = ranks[: np.prod(shape, dtype=int)].reshape(shape)
+        out = _neg_inverse(drawn, f)
+        assert out.dtype == np.int64 and out.shape == shape
+        assert out.ravel().tolist() == expected[: drawn.size]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgoppa import polyring
+from pgoppa import goppa, polyring
 from pgoppa.decoder import decode
 from pgoppa.errors import ParamError
 from pgoppa.experiments import TrialConfig
@@ -353,6 +353,52 @@ def test_built_code_keeps_the_screens_frobenius_matrix(monkeypatch, p, m, t):
     assert loaded._frobenius is None
     built.clear()
     assert np.array_equal(loaded.pth_roots(pth_root_mod)[0], inverse) and built == [1]
+
+
+# (p, m, t, n): Table-1 and binary blocks at their default n, t = 1 at the
+# default n = q - 1, punctured supports, and the computed GF(3**6), GF(5**4)
+DRAWN_BLOCKS = [
+    (3, 3, 6, None), (3, 4, 20, None), (5, 2, 12, None), (7, 2, 24, None), (2, 4, 3, None), (2, 5, 6, None),
+    (3, 3, 1, None), (7, 1, 1, None), (5, 2, 1, None), (3, 3, 8, 25), (5, 2, 4, 17), (3, 6, 5, 40), (5, 4, 6, 60),
+]
+
+
+@pytest.mark.parametrize("p, m, t, n", DRAWN_BLOCKS)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_an_irreducible_draw_is_the_code_the_public_constructor_builds(p, m, t, n, seed):
+    # the draw skips the checks its search proved; the public constructor,
+    # given the same field, support and generator, runs every one of them
+    # and must accept them and build the same code
+    code = build_code(p, m, t, n, rng=SplitMix64(seed))
+    public = GoppaCode(code.field, code.L, code.g)
+    assert (public.L, public.g, public.n, public.t) == (code.L, code.g, code.n, code.t)
+    assert public.Hbar.dtype == code.Hbar.dtype and public.Hbar.tobytes() == code.Hbar.tobytes()
+    assert type(code.L) is tuple and code.n == (p**m - (t == 1) if n is None else n)
+
+
+def test_square_free_runs_once_per_checked_code_and_never_on_an_irreducible_draw(monkeypatch, code338):
+    calls = []
+    real = goppa.is_square_free
+    monkeypatch.setattr(goppa, "is_square_free", lambda g: calls.append(g) or real(g))
+    GoppaCode(code338.field, code338.L, code338.g)
+    GoppaCode.from_text(code338.to_text())
+    composite = build_code(3, 3, 4, rng=SplitMix64(61), irreducible_only=False)
+    assert calls == [code338.g, code338.g, composite.g]
+    calls.clear()
+    for block in ((3, 4, 20), (3, 3, 1), (2, 4, 3), (3, 6, 3, 40)):
+        build_code(*block, rng=SplitMix64(7))
+    assert calls == []
+
+
+def test_an_irreducible_draw_keeps_the_size_checks():
+    # the checks a draw still runs, each on the drawn code: t = 1 over
+    # GF(2) leaves the default n = q - 1 = 1, so n - m*t = 0 only after the
+    # draw; and 2049 words mod 2**26 - 5 would overflow Hbar @ word in int64
+    with pytest.raises(ParamError, match=r"dimension bound violated: n - m\*t = 0"):
+        build_code(2, 1, 1, rng=SplitMix64(3))
+    with pytest.raises(ParamError, match="syndromes of length-2049 words mod 67108859 would overflow int64"):
+        build_code(2**26 - 5, 1, 2, 2049, rng=SplitMix64(3))
 
 
 def test_code_file_roundtrip(tmp_path, code338):

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(pgoppa.__file__).parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-PRIVATE_TABLES = {"_add", "_mul", "_neg", "_inv", "_ppow", "_proot", "_arrays", "_digits", "_computed_lookups"}
+PRIVATE_TABLES = {"_add", "_mul", "_neg", "_inv", "_ppow", "_proot", "_arrays", "_neg_inv", "_digits", "_computed_lookups"}
 TABLE_OWNERS = {"fields.py", "polyring.py"}
 
 

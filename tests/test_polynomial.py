@@ -39,6 +39,7 @@ from pgoppa.rng import SplitMix64
 from oracles import (
     evaluate,
     ext_gcd,
+    frobenius_matrix_reference,
     poly_pth_power,
     pow_mod,
     power_mod_reference,
@@ -729,6 +730,33 @@ def test_frobenius_matrix_is_pinned():
         frob = _frobenius_matrix(f, np.array([g.coeffs, other.coeffs]))
         assert frob.dtype == np.float32
         assert hashlib.sha256(frob.tobytes()).hexdigest()[:16] == digest
+
+
+# Table-1 and binary blocks, t = 1, t < p, the largest tabled field, the
+# computed GF(3**6) and GF(5**4), GF(509) on both sides of float32's exact
+# range (65 * 508**2 < 2**24 < 66 * 508**2) and p = 65521, where C**p is a
+# power and every product float64
+FROBENIUS_BLOCKS = [
+    (3, 4, 20), (3, 3, 8), (5, 3, 41), (7, 2, 24), (11, 2, 60), (2, 4, 3), (2, 9, 20),
+    (3, 4, 1), (7, 1, 1), (7, 2, 3), (11, 2, 5), (3, 6, 4), (5, 4, 6),
+    (509, 1, 65), (509, 1, 66), (65521, 1, 3),
+]
+
+
+@pytest.mark.parametrize("p, m, t", FROBENIUS_BLOCKS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_frobenius_matrix_equals_the_block_recurrence(p, m, t, data):
+    # one residue per block, scaled by the constants (y**k)**p in one
+    # product, against the m-wide recurrence: the same values, dtype and
+    # C-order bytes, for a stack of any monic rows
+    f = make_field(p, m)
+    rows = data.draw(st.integers(1, 4))
+    coeffs = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=t, max_size=t), min_size=rows, max_size=rows))
+    gc = np.array([row + [1] for row in coeffs], dtype=np.int64)
+    frob, reference = _frobenius_matrix(f, gc), frobenius_matrix_reference(f, gc)
+    assert frob.dtype == reference.dtype and frob.flags.c_contiguous
+    assert frob.tobytes() == reference.tobytes()
 
 
 def test_frobenius_inverse_is_a_power_with_elimination_fallback(monkeypatch):
